@@ -3,8 +3,10 @@
 Quantum evolution is spectral: blocks evolve independently under their own
 eigendecompositions, so unitarity is exact up to the eigensolve.  The mean
 field side integrates the canonical equations on the (p, q) chart of the
-su(2) coherent manifold with the Hamiltonian expectation evaluated
-matrix-wise on the block.
+su(2) coherent manifold.  The coherent state has binomial amplitudes
+(Perelomov, Generalized Coherent States and Their Applications, 1986), so
+on the tridiagonal block Hamiltonian its energy and both partial
+derivatives are closed-form O(d) sums: no eigensolve, no difference step.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Block, StructureFunction, holstein_primakoff
+from .algebra import Block, StructureFunction
 from .solver import Spectrum, build_hamiltonian, eigensolve
 from .three_boson import (
     BlockLabel,
@@ -307,27 +309,101 @@ class MeanFieldTrajectory:
         )
 
 
-class _GcsEnergy:
-    """Batched evaluator of H(p, q) = <z(p,q)| H |z(p,q)> on one block."""
+def _horner_table(beta, dbeta):
+    """Per-step coefficients and binomial ratios of _CoherentEnergy._sums."""
+    n1 = len(beta) - 1
+    steps = tuple(
+        (beta[v - 1], (n1 - v + 1) / v, dbeta[v - 2], (n1 - v + 1) / (v - 1))
+        for v in range(n1, 1, -1)
+    )
+    if n1 == 0:
+        return beta[0], 0.0, steps, None
+    return beta[-1], dbeta[-1], steps, beta[0]
 
-    def __init__(self, block: Block, psi: StructureFunction, params):
-        self.j = block.j
-        self.h = build_hamiltonian(block, psi, params).dense()
-        _, yp, ym = holstein_primakoff(block, psi)
-        self.yp = yp
-        self.ym = ym
 
-    def __call__(self, ps, qs) -> np.ndarray:
-        ps = np.asarray(ps, dtype=float)
-        qs = np.asarray(qs, dtype=float)
-        theta = np.arccos(np.clip(ps / self.j, -1.0, 1.0))
-        xi = 0.5 * theta * np.exp(-1j * qs)
-        a = xi[:, None, None] * self.yp - np.conj(xi)[:, None, None] * self.ym
-        w, vmat = np.linalg.eigh(1j * a)
-        low = np.exp(-1j * w) * np.conj(vmat[:, 0, :])
-        vecs = np.einsum("bij,bj->bi", vmat, low)
-        ham = np.einsum("bi,ij,bj->b", vecs.conj(), self.h, vecs)
-        return ham.real
+class _CoherentEnergy:
+    """Closed-form H(p, q) = <z(p,q)| H |z(p,q)> and its gradient on one block.
+
+    The su(2) coherent state has the binomial amplitudes
+    z_v = sqrt(C(n, v)) c^((n-v)/2) s^(v/2) exp(-i v q) with
+    c = (1 + p/j)/2, s = 1 - c and n = 2j, so on the tridiagonal H
+
+        H(p, q) = A(s) + B(s) cos(q + phi),
+        A(s) = diag_0 + (diag_1 - diag_0) n s,
+        B(s) = 2 sqrt(c s) Q(s),
+        Q(s) = sum_v beta_v C(n-1, v) s^v c^(n-1-v),
+
+    with beta_v = offdiag_v n / sqrt((n - v)(v + 1)) and phi the coupling
+    phase.  The diagonal is linear in v, so A is exact.  Q and dQ/ds are
+    Bernstein sums evaluated together in one scaled Horner pass, so each
+    evaluation costs O(d) and stays finite at any block size.
+    """
+
+    def __init__(self, tri):
+        n = tri.dim - 1
+        self.n = n
+        self.j = 0.5 * n
+        self.phase = float(tri.g_phase)
+        self.diag0 = float(tri.diag[0])
+        self.slope = float(tri.diag[1] - tri.diag[0]) if n else 0.0
+        if n:
+            v = np.arange(n, dtype=float)
+            beta = tri.offdiag * n / np.sqrt((n - v) * (v + 1))
+            dbeta = (n - 1) * np.diff(beta)
+            beta, dbeta = beta.tolist(), dbeta.tolist()
+            self._fwd = _horner_table(beta, dbeta)
+            self._rev = _horner_table(beta[::-1], dbeta[::-1])
+
+    @staticmethod
+    def _sums(small, big, table):
+        """Bernstein sums of Q and dQ/ds, coefficients ordered by powers of small.
+
+        Horner runs in the ratio small/big <= 1 with each partial sum kept
+        multiplied by the matching power of big.  Once that power falls
+        below 1e-150 (blocks of several hundred levels), the partial sums
+        are rescaled by a power of two at every step, so none of them
+        underflows or overflows.
+        """
+        q, dq, steps, first = table
+        power = 1.0
+        exp2 = 0
+        for b, rb, db, rdb in steps:
+            power *= big
+            q = power * b + small * rb * q
+            dq = power * db + small * rdb * dq
+            if power < 1e-150:
+                e = math.frexp(max(power, abs(q), abs(dq)))[1]
+                power = math.ldexp(power, -e)
+                q = math.ldexp(q, -e)
+                dq = math.ldexp(dq, -e)
+                exp2 += e
+        if first is not None:
+            q = power * big * first + small * (len(steps) + 1) * q
+        return math.ldexp(q, exp2), math.ldexp(dq, exp2)
+
+    def __call__(self, p: float, q: float):
+        """H, dH/dp and dH/dq at (p, q); |p| > j is evaluated at the pole."""
+        if self.n == 0:
+            return self.diag0, 0.0, 0.0
+        x = min(1.0, max(-1.0, p / self.j))
+        s = 0.5 - 0.5 * x
+        c = 0.5 + 0.5 * x
+        if s <= c:
+            bq, dbq = self._sums(s, c, self._fwd)
+        else:
+            bq, dbq = self._sums(c, s, self._rev)
+        root = math.sqrt(s * c)
+        # dB/ds; the sqrt(c s) derivative diverges on the pole, where q is
+        # undefined, and is taken as 0 there
+        db = 2.0 * root * dbq
+        if root > 0.0:
+            db += (c - s) / root * bq
+        ang = q + self.phase
+        cos_a = math.cos(ang)
+        b = 2.0 * root * bq
+        energy = self.diag0 + self.slope * self.n * s + b * cos_a
+        dhdp = -self.slope - db * cos_a / self.n
+        return energy, dhdp, -b * math.sin(ang)
 
 
 def meanfield_trajectory(
@@ -341,42 +417,40 @@ def meanfield_trajectory(
 ) -> MeanFieldTrajectory:
     """Classic 4th-order integration of dq/dt = dH/dp, dp/dt = -dH/dq.
 
-    Partial derivatives of the coherent-state energy are central
-    differences with step 1e-6 max(1, |p|, |q|).  If |p| leaves the chart
-    it is clamped back to the pole with a warning.
+    H(p, q) and both partial derivatives come in closed form from the
+    binomial amplitudes of the su(2) coherent state, so the forces are
+    exact.  Stages with |p| > j are evaluated at p = +-j.  On the pole q is
+    undefined, the q-dependent part of dH/dp is taken as 0 there, and a
+    state on the pole stays on it while q precesses at a finite rate.  If
+    |p| leaves the chart after a step it is clamped back to the pole with
+    a warning.  Non-finite p0, q0, tspan or dt raise ValueError.
     """
+    for name, val in (("p0", p0), ("q0", q0), ("tspan", tspan), ("dt", dt)):
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be finite")
     j = block.j
     if abs(p0) > j:
         raise ValueError("initial |p| exceeds j")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    energy = _GcsEnergy(block, psi, params)
+    energy = _CoherentEnergy(build_hamiltonian(block, psi, params))
     nsteps = max(1, int(round(abs(tspan) / dt)))
     step = tspan / nsteps
-    ps = np.empty(nsteps + 1)
-    qs = np.empty(nsteps + 1)
-    es = np.empty(nsteps + 1)
-    ps[0], qs[0] = p0, q0
+    half = 0.5 * step
     clamped = False
 
-    def force(p, q):
-        h = 1e-6 * max(1.0, abs(p), abs(q))
-        vals = energy(
-            [p + h, p - h, p, p], [q, q, q + h, q - h]
-        )
-        dhdp = (vals[0] - vals[1]) / (2 * h)
-        dhdq = (vals[2] - vals[3]) / (2 * h)
-        return -dhdq, dhdp
-
-    p, q = p0, q0
-    es[0] = energy([p], [q])[0]
-    for i in range(nsteps):
-        k1p, k1q = force(p, q)
-        k2p, k2q = force(p + 0.5 * step * k1p, q + 0.5 * step * k1q)
-        k3p, k3q = force(p + 0.5 * step * k2p, q + 0.5 * step * k2q)
-        k4p, k4q = force(p + step * k3p, q + step * k3q)
-        p += step / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        q += step / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
+    p, q = float(p0), float(q0)
+    e, dhdp, dhdq = energy(p, q)
+    ps, qs, es = [p], [q], [e]
+    for _ in range(nsteps):
+        k1p, k1q = -dhdq, dhdp
+        _, dhdp, dhdq = energy(p + half * k1p, q + half * k1q)
+        k2p, k2q = -dhdq, dhdp
+        _, dhdp, dhdq = energy(p + half * k2p, q + half * k2q)
+        k3p, k3q = -dhdq, dhdp
+        _, dhdp, dhdq = energy(p + step * k3p, q + step * k3q)
+        p += step / 6.0 * (k1p + 2 * k2p + 2 * k3p - dhdq)
+        q += step / 6.0 * (k1q + 2 * k2q + 2 * k3q + dhdp)
         if abs(p) > j:
             p = math.copysign(j, p)
             if not clamped:
@@ -385,9 +459,15 @@ def meanfield_trajectory(
                     stacklevel=2,
                 )
             clamped = True
-        ps[i + 1], qs[i + 1] = p, q
-        es[i + 1] = energy([p], [q])[0]
+        e, dhdp, dhdq = energy(p, q)
+        ps.append(p)
+        qs.append(q)
+        es.append(e)
     times = np.arange(nsteps + 1) * step
     return MeanFieldTrajectory(
-        times=times, p=ps, q=qs, energy=es, clamped=clamped
+        times=times,
+        p=np.array(ps),
+        q=np.array(qs),
+        energy=np.array(es),
+        clamped=clamped,
     )

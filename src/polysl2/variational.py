@@ -189,6 +189,24 @@ def _rung_weights(block: Block, psi: StructureFunction):
     return q
 
 
+@lru_cache(maxsize=64)
+def _binomial_weights(twoj: int):
+    """Term weights of the stationarity condition, normalised, and their scale.
+
+    The condition weighs term f by 1 / ((2j-1-f)! f!) = C(2j-1, f) / (2j-1)!,
+    whose factorials overflow a float from d = 173 on.  The weights returned
+    are C(2j-1, f) / max_f C(2j-1, f), each an exact integer ratio rounded
+    once, and scale = max_f C(2j-1, f) / (2j-1)! restores the factorial
+    form.  Roots do not depend on the scale, so the scan uses the weights
+    alone.
+    """
+    n = twoj - 1
+    combs = [math.comb(n, f) for f in range(twoj)]
+    top = math.comb(n, n // 2) if twoj else 1
+    weights = tuple(c / top for c in combs)
+    return weights, top / math.factorial(max(n, 0))
+
+
 def stationarity_residual(
     block: Block, psi: StructureFunction, params, alpha: float
 ) -> float:
@@ -202,16 +220,15 @@ def stationarity_residual(
     twoj = block.dim - 1
     j = block.j
     q = _rung_weights(block, psi)
+    weights, scale = _binomial_weights(twoj)
     ratio = params.a / params.g_mod
     acc = 0.0
     for f in range(twoj):
-        term = alpha ** (2 * f) / (
-            math.factorial(twoj - 1 - f) * math.factorial(f)
-        )
+        term = alpha ** (2 * f) * weights[f]
         brace = ratio * alpha
         brace -= (4 * alpha**2 * j - (1 + alpha**2) * (2 * f + 1)) * q[f]
         acc += term * brace
-    return acc
+    return acc * scale
 
 
 def _residual_scale(block: Block, psi: StructureFunction, params, alpha: float):
@@ -219,26 +236,25 @@ def _residual_scale(block: Block, psi: StructureFunction, params, alpha: float):
     twoj = block.dim - 1
     j = block.j
     q = _rung_weights(block, psi)
+    weights, scale = _binomial_weights(twoj)
     ratio = abs(params.a / params.g_mod)
     acc = 0.0
     for f in range(twoj):
-        term = abs(alpha) ** (2 * f) / (
-            math.factorial(twoj - 1 - f) * math.factorial(f)
-        )
+        term = abs(alpha) ** (2 * f) * weights[f]
         brace = ratio * abs(alpha)
         brace += abs(4 * alpha**2 * j - (1 + alpha**2) * (2 * f + 1)) * q[f]
         acc += term * brace
-    return acc
+    return acc * scale
 
 
 def _residual_poly(block: Block, psi: StructureFunction, params):
     """Stationarity residual as ascending polynomial coefficients in alpha."""
     twoj = block.dim - 1
     q = _rung_weights(block, psi)
+    weights, _ = _binomial_weights(twoj)
     ratio = params.a / params.g_mod
     coef = np.zeros(2 * twoj + 2)
-    for f in range(twoj):
-        base = 1.0 / (math.factorial(twoj - 1 - f) * math.factorial(f))
+    for f, base in enumerate(weights):
         coef[2 * f + 1] += base * ratio
         coef[2 * f] += base * (2 * f + 1) * q[f]
         coef[2 * f + 2] += base * ((2 * f + 1) - 2 * twoj) * q[f]

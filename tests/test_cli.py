@@ -201,3 +201,48 @@ def test_meanfield_run(tmp_path):
     assert rows[0] == ["t", "p", "q", "energy"]
     assert len(rows) == 1 + 501
     assert float(rows[1][1]) == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("key, value", [("p0", "nan"), ("dt", "inf")])
+def test_meanfield_non_finite_input_is_refused(tmp_path, key, value):
+    mf = {"p0": 0.4, "q0": 0.0, "tspan": 5.0, "dt": 0.01, key: value}
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "sl2_limit",
+            "sl2_limit": {"j": 1.0, "a": 0.5, "g": 1.0},
+            "meanfield": mf,
+        },
+    )
+    out = tmp_path / "mf"
+    assert main(["meanfield", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not (out / "meanfield.csv").exists()
+
+
+def test_spectrum_large_block_stays_in_norm_bound(tmp_path):
+    from polysl2.solver import build_hamiltonian
+    from polysl2.three_boson import (
+        BlockLabel,
+        ThreeBosonParams,
+        block_constants,
+        build_model_block,
+    )
+
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "three_boson",
+            "three_boson": {"omega1": 1.0, "omega2": 0.9, "omega3": 2.2, "g": 0.8},
+            "blocks": {"labels": [{"k": 0, "m": 180}]},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    label = BlockLabel(0, 180)
+    block, psi = build_model_block(label)
+    params = block_constants(label, ThreeBosonParams(1.0, 0.9, 2.2, 0.8))
+    bound = build_hamiltonian(block, psi, params).norm_bound()
+    _, rows = read_rows(out / "spectrum.csv")
+    energies = [float(r[3]) for r in rows[1:]]
+    assert len(energies) == block.dim == 181
+    assert all(abs(e) <= bound for e in energies)

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from polysl2.algebra import StructureFunction, build_block
+from polysl2.algebra import StructureFunction, build_block, holstein_primakoff
 from polysl2.dynamics import (
+    _CoherentEnergy,
     Signal,
     detect_collapse_revival,
     evolve_block,
@@ -223,6 +224,11 @@ def test_meanfield_pole_clamp_warns():
         )
     assert traj.clamped
     assert np.max(np.abs(traj.p)) <= block.j + 1e-12
+    for arr in (traj.p, traj.q, traj.energy):
+        assert np.all(np.isfinite(arr))
+    # on the pole q only precesses, at the rate dH/dp = -a of the diagonal
+    on_pole = np.nonzero(np.abs(traj.p) == block.j)[0]
+    assert np.allclose(np.diff(traj.q[on_pole]), -0.3 * 0.5, atol=1e-12)
 
 
 def test_meanfield_input_validation():
@@ -232,3 +238,103 @@ def test_meanfield_input_validation():
         meanfield_trajectory(block, psi, params, 1.5, 0.0, 1.0, 0.01)
     with pytest.raises(ValueError, match="dt"):
         meanfield_trajectory(block, psi, params, 0.1, 0.0, 1.0, -0.01)
+
+
+@pytest.mark.parametrize("name", ["p0", "q0", "tspan", "dt"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_meanfield_rejects_non_finite_input(name, bad):
+    block, psi = build_model_block(BlockLabel(0, 2))
+    args = {"p0": 0.1, "q0": 0.0, "tspan": 1.0, "dt": 0.01, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        meanfield_trajectory(block, psi, HamiltonianParams(a=1.0, g_mod=0.5), **args)
+
+
+def test_meanfield_single_level_block_is_constant():
+    block, psi = build_model_block(BlockLabel(0, 0))
+    assert block.dim == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = HamiltonianParams(a=0.8, g_mod=0.6, constant=1.5)
+        traj = meanfield_trajectory(block, psi, params, 0.0, 0.4, 2.0, 0.1)
+    assert len(traj.times) == 21
+    assert np.all(traj.p == 0.0)
+    assert np.all(traj.q == 0.4)
+    assert np.all(traj.energy == traj.energy[0])
+    assert not traj.clamped
+
+
+def _coherent_expectation(block, psi, tri, p, q):
+    """<z|H|z> with z = exp(xi Y+ - xi* Y-)|0> built by a dense eigensolve."""
+    _, yp, ym = holstein_primakoff(block, psi)
+    xi = 0.5 * math.acos(p / block.j) * np.exp(-1j * q)
+    w, vec = np.linalg.eigh(1j * (xi * yp - np.conj(xi) * ym))
+    z = vec @ (np.exp(-1j * w) * np.conj(vec[0]))
+    return float(np.real(z.conj() @ tri.dense() @ z))
+
+
+@pytest.mark.parametrize(
+    "label, g_phase",
+    [
+        (BlockLabel(0, 4), 0.25),
+        (BlockLabel(3, 20, -1), 0.7),
+        (BlockLabel(0, 60), -1.3),
+    ],
+)
+def test_meanfield_closed_form_matches_coherent_expectation(label, g_phase):
+    block, psi = build_model_block(label)
+    base = block_constants(label, ThreeBosonParams(1.0, 0.9, 2.2, 0.8))
+    params = HamiltonianParams(
+        a=base.a, g_mod=base.g_mod, g_phase=g_phase, constant=base.constant
+    )
+    tri = build_hamiltonian(block, psi, params)
+    energy = _CoherentEnergy(tri)
+    bound = tri.norm_bound()
+    rng = np.random.default_rng(17)
+    ps = np.concatenate([[-block.j, block.j], rng.uniform(-block.j, block.j, 20)])
+    for p, q in zip(ps, rng.uniform(-4.0, 4.0, len(ps))):
+        ref = _coherent_expectation(block, psi, tri, p, q)
+        assert abs(energy(p, q)[0] - ref) <= 1e-12 * bound
+
+
+@pytest.mark.parametrize(
+    "label", [BlockLabel(0, 1), BlockLabel(0, 4), BlockLabel(2, 9, 1)]
+)
+def test_meanfield_gradient_matches_central_differences(label):
+    block, psi = build_model_block(label)
+    base = block_constants(label, ThreeBosonParams(1.0, 0.9, 2.2, 0.8))
+    params = HamiltonianParams(
+        a=base.a, g_mod=base.g_mod, g_phase=0.4, constant=base.constant
+    )
+    energy = _CoherentEnergy(build_hamiltonian(block, psi, params))
+    rng = np.random.default_rng(23)
+    h = 1e-5
+    for p, q in zip(rng.uniform(-0.9, 0.9, 10) * block.j, rng.uniform(-3.0, 3.0, 10)):
+        _, dhdp, dhdq = energy(p, q)
+        fd_p = (energy(p + h, q)[0] - energy(p - h, q)[0]) / (2 * h)
+        fd_q = (energy(p, q + h)[0] - energy(p, q - h)[0]) / (2 * h)
+        scale = max(1.0, abs(energy(p, q)[0]))
+        assert dhdp == pytest.approx(fd_p, abs=1e-8 * scale)
+        assert dhdq == pytest.approx(fd_q, abs=1e-8 * scale)
+
+
+def test_meanfield_closed_form_large_block_matches_log_space_sum():
+    # d = 2001: c^(n-1) alone underflows at the equator, the Horner pass must not
+    label = BlockLabel(0, 2000)
+    block, psi = build_model_block(label)
+    params = HamiltonianParams(a=0.7, g_mod=1.0, g_phase=0.3)
+    tri = build_hamiltonian(block, psi, params)
+    energy = _CoherentEnergy(tri)
+    n = block.dim - 1
+    v = np.arange(n)
+    beta = tri.offdiag * n / np.sqrt((n - v) * (v + 1))
+    log_binom = np.array(
+        [math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k) for k in v]
+    )
+    for x, q in ((-0.6, 0.2), (0.0, 1.1), (0.3, -2.0), (0.95, 0.5)):
+        s, c = 0.5 - 0.5 * x, 0.5 + 0.5 * x
+        bern = np.exp(log_binom + v * math.log(s) + (n - 1 - v) * math.log(c))
+        b = 2.0 * math.sqrt(s * c) * float(beta @ bern)
+        ref = tri.diag[0] + (tri.diag[1] - tri.diag[0]) * n * s + b * math.cos(q + 0.3)
+        got = energy(x * block.j, q)
+        assert all(math.isfinite(g) for g in got)
+        assert abs(got[0] - ref) <= 1e-10 * tri.norm_bound()
