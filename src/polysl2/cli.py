@@ -29,10 +29,10 @@ from .algebra import (
     build_block,
 )
 from .dynamics import (
-    Signal,
-    _evolve_grid,
+    WEIGHT_FLOOR,
     detect_collapse_revival,
     evolve_block,
+    fock_signal,
     incommensurability_measure,
     rabi_signal,
 )
@@ -52,8 +52,6 @@ from .three_boson import (
     block_constants,
     build_model_block,
     enumerate_blocks,
-    fock_to_block,
-    project_coherent,
     psi3_for_block,
 )
 from .variational import variational_spectrum
@@ -394,29 +392,23 @@ def cmd_dynamics(cfg: dict, digest: str, args) -> int:
         g=_as_complex(sect["g"], "three_boson.g"),
     )
     dyn = _require(cfg, "dynamics")
-    tmax = float(dyn.get("tmax", 100.0))
+    tmax = dyn.get("tmax", 100.0)
+    if type(tmax) not in (int, float) or not math.isfinite(tmax):
+        raise ConfigError("dynamics.tmax must be a finite number")
     samples = int(dyn.get("samples", 10001))
     if samples < 1000:
         raise ConfigError("dynamics.samples must be at least 1000")
-    times = np.linspace(0.0, tmax, samples)
+    times = np.linspace(0.0, float(tmax), samples)
     t0 = time.perf_counter()
     if "fock" in dyn:
         fock = dyn["fock"]
-        if len(fock) != 3:
-            raise ConfigError("dynamics.fock must be [n1, n2, n3]")
-        label, v = fock_to_block(int(fock[0]), int(fock[1]), int(fock[2]))
-        block, psi = build_model_block(label)
-        spec = eigensolve(
-            build_hamiltonian(block, psi, block_constants(label, params3))
-        )
-        c0 = np.zeros(block.dim, dtype=complex)
-        c0[v] = 1.0
-        amps = _evolve_grid(spec, c0, times)
-        occ = label.m - np.arange(block.dim, dtype=float)
-        signal = Signal(times=times, values=occ @ (np.abs(amps) ** 2))
-        deficit, deficit_ok = 0.0, True
-        weights = {label.block_id: 1.0}
-        dominant = (label, spec)
+        if not (
+            isinstance(fock, list)
+            and len(fock) == 3
+            and all(type(n) is int and n >= 0 for n in fock)
+        ):
+            raise ConfigError("dynamics.fock must be [n1, n2, n3] of integers >= 0")
+        result = fock_signal(fock, params3, times)
     elif "alpha" in dyn:
         alpha = dyn["alpha"]
         if len(alpha) != 3:
@@ -429,20 +421,12 @@ def cmd_dynamics(cfg: dict, digest: str, args) -> int:
             deficit_bound=float(dyn.get("deficit_bound", 1e-6)),
         )
         result = rabi_signal(inp, params3, times)
-        signal = result.signal
-        deficit, deficit_ok = result.tail_deficit, result.deficit_ok
-        weights = result.block_weights
-        bid = max(weights, key=lambda b: weights[b])
-        label = next(
-            lab for lab in enumerate_blocks(inp.ncut) if lab.block_id == bid
-        )
-        block, psi = build_model_block(label)
-        spec = eigensolve(
-            build_hamiltonian(block, psi, block_constants(label, params3))
-        )
-        dominant = (label, spec)
     else:
         raise ConfigError("dynamics section needs 'alpha' or 'fock'")
+    signal = result.signal
+    label, spec = result.dominant_label, result.dominant_spectrum
+    if label is None:
+        raise RuntimeError(f"no block carries weight above {WEIGHT_FLOOR:.0e}")
     report = detect_collapse_revival(
         signal,
         window_periods=float(dyn.get("window_periods", 5.0)),
@@ -450,7 +434,6 @@ def cmd_dynamics(cfg: dict, digest: str, args) -> int:
     )
     elapsed = time.perf_counter() - t0
 
-    label, spec = dominant
     incomm = None
     if len(np.unique(np.round(spec.energies, 9))) >= 3:
         rep = incommensurability_measure(
@@ -494,11 +477,11 @@ def cmd_dynamics(cfg: dict, digest: str, args) -> int:
             "initial_envelope": report.initial_envelope,
             "collapse_time": report.collapse_time,
             "revival_times": list(report.revival_times),
-            "tail_deficit": deficit,
-            "deficit_ok": deficit_ok,
+            "tail_deficit": result.tail_deficit,
+            "deficit_ok": result.deficit_ok,
             "dominant_block": label.block_id,
             "dominant_gap_period": gap_period,
-            "block_weights": weights,
+            "block_weights": result.block_weights,
             "incommensurability": incomm,
         },
     )

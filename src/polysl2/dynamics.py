@@ -25,7 +25,9 @@ from .three_boson import (
     ThreeBosonParams,
     block_constants,
     build_model_block,
-    enumerate_blocks,
+    coherent_block_weights,
+    coherent_tail_deficit,
+    fock_to_block,
     project_coherent,
 )
 
@@ -39,6 +41,7 @@ __all__ = [
     "evolve_block",
     "observable_n3",
     "rabi_signal",
+    "fock_signal",
     "detect_collapse_revival",
     "incommensurability_measure",
     "meanfield_trajectory",
@@ -46,6 +49,9 @@ __all__ = [
 
 # blocks below this squared-norm weight cannot move any plotted digit
 WEIGHT_FLOOR = 1e-18
+# time samples per propagation chunk of _evolve_grid: the fastest of
+# 64..2048 at the README collapse config, one BLAS thread
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -70,12 +76,35 @@ def evolve_block(spectrum: Spectrum, c0, t: float) -> np.ndarray:
     return spectrum.amplitudes @ (np.exp(-1j * spectrum.energies * t) * cr)
 
 
-def _evolve_grid(spectrum: Spectrum, c0, times: np.ndarray) -> np.ndarray:
-    """Amplitudes on a whole time grid at once, shape (d, len(times))."""
-    c0 = np.asarray(c0, dtype=complex)
-    cr = spectrum.amplitudes.conj().T @ c0
-    phases = np.exp(-1j * np.outer(spectrum.energies, times))
-    return spectrum.amplitudes @ (phases * cr[:, None])
+def _evolve_grid(
+    spectrum: Spectrum, c0, times: np.ndarray, occ: np.ndarray, gauge: np.ndarray
+) -> np.ndarray:
+    """Block contribution sum_v occ_v |c_v(t)|^2 on a uniform time grid.
+
+    The amplitudes are spectrum.amplitudes = conj(gauge) Q with Q real; the
+    gauge is a diagonal phase and drops out of |c_v|^2, so c(t) is formed as
+    Q (exp(-i E t) * cr) by a real GEMM on the float view of the complex
+    factor.  Time runs in chunks of _CHUNK samples: the phases of a chunk
+    are its start phase times one chunk-long base exp(-i E b dt), so the
+    d x len(times) phase and amplitude arrays are never built.  The grid
+    must be uniform (_uniform_times checks it).
+    """
+    n = len(times)
+    out = np.empty(n)
+    if n == 0:
+        return out
+    vectors = (gauge[:, None] * spectrum.amplitudes).real
+    cr = spectrum.amplitudes.conj().T @ np.asarray(c0, dtype=complex)
+    energies = spectrum.energies
+    dt = (times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
+    base = np.exp(-1j * np.outer(energies, np.arange(min(n, _CHUNK)) * dt))
+    for s in range(0, n, _CHUNK):
+        b = min(_CHUNK, n - s)
+        z = (np.exp(-1j * energies * times[s]) * cr)[:, None] * base[:, :b]
+        y = vectors @ z.view(float)
+        y *= y
+        out[s : s + b] = (occ @ y).reshape(b, 2).sum(axis=1)
+    return out
 
 
 def observable_n3(label: BlockLabel, amplitudes) -> float:
@@ -91,6 +120,55 @@ class RabiResult:
     tail_deficit: float
     deficit_ok: bool
     block_weights: dict
+    dominant_label: BlockLabel | None
+    dominant_spectrum: Spectrum | None
+
+
+def _uniform_times(times) -> np.ndarray:
+    """times as a float array, or ValueError unless finite and uniform.
+
+    Uniform means every t_i lies within 1e-12 max|t| of
+    t_0 + i (t_last - t_0)/(n - 1); grids of 0 or 1 samples are uniform.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be one-dimensional")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    n = len(times)
+    if n > 2:
+        grid = times[0] + np.arange(n) * ((times[-1] - times[0]) / (n - 1))
+        if np.max(np.abs(times - grid)) > 1e-12 * np.max(np.abs(times)):
+            raise ValueError("times must be a uniform grid")
+    return times
+
+
+def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
+    """RabiResult summed over (label, weight, c0) block projections.
+
+    Each block is solved and evolved once; the first block of largest
+    weight is the dominant one.
+    """
+    values = np.zeros(len(times))
+    weights = {}
+    best, dominant, spectrum = -1.0, None, None
+    for label, w, c0 in projections:
+        weights[label.block_id] = w
+        block, psi = build_model_block(label)
+        tri = build_hamiltonian(block, psi, block_constants(label, params))
+        spec = eigensolve(tri)
+        occ = label.m - np.arange(block.dim, dtype=float)
+        values += _evolve_grid(spec, c0, times, occ, tri.gauge())
+        if w > best:
+            best, dominant, spectrum = w, label, spec
+    return RabiResult(
+        signal=Signal(times=times, values=values),
+        tail_deficit=deficit,
+        deficit_ok=ok,
+        block_weights=weights,
+        dominant_label=dominant,
+        dominant_spectrum=spectrum,
+    )
 
 
 def rabi_signal(
@@ -98,28 +176,19 @@ def rabi_signal(
 ) -> RabiResult:
     """Total <N_3(t)> of a cube-truncated coherent state.
 
-    Every block intersecting the cube is projected, evolved by its own
-    spectrum and summed.  The probability lost to the cube truncation is
-    reported as tail_deficit; deficit_ok goes False (with a warning) when
-    it exceeds the bound configured on the input.
+    All block weights come from one pass over the mode distributions
+    (coherent_block_weights).  Only blocks of weight at least WEIGHT_FLOOR
+    are projected, solved, evolved by their own spectra and summed, in
+    enumerate_blocks order, which is also the key order of block_weights.
+    dominant_label and dominant_spectrum belong to the first block of
+    largest weight (None if no block is kept).  The probability lost to the
+    cube truncation is reported as tail_deficit (coherent_tail_deficit);
+    deficit_ok goes False (with a warning) when it exceeds the bound
+    configured on the input.  times must be finite and uniform, else
+    ValueError; grids of 0 or 1 samples are allowed.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.zeros(len(times))
-    captured = 0.0
-    weights = {}
-    for label in enumerate_blocks(inp.ncut):
-        c0 = project_coherent(inp, label)
-        w = float(np.sum(np.abs(c0) ** 2))
-        captured += w
-        if w < WEIGHT_FLOOR:
-            continue
-        weights[label.block_id] = w
-        block, psi = build_model_block(label)
-        spec = eigensolve(build_hamiltonian(block, psi, block_constants(label, params)))
-        amps = _evolve_grid(spec, c0, times)
-        occ = label.m - np.arange(block.dim, dtype=float)
-        values += occ @ (np.abs(amps) ** 2)
-    deficit = max(0.0, 1.0 - captured)
+    times = _uniform_times(times)
+    deficit = coherent_tail_deficit(inp)
     ok = deficit <= inp.deficit_bound
     if not ok:
         warnings.warn(
@@ -127,12 +196,23 @@ def rabi_signal(
             f"{inp.deficit_bound:.1e}; raise ncut",
             stacklevel=2,
         )
-    return RabiResult(
-        signal=Signal(times=times, values=values),
-        tail_deficit=deficit,
-        deficit_ok=ok,
-        block_weights=weights,
+    projections = (
+        (label, w, project_coherent(inp, label))
+        for label, w in coherent_block_weights(inp, WEIGHT_FLOOR)
     )
+    return _block_signals(projections, params, times, deficit, ok)
+
+
+def fock_signal(fock, params: ThreeBosonParams, times) -> RabiResult:
+    """<N_3(t)> of the Fock state |n1, n2, n3>: one block of weight 1.
+
+    Same contract as rabi_signal; nothing is truncated, so tail_deficit is 0.
+    """
+    times = _uniform_times(times)
+    label, v = fock_to_block(*fock)
+    c0 = np.zeros(label.dim, dtype=complex)
+    c0[v] = 1.0
+    return _block_signals([(label, 1.0, c0)], params, times, 0.0, True)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from .algebra import Block, StructureFunction, build_block
 from .solver import HamiltonianParams
@@ -30,6 +30,8 @@ __all__ = [
     "fock_to_block",
     "block_fock_state",
     "project_coherent",
+    "coherent_block_weights",
+    "coherent_tail_deficit",
 ]
 
 
@@ -216,7 +218,7 @@ def project_coherent(inp: CoherentInput, label: BlockLabel) -> np.ndarray:
 
     Basis states with any Fock index above ncut get amplitude zero, so the
     squared norms over all enumerated blocks sum to the probability captured
-    by the cube; the remainder is the reported tail deficit.
+    by the cube; the remainder is coherent_tail_deficit.
     """
     nc = inp.ncut
     d = label.dim
@@ -233,3 +235,48 @@ def project_coherent(inp: CoherentInput, label: BlockLabel) -> np.ndarray:
     v = np.arange(vlo, vhi + 1)
     c[v] = a_excess[label.k + v] * a_low[v] * a_pump[label.m - v]
     return c
+
+
+def coherent_block_weights(inp: CoherentInput, floor: float):
+    """(label, sum_v |c_v|^2) of every block whose weight is at least floor.
+
+    Same values as project_coherent summed per block, in enumerate_blocks
+    order, without visiting the other labels.  With P_i = |amplitudes of
+    alpha_i|^2, the weights of all (k, m, +) blocks are one full
+    convolution over m of P_1[k + v] P_2[v] with P_3; its index range is
+    exactly the in-cube window of project_coherent.  Minus blocks swap P_1
+    and P_2.
+    """
+    nc = inp.ncut
+    p1, p2, p3 = (
+        np.abs(_mode_amplitudes(a, nc)) ** 2
+        for a in (inp.alpha1, inp.alpha2, inp.alpha3)
+    )
+    out = []
+    for k in range(nc + 1):
+        w = np.convolve(p1[k:] * p2[: nc + 1 - k], p3)[:, None]
+        if k > 0:
+            minus = np.convolve(p2[k:] * p1[: nc + 1 - k], p3)
+            w = np.column_stack((w, minus))
+        # row-major order over (m, sign column) is the enumerate_blocks order
+        for m, col in zip(*np.nonzero(w >= floor)):
+            label = BlockLabel(k=k, m=int(m), sign=-1 if col else 1)
+            out.append((label, float(w[m, col])))
+    return out
+
+
+def coherent_tail_deficit(inp: CoherentInput) -> float:
+    """Probability of the untruncated state outside the cube n_i <= ncut.
+
+    Each mode is Poisson in n, with tail P(n > ncut) = gammainc(ncut + 1,
+    |alpha|^2) (regularized lower incomplete gamma), so the deficit is
+    1 - prod(1 - T_i), evaluated without cancellation as
+    -expm1(sum log1p(-T_i)).
+    """
+    tails = gammainc(
+        inp.ncut + 1, [abs(a) ** 2 for a in (inp.alpha1, inp.alpha2, inp.alpha3)]
+    )
+    with np.errstate(divide="ignore"):  # a tail of 1 is log 0 = -inf: deficit 1
+        logs = np.log1p(-tails)
+    # 0.0 - x: an untruncated state reports +0.0, not -0.0
+    return 0.0 - math.expm1(math.fsum(logs))

@@ -182,6 +182,68 @@ def test_dynamics_sample_floor(tmp_path):
     assert main(["dynamics", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("fock", 5),
+        ("fock", "abc"),
+        ("fock", [-1, 0, 0]),
+        ("fock", [1.5, 0, 0]),
+        ("fock", [True, 0, 0]),
+        ("tmax", "nan"),
+        ("tmax", float("nan")),
+        ("tmax", float("inf")),
+        ("tmax", [1.0]),
+    ],
+)
+def test_dynamics_malformed_input_is_a_config_error(tmp_path, key, value, capsys):
+    dyn = {"fock": [0, 0, 1], "tmax": 5.0, "samples": 1000, key: value}
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "three_boson",
+            "three_boson": {"omega1": 1.0, "omega2": 1.0, "omega3": 2.0, "g": 0.7},
+            "dynamics": dyn,
+        },
+    )
+    out = tmp_path / "dyn"
+    assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: dynamics.{key} must be" in capsys.readouterr().err
+    assert not (out / "dynamics.csv").exists()
+
+
+def test_dynamics_zero_tmax_runs(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "three_boson",
+            "three_boson": {"omega1": 1.0, "omega2": 1.0, "omega3": 2.0, "g": 0.7},
+            "dynamics": {
+                "alpha": [0.3, 0.2, 0.8], "ncut": 8, "tmax": 0, "samples": 1000
+            },
+        },
+    )
+    out = tmp_path / "dyn"
+    assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 0
+    data = json.loads((out / "dynamics.json").read_text())
+    assert data["oscillating"] is False
+
+
+def test_dynamics_without_any_weighted_block_is_a_numeric_failure(tmp_path):
+    # every amplitude inside a one-photon cube underflows at |alpha|^2 = 1e4
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "three_boson",
+            "three_boson": {"omega1": 1.0, "omega2": 1.0, "omega3": 2.0, "g": 0.7},
+            "dynamics": {"alpha": [0.0, 0.0, 100.0], "ncut": 1, "samples": 1000},
+        },
+    )
+    with pytest.warns(UserWarning, match="tail deficit"):
+        code = main(["dynamics", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 3
+
+
 def test_meanfield_run(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -8,10 +8,15 @@ import pytest
 
 from polysl2.algebra import StructureFunction, build_block, holstein_primakoff
 from polysl2.dynamics import (
+    _CHUNK,
+    WEIGHT_FLOOR,
+    _block_signals,
     _CoherentEnergy,
+    _evolve_grid,
     Signal,
     detect_collapse_revival,
     evolve_block,
+    fock_signal,
     incommensurability_measure,
     meanfield_trajectory,
     observable_n3,
@@ -24,6 +29,10 @@ from polysl2.three_boson import (
     ThreeBosonParams,
     block_constants,
     build_model_block,
+    coherent_block_weights,
+    coherent_tail_deficit,
+    enumerate_blocks,
+    project_coherent,
 )
 
 
@@ -102,6 +111,12 @@ def test_rabi_fock_seed_sinusoid():
         assert observable_n3(label, c) == pytest.approx(
             math.cos(0.7 * t) ** 2, abs=1e-10
         )
+    times = np.linspace(0, 2 * math.pi / gap, 40)
+    res = fock_signal((0, 0, 1), ThreeBosonParams(1.0, 1.0, 2.0, 0.7), times)
+    assert np.max(np.abs(res.signal.values - np.cos(0.7 * times) ** 2)) <= 1e-10
+    assert res.block_weights == {"k0_m1": 1.0}
+    assert res.tail_deficit == 0.0 and res.deficit_ok
+    assert res.dominant_label == label
 
 
 def test_rabi_warns_when_cube_truncates():
@@ -110,6 +125,133 @@ def test_rabi_warns_when_cube_truncates():
         res = rabi_signal(inp, ThreeBosonParams(1.0, 1.0, 2.0, 0.5), np.linspace(0, 2, 1000))
     assert not res.deficit_ok
     assert res.tail_deficit > 1e-6
+
+
+GENERIC_INPUT = CoherentInput(
+    0.06 - 0.03j, -0.3 + 0.9j, 1.1 - 0.5j, ncut=6, deficit_bound=1e-2
+)
+GENERIC_PARAMS = ThreeBosonParams(
+    1.0, 0.9, 2.1, 0.8 * complex(math.cos(0.7), math.sin(0.7))
+)
+
+
+def test_block_weights_one_pass_match_per_block_projection():
+    reference = {}
+    for label in enumerate_blocks(GENERIC_INPUT.ncut):
+        w = float(np.sum(np.abs(project_coherent(GENERIC_INPUT, label)) ** 2))
+        if w >= WEIGHT_FLOOR:
+            reference[label.block_id] = w
+    got = coherent_block_weights(GENERIC_INPUT, WEIGHT_FLOOR)
+    # the floor drops some blocks of this input, so the filter is exercised
+    assert 0 < len(got) < len(enumerate_blocks(GENERIC_INPUT.ncut))
+    assert [label.block_id for label, _ in got] == list(reference)
+    for label, w in got:
+        assert w == pytest.approx(reference[label.block_id], rel=1e-15, abs=0.0)
+    res = rabi_signal(GENERIC_INPUT, GENERIC_PARAMS, np.linspace(0.0, 1.0, 3))
+    assert list(res.block_weights) == list(reference)
+
+
+def _poisson_tail(x, ncut):
+    term, terms = math.exp(-x), []
+    for n in range(1, ncut + 400):
+        term *= x / n
+        if n > ncut:
+            terms.append(term)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize(
+    "alpha, ncut",
+    [
+        ((0.3, 0.2, 0.8), 8),
+        ((0.0, 0.0, 5.0), 120),
+        ((0.7 + 0.4j, -0.3 + 0.9j, 1.1 - 0.5j), 6),
+        ((1.5, 0.0, 2.5j), 3),
+    ],
+)
+def test_tail_deficit_matches_poisson_tail_sum(alpha, ncut):
+    t1, t2, t3 = (_poisson_tail(abs(a) ** 2, ncut) for a in alpha)
+    exact = math.fsum(
+        [t1, t2, t3, -t1 * t2, -t1 * t3, -t2 * t3, t1 * t2 * t3]
+    )
+    got = coherent_tail_deficit(CoherentInput(*alpha, ncut=ncut))
+    assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_tail_deficit_of_vacuum_is_positive_zero():
+    got = coherent_tail_deficit(CoherentInput(0.0, 0.0, 0.0, ncut=2))
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 10001])
+def test_evolve_grid_chunks_match_per_time_evolution(n):
+    label = BlockLabel(2, 10, -1)
+    block, psi = build_model_block(label)
+    tri = build_hamiltonian(block, psi, block_constants(label, GENERIC_PARAMS))
+    spec = eigensolve(tri)
+    rng = np.random.default_rng(3)
+    c0 = rng.normal(size=block.dim) + 1j * rng.normal(size=block.dim)
+    c0 /= np.linalg.norm(c0)
+    occ = label.m - np.arange(block.dim, dtype=float)
+    times = np.linspace(0.5, 40.0, n)
+    got = _evolve_grid(spec, c0, times, occ, tri.gauge())
+    want = np.array([occ @ np.abs(evolve_block(spec, c0, t)) ** 2 for t in times])
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * block.dim
+
+
+def test_rabi_dominant_block_is_heaviest_with_its_spectrum():
+    res = rabi_signal(GENERIC_INPUT, GENERIC_PARAMS, np.linspace(0.0, 2.0, 50))
+    weights = res.block_weights
+    assert res.dominant_label.block_id == max(weights, key=lambda b: weights[b])
+    block, psi = build_model_block(res.dominant_label)
+    fresh = eigensolve(
+        build_hamiltonian(
+            block, psi, block_constants(res.dominant_label, GENERIC_PARAMS)
+        )
+    )
+    assert np.array_equal(res.dominant_spectrum.energies, fresh.energies)
+    assert np.array_equal(res.dominant_spectrum.amplitudes, fresh.amplitudes)
+    # equal weights: the first block listed wins, as max() over block_weights
+    tie = _block_signals(
+        [
+            (BlockLabel(0, 1), 0.5, [1.0, 0.0]),
+            (BlockLabel(0, 2), 0.5, [1.0, 0.0, 0.0]),
+        ],
+        GENERIC_PARAMS,
+        np.zeros(1),
+        0.0,
+        True,
+    )
+    assert tie.dominant_label == BlockLabel(0, 1)
+
+
+@pytest.mark.parametrize(
+    "times, match",
+    [
+        (np.array([0.0, 1.0, np.nan]), "finite"),
+        (np.array([0.0, np.inf]), "finite"),
+        (np.array([0.0, 1.0, 3.0, 4.0]), "uniform"),
+        (np.geomspace(1.0, 10.0, 50), "uniform"),
+        (np.linspace(0.0, 10.0, 100) + 1e-9 * (np.arange(100) == 50), "uniform"),
+        (np.zeros((2, 3)), "one-dimensional"),
+    ],
+)
+def test_rabi_rejects_bad_time_grids(times, match):
+    inp = CoherentInput(0.4, 0.3, 0.6, ncut=4)
+    with pytest.raises(ValueError, match=match):
+        rabi_signal(inp, GENERIC_PARAMS, times)
+    with pytest.raises(ValueError, match=match):
+        fock_signal((0, 0, 1), GENERIC_PARAMS, times)
+
+
+def test_rabi_short_and_zero_length_grids():
+    inp = CoherentInput(0.3, 0.2, 0.8, ncut=8)
+    assert len(rabi_signal(inp, GENERIC_PARAMS, []).signal) == 0
+    one = rabi_signal(inp, GENERIC_PARAMS, [0.0]).signal.values
+    assert one == pytest.approx([0.64], abs=5e-6)
+    flat = rabi_signal(inp, GENERIC_PARAMS, np.linspace(0.0, 0.0, 300)).signal.values
+    assert np.all(flat == flat[0]) and flat[0] == one[0]
 
 
 def test_sl2_limit_signal_periodic():
