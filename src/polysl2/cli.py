@@ -4,6 +4,11 @@ Configuration is a single JSON document; outputs are CSV for bulk numbers
 and JSON for summaries.  Runs are deterministic: identical configs produce
 byte-identical files (timings go to stderr, never into outputs), and every
 output embeds the sha256 of the config it came from.
+
+The config is parsed once into the frozen Config below.  Every section is
+a dataclass whose fields are its allowed keys, with their defaults and a
+value kind that rejects bools, strings, non-finite, non-integral and
+out-of-range values as ConfigError, before any numerics run.
 """
 
 from __future__ import annotations
@@ -15,19 +20,16 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
+from functools import partial
+from itertools import zip_longest
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import (
-    Block,
-    BlockError,
-    StructureFunction,
-    block_operators,
-    build_block,
-)
+from .algebra import BlockError, StructureFunction, block_operators, build_block
 from .dynamics import (
     WEIGHT_FLOOR,
     detect_collapse_revival,
@@ -66,84 +68,234 @@ class ConfigError(Exception):
     pass
 
 
-_SOLVER_CHOICES = ("exact", "variational", "sl2_reference", "all")
-
-_ALLOWED = {
-    "model": None,
-    "solver": None,
-    "three_boson": {"omega1", "omega2", "omega3", "g"},
-    "custom_psi": {"leading", "roots", "l0", "a", "g", "constant", "dmax"},
-    "sl2_limit": {"j", "a", "g", "constant"},
-    "blocks": {"ncut", "labels"},
-    "dynamics": {
-        "tmax",
-        "samples",
-        "alpha",
-        "ncut",
-        "fock",
-        "deficit_bound",
-        "window_periods",
-        "persist",
-        "qmax",
-    },
-    "meanfield": {"p0", "q0", "tspan", "dt"},
-    "inject_fault": {"psi_root_shift"},
-}
-
-_LABEL_KEYS = {"k", "m", "sign"}
+def _is_real(v) -> bool:
+    """A finite JSON number; bools do not count as numbers."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
-def _check_keys(cfg: dict) -> None:
-    for key, val in cfg.items():
-        if key not in _ALLOWED:
-            raise ConfigError(f"unknown config key: {key!r}")
-        allowed = _ALLOWED[key]
-        if allowed is None:
-            continue
-        if not isinstance(val, dict):
-            raise ConfigError(f"section {key!r} must be an object")
-        for sub in val:
-            if sub not in allowed:
-                raise ConfigError(f"unknown config key: {key}.{sub!r}")
-    labels = cfg.get("blocks", {}).get("labels")
-    if labels is not None:
-        for i, lab in enumerate(labels):
-            if not isinstance(lab, dict):
-                raise ConfigError(f"blocks.labels[{i}] must be an object")
-            for sub in lab:
-                if sub not in _LABEL_KEYS:
-                    raise ConfigError(
-                        f"unknown config key: blocks.labels[{i}].{sub!r}"
-                    )
+def _is_int(v) -> bool:
+    return type(v) is int or (type(v) is float and v.is_integer())
+
+
+class _Kind(NamedTuple):
+    """What a value must be, the test for it and the cast to its type."""
+
+    what: str
+    ok: Callable[[object], bool]
+    cast: Callable
+
+    def __call__(self, value, where: str):
+        if not self.ok(value):
+            raise ConfigError(f"{where} must be {self.what}")
+        return self.cast(value)
+
+
+def _real(lo: float = -math.inf, above: bool = False) -> _Kind:
+    bound = "" if lo == -math.inf else f" {'>' if above else '>='} {lo:g}"
+    return _Kind(
+        "a finite number" + bound,
+        lambda v: _is_real(v) and (v > lo if above else v >= lo),
+        float,
+    )
+
+
+def _int(lo: int) -> _Kind:
+    return _Kind(f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo, int)
+
+
+def _one_of(*choices: str) -> _Kind:
+    what = "one of " + ", ".join(choices)
+    return _Kind(what, lambda v: type(v) is str and v in choices, str)
+
+
+def _list(kind: _Kind, n: int | None = None) -> _Kind:
+    return _Kind(
+        f"a list of {'' if n is None else f'{n} '}values, each {kind.what}",
+        lambda v: type(v) is list
+        and (n is None or len(v) == n)
+        and all(map(kind.ok, v)),
+        lambda v: tuple(map(kind.cast, v)),
+    )
+
+
+_COMPLEX = _Kind(
+    "a finite number or [re, im] pair",
+    lambda v: _is_real(v)
+    or (type(v) is list and len(v) == 2 and all(map(_is_real, v))),
+    lambda v: complex(*v) if type(v) is list else complex(v),
+)
+_HALF_INTEGER = _Kind(
+    "a nonnegative half-integer",
+    lambda v: _is_real(v) and v >= 0 and float(2 * v).is_integer(),
+    float,
+)
+_SIGN = _Kind("1 or -1", lambda v: _is_int(v) and v in (1, -1), int)
+
+
+def _key(kind, default=MISSING):
+    return field(default=default, metadata={"kind": kind})
+
+
+def _read(cls, raw, where: str = ""):
+    """Build section cls from a JSON object: known keys only, each checked."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{where or 'top-level config'} must be a JSON object")
+    prefix = f"{where}." if where else ""
+    known = {f.name: f for f in fields(cls)}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown config key: {prefix}{key}")
+    values = {}
+    for name, f in known.items():
+        if name in raw:
+            values[name] = f.metadata["kind"](raw[name], prefix + name)
+        elif f.default is MISSING:
+            raise ConfigError(f"{prefix}{name} is required")
+    return cls(**values)
+
+
+def _sections(cls):
+    def read(raw, where):
+        if type(raw) is not list:
+            raise ConfigError(f"{where} must be a list of objects")
+        return tuple(_read(cls, x, f"{where}[{i}]") for i, x in enumerate(raw))
+
+    return read
+
+
+@dataclass(frozen=True, kw_only=True)
+class ThreeBosonConfig:
+    omega1: float = _key(_real())
+    omega2: float = _key(_real())
+    omega3: float = _key(_real())
+    g: complex = _key(_COMPLEX)
+
+    def params(self) -> ThreeBosonParams:
+        return ThreeBosonParams(self.omega1, self.omega2, self.omega3, self.g)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Coupling:
+    a: float = _key(_real(), 0.0)
+    g: complex = _key(_COMPLEX, 0j)
+    constant: float = _key(_real(), 0.0)
+
+    def params(self) -> HamiltonianParams:
+        phase = cmath.phase(self.g) if self.g != 0 else 0.0
+        return HamiltonianParams(self.a, abs(self.g), phase, self.constant)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Sl2LimitConfig(_Coupling):
+    j: float = _key(_HALF_INTEGER)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CustomPsiConfig(_Coupling):
+    roots: tuple = _key(_list(_real()))
+    l0: float = _key(_real())
+    leading: float = _key(_real(), 1.0)
+    dmax: int = _key(_int(1), 1000)
+
+
+@dataclass(frozen=True, kw_only=True)
+class LabelConfig:
+    k: int = _key(_int(0), 0)
+    m: int = _key(_int(0), 0)
+    sign: int = _key(_SIGN, 1)
+
+
+@dataclass(frozen=True, kw_only=True)
+class BlocksConfig:
+    """Explicit labels, or every block of the Fock cube n_i <= ncut."""
+
+    ncut: int | None = _key(_int(0), None)
+    labels: tuple | None = _key(_sections(LabelConfig), None)
+
+    def __post_init__(self):
+        if self.ncut is None and self.labels is None:
+            raise ConfigError("blocks section needs 'labels' or 'ncut'")
+
+    def block_labels(self) -> list:
+        if self.labels is None:
+            return enumerate_blocks(self.ncut)
+        return [BlockLabel(lab.k, lab.m, lab.sign) for lab in self.labels]
+
+
+@dataclass(frozen=True, kw_only=True)
+class DynamicsConfig:
+    """A coherent input (alpha, ncut) or, taking precedence, a Fock input."""
+
+    alpha: tuple | None = _key(_list(_COMPLEX, 3), None)
+    fock: tuple | None = _key(_list(_int(0), 3), None)
+    ncut: int = _key(_int(1), 20)
+    tmax: float = _key(_real(0.0), 100.0)
+    samples: int = _key(_int(1000), 10001)
+    deficit_bound: float = _key(_real(0.0), 1e-6)
+    window_periods: float = _key(_real(0.0, above=True), 5.0)
+    persist: int = _key(_int(1), 5)
+    qmax: int = _key(_int(1), 8)
+
+    def __post_init__(self):
+        if self.alpha is None and self.fock is None:
+            raise ConfigError("dynamics section needs 'alpha' or 'fock'")
+
+
+@dataclass(frozen=True, kw_only=True)
+class MeanfieldConfig:
+    p0: float = _key(_real())
+    q0: float = _key(_real())
+    tspan: float = _key(_real())
+    dt: float = _key(_real(0.0, above=True))
+
+
+@dataclass(frozen=True, kw_only=True)
+class InjectFaultConfig:
+    psi_root_shift: float = _key(_real(), 0.0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Config:
+    model: str | None = _key(_one_of("three_boson", "sl2_limit", "custom_psi"), None)
+    solver: str = _key(_one_of("exact", "variational", "sl2_reference", "all"), "all")
+    three_boson: ThreeBosonConfig | None = _key(partial(_read, ThreeBosonConfig), None)
+    custom_psi: CustomPsiConfig | None = _key(partial(_read, CustomPsiConfig), None)
+    sl2_limit: Sl2LimitConfig | None = _key(partial(_read, Sl2LimitConfig), None)
+    blocks: BlocksConfig | None = _key(partial(_read, BlocksConfig), None)
+    dynamics: DynamicsConfig | None = _key(partial(_read, DynamicsConfig), None)
+    meanfield: MeanfieldConfig | None = _key(partial(_read, MeanfieldConfig), None)
+    inject_fault: InjectFaultConfig = _key(
+        partial(_read, InjectFaultConfig), InjectFaultConfig()
+    )
+
+    def need(self, key: str):
+        """The value of a top-level key that this command cannot do without."""
+        value = getattr(self, key)
+        if value is None:
+            raise ConfigError(f"missing config key {key!r}")
+        return value
+
+
+def parse_config(obj) -> Config:
+    """Validate a decoded JSON document; anything malformed is a ConfigError."""
+    return _read(Config, obj)
 
 
 def _load_config(path):
     if path is None:
-        return {}, hashlib.sha256(b"").hexdigest()
+        return Config(), hashlib.sha256(b"").hexdigest()
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("top-level config must be a JSON object")
-    _check_keys(cfg)
-    return cfg, hashlib.sha256(raw).hexdigest()
-
-
-def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected number or [re, im] pair")
+    return parse_config(obj), hashlib.sha256(raw).hexdigest()
 
 
 def _fmt(x) -> str:
@@ -183,363 +335,204 @@ def _write_csv(path: Path, digest: str, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _require(cfg: dict, key: str) -> dict:
-    if key not in cfg:
-        raise ConfigError(f"missing config section {key!r}")
-    return cfg[key]
+def _write_outputs(args, name, digest, header, rows, summary, note):
+    """<out>/<name>.csv and <out>/<name>.json, both stamped with the digest."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_csv(outdir / f"{name}.csv", digest, header, rows)
+    _write_json(outdir / f"{name}.json", {"config_sha256": digest, **summary})
+    print(f"{name}: {note} -> {outdir}", file=sys.stderr)
 
 
 def _sl2_structure(j: float):
     """psi_2(x) = (j+x)(j+1-x) as a factored structure function."""
-    twoj = Fraction(j).limit_denominator(2) * 2
-    if twoj != int(twoj) or twoj < 0:
-        raise ConfigError("sl2_limit.j must be a nonnegative half-integer")
-    jf = Fraction(int(twoj), 2)
-    psi = StructureFunction(leading=Fraction(-1), roots=(-jf, jf + 1))
-    return psi, -jf
+    jf = Fraction(j)
+    return StructureFunction(leading=Fraction(-1), roots=(-jf, jf + 1)), -jf
 
 
-def _model_tasks(cfg: dict):
+def _model_tasks(cfg: Config):
     """Blocks to solve: list of (block_id, block, psi, params)."""
-    model = cfg.get("model")
-    if model == "three_boson":
-        sect = _require(cfg, "three_boson")
-        for key in ("omega1", "omega2", "omega3", "g"):
-            if key not in sect:
-                raise ConfigError(f"three_boson.{key} is required")
-        params3 = ThreeBosonParams(
-            omega1=float(sect["omega1"]),
-            omega2=float(sect["omega2"]),
-            omega3=float(sect["omega3"]),
-            g=_as_complex(sect["g"], "three_boson.g"),
-        )
-        blocks = _require(cfg, "blocks")
-        if "labels" in blocks:
-            labels = []
-            for lab in blocks["labels"]:
-                try:
-                    labels.append(
-                        BlockLabel(
-                            k=int(lab.get("k", 0)),
-                            m=int(lab.get("m", 0)),
-                            sign=int(lab.get("sign", 1)),
-                        )
-                    )
-                except ValueError as exc:
-                    raise ConfigError(f"bad block label {lab}: {exc}") from exc
-        elif "ncut" in blocks:
-            labels = enumerate_blocks(int(blocks["ncut"]))
-        else:
-            raise ConfigError("blocks section needs 'labels' or 'ncut'")
-        tasks = []
-        for lab in labels:
-            block, psi = build_model_block(lab)
-            tasks.append((lab.block_id, block, psi, block_constants(lab, params3)))
-        return tasks
+    model = cfg.need("model")
+    sect = cfg.need(model)
     if model == "sl2_limit":
-        sect = _require(cfg, "sl2_limit")
-        if "j" not in sect:
-            raise ConfigError("sl2_limit.j is required")
-        psi, l0 = _sl2_structure(sect["j"])
+        psi, l0 = _sl2_structure(sect.j)
         block = build_block(psi, float(l0))
-        g = _as_complex(sect.get("g", 0.0), "sl2_limit.g")
-        params = HamiltonianParams(
-            a=float(sect.get("a", 0.0)),
-            g_mod=abs(g),
-            g_phase=cmath.phase(g) if g != 0 else 0.0,
-            constant=float(sect.get("constant", 0.0)),
-        )
-        jtag = _fmt(float(-float(l0)))
-        return [(f"sl2_j{jtag}", block, psi, params)]
+        return [(f"sl2_j{_fmt(-float(l0))}", block, psi, sect.params())]
     if model == "custom_psi":
-        sect = _require(cfg, "custom_psi")
-        for key in ("roots", "l0"):
-            if key not in sect:
-                raise ConfigError(f"custom_psi.{key} is required")
-        psi = StructureFunction(
-            leading=float(sect.get("leading", 1.0)),
-            roots=tuple(float(r) for r in sect["roots"]),
-        )
-        block = build_block(
-            psi, float(sect["l0"]), dmax=int(sect.get("dmax", 1000))
-        )
-        g = _as_complex(sect.get("g", 0.0), "custom_psi.g")
-        params = HamiltonianParams(
-            a=float(sect.get("a", 0.0)),
-            g_mod=abs(g),
-            g_phase=cmath.phase(g) if g != 0 else 0.0,
-            constant=float(sect.get("constant", 0.0)),
-        )
-        return [("custom", block, psi, params)]
-    raise ConfigError(
-        "model must be one of three_boson, sl2_limit, custom_psi"
-    )
+        psi = StructureFunction(leading=sect.leading, roots=sect.roots)
+        block = build_block(psi, sect.l0, dmax=sect.dmax)
+        return [("custom", block, psi, sect.params())]
+    params3 = sect.params()
+    return [
+        (lab.block_id, *build_model_block(lab), block_constants(lab, params3))
+        for lab in cfg.need("blocks").block_labels()
+    ]
+
+
+_SPECTRUM_HEADER = (
+    "block_id v E_exact E_variational E_sl2ref abs_err_var abs_err_sl2 "
+    "alpha_selected residual"
+).split()
+
+
+def _diff(x, ref):
+    return None if x is None or ref is None else abs(x - ref)
 
 
 def _solve_block(task, solver: str):
+    """CSV rows and JSON summary entry of one block."""
     bid, block, psi, params = task
-    res = {"block_id": bid, "dim": block.dim}
+    entry = {"block_id": bid, "dim": block.dim}
+    exact = var = sl2 = None
     try:
         if solver in ("exact", "all"):
-            spec = eigensolve(build_hamiltonian(block, psi, params))
-            res["exact"] = spec.energies
+            exact = eigensolve(build_hamiltonian(block, psi, params)).energies
         if solver in ("variational", "all"):
             if params.g_mod == 0.0:
-                res["variational_skipped"] = "g = 0 (exact solver covers it)"
+                entry["variational_skipped"] = "g = 0 (exact solver covers it)"
             else:
-                res["variational"] = variational_spectrum(block, psi, params)
+                var = variational_spectrum(block, psi, params)
         if solver in ("sl2_reference", "all"):
-            res["sl2"] = sl2_reference_spectrum(block, params).energies
+            sl2 = sl2_reference_spectrum(block, params).energies
     except (BlockError, RuntimeError, ValueError) as exc:
         raise RuntimeError(f"block {bid}: {exc}") from exc
-    return res
+    alpha = residual = None
+    if var is not None:
+        alpha = var.alpha_selected
+        residual = var.residuals[var.alpha_roots.index(alpha)]
+        entry.update(
+            alpha_roots=list(var.alpha_roots),
+            alpha_selected=alpha,
+            residuals=list(var.residuals),
+            ordering_ok=var.ordering_ok,
+        )
+        var = var.energies
+    cols = [
+        [None] * block.dim if e is None else [float(x) for x in e]
+        for e in (exact, var, sl2)
+    ]
+    rows = [
+        (bid, v, ex, va, s2, _diff(va, ex), _diff(s2, ex), alpha, residual)
+        for v, (ex, va, s2) in enumerate(zip(*cols))
+    ]
+    return rows, entry
 
 
-def cmd_spectrum(cfg: dict, digest: str, args) -> int:
-    solver = cfg.get("solver", "all")
-    if solver not in _SOLVER_CHOICES:
-        raise ConfigError(f"solver must be one of {_SOLVER_CHOICES}")
+def cmd_spectrum(cfg: Config, digest: str, args) -> int:
     tasks = _model_tasks(cfg)
     t0 = time.perf_counter()
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda t: _solve_block(t, solver), tasks))
-    else:
-        results = [_solve_block(t, solver) for t in tasks]
+    solved = [_solve_block(t, cfg.solver) for t in tasks]
     elapsed = time.perf_counter() - t0
-
-    header = (
-        "block_id",
-        "v",
-        "E_exact",
-        "E_variational",
-        "E_sl2ref",
-        "abs_err_var",
-        "abs_err_sl2",
-        "alpha_selected",
-        "residual",
-    )
-    rows = []
-    summary_blocks = []
-    for res in results:
-        bid = res["block_id"]
-        d = res["dim"]
-        exact = res.get("exact")
-        var = res.get("variational")
-        sl2 = res.get("sl2")
-        alpha_sel = residual_sel = None
-        if var is not None:
-            alpha_sel = var.alpha_selected
-            residual_sel = var.residuals[var.alpha_roots.index(var.alpha_selected)]
-        for v in range(d):
-            e_ex = float(exact[v]) if exact is not None else None
-            e_var = float(var.energies[v]) if var is not None else None
-            e_sl2 = float(sl2[v]) if sl2 is not None else None
-            err_var = (
-                abs(e_var - e_ex) if e_var is not None and e_ex is not None else None
-            )
-            err_sl2 = (
-                abs(e_sl2 - e_ex) if e_sl2 is not None and e_ex is not None else None
-            )
-            rows.append(
-                (bid, v, e_ex, e_var, e_sl2, err_var, err_sl2, alpha_sel, residual_sel)
-            )
-        entry = {"block_id": bid, "dim": d}
-        if var is not None:
-            entry["alpha_roots"] = list(var.alpha_roots)
-            entry["alpha_selected"] = var.alpha_selected
-            entry["residuals"] = list(var.residuals)
-            entry["ordering_ok"] = var.ordering_ok
-        if "variational_skipped" in res:
-            entry["variational_skipped"] = res["variational_skipped"]
-        summary_blocks.append(entry)
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "spectrum.csv", digest, header, rows)
-    _write_json(
-        outdir / "spectrum.json",
-        {
-            "config_sha256": digest,
-            "model": cfg.get("model"),
-            "solver": solver,
-            "blocks": summary_blocks,
-            "tolerances": {
-                "alpha_bisection_width": 1e-14,
-                "degenerate_cluster_rtol": 1e-12,
-                "root_detection_rtol": 1e-12,
-            },
+    rows = [row for block_rows, _ in solved for row in block_rows]
+    summary_blocks = [entry for _, entry in solved]
+    summary = {
+        "model": cfg.model,
+        "solver": cfg.solver,
+        "blocks": summary_blocks,
+        "tolerances": {
+            "alpha_bisection_width": 1e-14,
+            "degenerate_cluster_rtol": 1e-12,
+            "root_detection_rtol": 1e-12,
         },
-    )
-    print(
-        f"spectrum: {len(tasks)} block(s) in {elapsed:.2f}s -> {outdir}",
-        file=sys.stderr,
-    )
+    }
+    note = f"{len(tasks)} block(s) in {elapsed:.2f}s"
+    _write_outputs(args, "spectrum", digest, _SPECTRUM_HEADER, rows, summary, note)
     if args.verbose:
-        for res in results:
-            print(f"  {res['block_id']}: dim {res['dim']}", file=sys.stderr)
+        for entry in summary_blocks:
+            print(f"  {entry['block_id']}: dim {entry['dim']}", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_dynamics(cfg: dict, digest: str, args) -> int:
-    if cfg.get("model") != "three_boson":
+def cmd_dynamics(cfg: Config, digest: str, args) -> int:
+    if cfg.model != "three_boson":
         raise ConfigError("dynamics requires model = three_boson")
-    sect = _require(cfg, "three_boson")
-    params3 = ThreeBosonParams(
-        omega1=float(sect["omega1"]),
-        omega2=float(sect["omega2"]),
-        omega3=float(sect["omega3"]),
-        g=_as_complex(sect["g"], "three_boson.g"),
-    )
-    dyn = _require(cfg, "dynamics")
-    tmax = dyn.get("tmax", 100.0)
-    if type(tmax) not in (int, float) or not math.isfinite(tmax):
-        raise ConfigError("dynamics.tmax must be a finite number")
-    samples = int(dyn.get("samples", 10001))
-    if samples < 1000:
-        raise ConfigError("dynamics.samples must be at least 1000")
-    times = np.linspace(0.0, float(tmax), samples)
+    params3 = cfg.need("three_boson").params()
+    dyn = cfg.need("dynamics")
+    times = np.linspace(0.0, dyn.tmax, dyn.samples)
     t0 = time.perf_counter()
-    if "fock" in dyn:
-        fock = dyn["fock"]
-        if not (
-            isinstance(fock, list)
-            and len(fock) == 3
-            and all(type(n) is int and n >= 0 for n in fock)
-        ):
-            raise ConfigError("dynamics.fock must be [n1, n2, n3] of integers >= 0")
-        result = fock_signal(fock, params3, times)
-    elif "alpha" in dyn:
-        alpha = dyn["alpha"]
-        if len(alpha) != 3:
-            raise ConfigError("dynamics.alpha must be [a1, a2, a3]")
+    if dyn.fock is not None:
+        result = fock_signal(dyn.fock, params3, times)
+    else:
         inp = CoherentInput(
-            alpha1=_as_complex(alpha[0], "dynamics.alpha[0]"),
-            alpha2=_as_complex(alpha[1], "dynamics.alpha[1]"),
-            alpha3=_as_complex(alpha[2], "dynamics.alpha[2]"),
-            ncut=int(dyn.get("ncut", 20)),
-            deficit_bound=float(dyn.get("deficit_bound", 1e-6)),
+            *dyn.alpha, ncut=dyn.ncut, deficit_bound=dyn.deficit_bound
         )
         result = rabi_signal(inp, params3, times)
-    else:
-        raise ConfigError("dynamics section needs 'alpha' or 'fock'")
     signal = result.signal
     label, spec = result.dominant_label, result.dominant_spectrum
     if label is None:
         raise RuntimeError(f"no block carries weight above {WEIGHT_FLOOR:.0e}")
     report = detect_collapse_revival(
-        signal,
-        window_periods=float(dyn.get("window_periods", 5.0)),
-        persist=int(dyn.get("persist", 5)),
+        signal, window_periods=dyn.window_periods, persist=dyn.persist
     )
     elapsed = time.perf_counter() - t0
 
     incomm = None
     if len(np.unique(np.round(spec.energies, 9))) >= 3:
-        rep = incommensurability_measure(
-            spec.energies, qmax=int(dyn.get("qmax", 8))
-        )
-        incomm = {
-            "min_distance": rep.min_distance,
-            "ratio": rep.ratio,
-            "pair_index": rep.pair_index,
-            "p": rep.p,
-            "q": rep.q,
-        }
+        incomm = asdict(incommensurability_measure(spec.energies, qmax=dyn.qmax))
     gap_period = None
     if spec.energies.size >= 2:
         gap = float(spec.energies[1] - spec.energies[0])
         if gap > 0:
             gap_period = 2.0 * math.pi / gap
 
-    env = report.envelope
+    env = () if report.envelope is None else report.envelope.values
+    rows = (
+        (float(t), float(y), None if e is None else float(e))
+        for t, y, e in zip_longest(signal.times, signal.values, env)
+    )
+    summary = {
+        "oscillating": report.oscillating,
+        "carrier_frequency": report.carrier_frequency,
+        "carrier_period": (
+            2.0 * math.pi / report.carrier_frequency if report.oscillating else None
+        ),
+        "window": report.window,
+        "initial_envelope": report.initial_envelope,
+        "collapse_time": report.collapse_time,
+        "revival_times": list(report.revival_times),
+        "tail_deficit": result.tail_deficit,
+        "deficit_ok": result.deficit_ok,
+        "dominant_block": label.block_id,
+        "dominant_gap_period": gap_period,
+        "block_weights": result.block_weights,
+        "incommensurability": incomm,
+    }
+    note = f"{dyn.samples} samples in {elapsed:.2f}s"
     header = ("t", "n3_mean", "envelope")
-    rows = []
-    nenv = len(env) if env is not None else 0
-    for i, (t, y) in enumerate(zip(signal.times, signal.values)):
-        e = float(env.values[i]) if i < nenv else None
-        rows.append((float(t), float(y), e))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "dynamics.csv", digest, header, rows)
-    _write_json(
-        outdir / "dynamics.json",
-        {
-            "config_sha256": digest,
-            "oscillating": report.oscillating,
-            "carrier_frequency": report.carrier_frequency,
-            "carrier_period": (
-                2.0 * math.pi / report.carrier_frequency
-                if report.oscillating
-                else None
-            ),
-            "window": report.window,
-            "initial_envelope": report.initial_envelope,
-            "collapse_time": report.collapse_time,
-            "revival_times": list(report.revival_times),
-            "tail_deficit": result.tail_deficit,
-            "deficit_ok": result.deficit_ok,
-            "dominant_block": label.block_id,
-            "dominant_gap_period": gap_period,
-            "block_weights": result.block_weights,
-            "incommensurability": incomm,
-        },
-    )
-    print(
-        f"dynamics: {samples} samples in {elapsed:.2f}s -> {outdir}",
-        file=sys.stderr,
-    )
+    _write_outputs(args, "dynamics", digest, header, rows, summary, note)
     return EXIT_OK
 
 
-def cmd_meanfield(cfg: dict, digest: str, args) -> int:
+def cmd_meanfield(cfg: Config, digest: str, args) -> int:
     from .dynamics import meanfield_trajectory
 
-    mf = _require(cfg, "meanfield")
-    for key in ("p0", "q0", "tspan", "dt"):
-        if key not in mf:
-            raise ConfigError(f"meanfield.{key} is required")
-    tasks = _model_tasks(cfg)
-    bid, block, psi, params = tasks[0]
+    mf = cfg.need("meanfield")
+    if cfg.model == "three_boson":  # the other models have exactly one block
+        count = len(cfg.need("blocks").block_labels())
+        if count != 1:
+            raise ConfigError(
+                f"meanfield needs exactly one block; the config selects {count}"
+            )
+    [(bid, block, psi, params)] = _model_tasks(cfg)
     t0 = time.perf_counter()
     traj = meanfield_trajectory(
-        block,
-        psi,
-        params,
-        p0=float(mf["p0"]),
-        q0=float(mf["q0"]),
-        tspan=float(mf["tspan"]),
-        dt=float(mf["dt"]),
+        block, psi, params, p0=mf.p0, q0=mf.q0, tspan=mf.tspan, dt=mf.dt
     )
     elapsed = time.perf_counter() - t0
     e0 = float(traj.energy[0])
     drift = float(np.max(np.abs(traj.energy - e0)))
-    rows = list(
-        zip(
-            (float(t) for t in traj.times),
-            (float(p) for p in traj.p),
-            (float(q) for q in traj.q),
-            (float(e) for e in traj.energy),
-        )
-    )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "meanfield.csv", digest, ("t", "p", "q", "energy"), rows)
-    _write_json(
-        outdir / "meanfield.json",
-        {
-            "config_sha256": digest,
-            "block_id": bid,
-            "clamped": traj.clamped,
-            "energy_initial": e0,
-            "energy_drift_abs": drift,
-            "energy_drift_rel": drift / max(abs(e0), 1e-30),
-        },
-    )
-    print(
-        f"meanfield: {len(traj.times) - 1} steps in {elapsed:.2f}s -> {outdir}",
-        file=sys.stderr,
-    )
+    columns = (traj.times, traj.p, traj.q, traj.energy)
+    rows = zip(*(map(float, col) for col in columns))
+    summary = {
+        "block_id": bid,
+        "clamped": traj.clamped,
+        "energy_initial": e0,
+        "energy_drift_abs": drift,
+        "energy_drift_rel": drift / max(abs(e0), 1e-30),
+    }
+    note = f"{len(traj.times) - 1} steps in {elapsed:.2f}s"
+    header = ("t", "p", "q", "energy")
+    _write_outputs(args, "meanfield", digest, header, rows, summary, note)
     return EXIT_OK
 
 
@@ -651,8 +644,8 @@ def _check_gcs_norm():
     return worst <= 1e-10, worst
 
 
-def cmd_verify(cfg: dict, digest: str, args) -> int:
-    fault = float(cfg.get("inject_fault", {}).get("psi_root_shift", 0.0))
+def cmd_verify(cfg: Config, digest: str, args) -> int:
+    fault = cfg.inject_fault.psi_root_shift
     checks = [
         ("commutator closure", lambda: _check_commutators(fault)),
         ("eigenvalue oracle equivalence", _check_oracle_equivalence),
@@ -684,34 +677,28 @@ def main(argv=None) -> int:
         description="spectra and dynamics of polynomially deformed sl(2) models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "solve block spectra and write CSV/JSON"),
-        ("dynamics", "evolve a prepared state and analyze the signal"),
-        ("meanfield", "integrate the classical coherent trajectory"),
-        ("verify", "run built-in invariant checks"),
+    for name, command, help_text in (
+        ("spectrum", cmd_spectrum, "solve block spectra and write CSV/JSON"),
+        ("dynamics", cmd_dynamics, "evolve a prepared state and analyze the signal"),
+        ("meanfield", cmd_meanfield, "integrate the classical coherent trajectory"),
+        ("verify", cmd_verify, "run built-in invariant checks"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(command_fn=command)
         p.add_argument("--config", default=None, help="path to JSON config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads")
         p.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
     try:
         cfg, digest = _load_config(args.config)
-        if args.command != "verify" and not cfg:
+        if args.command != "verify" and args.config is None:
             raise ConfigError("--config is required for this command")
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, digest, args)
-        if args.command == "dynamics":
-            return cmd_dynamics(cfg, digest, args)
-        if args.command == "meanfield":
-            return cmd_meanfield(cfg, digest, args)
-        return cmd_verify(cfg, digest, args)
+        return args.command_fn(cfg, digest, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlockError, RuntimeError, ValueError) as exc:
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -240,13 +240,22 @@ def detect_collapse_revival(
     dominant discrete-spectrum peak.  A collapse is the first time the
     envelope stays below collapse_frac of its initial value for persist
     consecutive window positions; revivals are later envelope peaks above
-    revival_frac of the initial value.
+    revival_frac of the initial value.  persist must be an integer >= 1,
+    window_periods finite and positive, and the times must not decrease,
+    else ValueError; a grid of equal times gives the non-oscillating report.
     """
     n = len(signal)
     if n < 1000:
         raise ValueError("need at least 1000 samples")
+    integral = isinstance(persist, (int, np.integer)) and not isinstance(persist, bool)
+    if not integral or persist < 1:
+        raise ValueError("persist must be an integer >= 1")
+    if not (math.isfinite(window_periods) and window_periods > 0):
+        raise ValueError("window_periods must be finite and positive")
     t = np.asarray(signal.times, dtype=float)
     dt = t[1] - t[0]
+    if dt < 0:
+        raise ValueError("times must not decrease")
     y = np.asarray(signal.values, dtype=float)
     y0 = y - y.mean()
     amp = float(np.max(np.abs(y0)))
@@ -259,7 +268,7 @@ def detect_collapse_revival(
         revival_times=(),
         envelope=None,
     )
-    if amp <= 1e-12 * max(1.0, abs(float(y.mean()))):
+    if dt == 0 or amp <= 1e-12 * max(1.0, abs(float(y.mean()))):
         return no_osc
     power = np.abs(np.fft.rfft(y0))
     power[0] = 0.0

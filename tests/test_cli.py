@@ -84,12 +84,12 @@ def test_spectrum_runs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_spectrum_thread_pool_matches_serial(tmp_path):
+def test_jobs_flag_is_gone(tmp_path, capsys):
     cfg = write_config(tmp_path, SPECTRUM_CFG)
-    out1, out2 = tmp_path / "serial", tmp_path / "pooled"
-    main(["spectrum", "--config", str(cfg), "--out", str(out1)])
-    main(["spectrum", "--config", str(cfg), "--out", str(out2), "--jobs", "3"])
-    assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_unknown_keys_are_config_errors(tmp_path):
@@ -277,7 +277,7 @@ def test_meanfield_non_finite_input_is_refused(tmp_path, key, value):
         },
     )
     out = tmp_path / "mf"
-    assert main(["meanfield", "--config", str(cfg), "--out", str(out)]) == 3
+    assert main(["meanfield", "--config", str(cfg), "--out", str(out)]) == 2
     assert not (out / "meanfield.csv").exists()
 
 
@@ -308,3 +308,200 @@ def test_spectrum_large_block_stays_in_norm_bound(tmp_path):
     energies = [float(r[3]) for r in rows[1:]]
     assert len(energies) == block.dim == 181
     assert all(abs(e) <= bound for e in energies)
+
+
+THREE_BOSON = {"omega1": 1.0, "omega2": 1.0, "omega3": 2.0, "g": 0.7}
+BASE_CONFIGS = {
+    "spectrum": SPECTRUM_CFG,
+    "sl2": {"model": "sl2_limit", "sl2_limit": {"j": 1.0, "a": 0.5, "g": 1.0}},
+    "custom": {
+        "model": "custom_psi",
+        "custom_psi": {"roots": [0.0, 5.0, 7.5], "l0": 0.0, "g": 0.7},
+    },
+    "dynamics": {
+        "model": "three_boson",
+        "three_boson": THREE_BOSON,
+        "dynamics": {"alpha": [0.3, 0.2, 0.8], "ncut": 8, "samples": 1000},
+    },
+    "meanfield": {
+        "model": "three_boson",
+        "three_boson": THREE_BOSON,
+        "blocks": {"labels": [{"k": 0, "m": 4}]},
+        "meanfield": {"p0": 0.8, "q0": 0.3, "tspan": 1.0, "dt": 0.01},
+    },
+    "verify": {},
+}
+COMMAND = {"sl2": "spectrum", "custom": "spectrum"}
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "base, path, value",
+    [
+        ("spectrum", ("blocks", "labels"), 5),
+        ("spectrum", ("blocks", "labels"), [{"k": [1]}]),
+        ("spectrum", ("blocks", "labels"), [{"k": 0, "m": 2, "sign": 0}]),
+        ("spectrum", ("blocks", "labels"), [{"k": 0, "n": 2}]),
+        ("spectrum", ("blocks", "ncut"), 1.7),
+        ("spectrum", ("blocks", "ncut"), "x"),
+        ("spectrum", ("blocks", "ncut"), -1),
+        ("spectrum", ("blocks", "ncut"), DROP),
+        ("spectrum", ("blocks",), DROP),
+        ("spectrum", ("three_boson", "omega1"), None),
+        ("spectrum", ("three_boson", "omega1"), "x"),
+        ("spectrum", ("three_boson", "omega1"), True),
+        ("spectrum", ("three_boson", "omega1"), float("nan")),
+        ("spectrum", ("three_boson", "omega1"), 10**400),
+        ("spectrum", ("three_boson", "g"), [1.0, 2.0, 3.0]),
+        ("spectrum", ("solver",), "fast"),
+        ("spectrum", ("model",), 3),
+        ("spectrum", ("model",), DROP),
+        ("sl2", ("sl2_limit", "j"), "x"),
+        ("sl2", ("sl2_limit", "j"), 0.7),
+        ("sl2", ("sl2_limit", "j"), -1),
+        ("custom", ("custom_psi", "roots"), "ab"),
+        ("custom", ("custom_psi", "dmax"), 0),
+        ("custom", ("custom_psi", "l0"), DROP),
+        ("dynamics", ("three_boson", "omega3"), DROP),
+        ("dynamics", ("dynamics", "alpha"), 5),
+        ("dynamics", ("dynamics", "alpha"), [0.3, 0.2]),
+        ("dynamics", ("dynamics", "alpha"), DROP),
+        ("dynamics", ("dynamics", "ncut"), "x"),
+        ("dynamics", ("dynamics", "ncut"), 0),
+        ("dynamics", ("dynamics", "qmax"), "x"),
+        ("dynamics", ("dynamics", "qmax"), 0),
+        ("dynamics", ("dynamics", "samples"), "abc"),
+        ("dynamics", ("dynamics", "samples"), 999),
+        ("dynamics", ("dynamics", "tmax"), -50),
+        ("dynamics", ("dynamics", "persist"), 0),
+        ("dynamics", ("dynamics", "persist"), 2.5),
+        ("dynamics", ("dynamics", "window_periods"), 0),
+        ("dynamics", ("dynamics", "deficit_bound"), -1e-6),
+        ("dynamics", ("model",), "sl2_limit"),
+        ("meanfield", ("meanfield", "tspan"), [1]),
+        ("meanfield", ("meanfield", "tspan"), "x"),
+        ("meanfield", ("meanfield", "dt"), 0),
+        ("meanfield", ("meanfield", "dt"), -0.01),
+        ("meanfield", ("meanfield", "q0"), DROP),
+        ("meanfield", ("meanfield",), DROP),
+        ("meanfield", ("blocks",), {"ncut": 2}),
+        ("meanfield", ("blocks", "labels"), []),
+        ("verify", ("inject_fault",), {"psi_root_shift": [1]}),
+        ("verify", ("inject_fault",), {"psi_root_shift": "0.05"}),
+        ("verify", ("inject_fault",), 0.05),
+    ],
+)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, base, path, value):
+    cfg = json.loads(json.dumps(BASE_CONFIGS[base]))
+    *parents, key = path
+    sect = cfg
+    for name in parents:
+        sect = sect[name]
+    if value is DROP:
+        del sect[key]
+    else:
+        sect[key] = value
+    out = tmp_path / "out"
+    command = COMMAND.get(base, base)
+    args = [command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "blocks, count",
+    [({"ncut": 2}, 19), ({"labels": []}, 0), ({"labels": [{"m": 4}, {"m": 5}]}, 2)],
+)
+def test_meanfield_needs_exactly_one_block(tmp_path, capsys, blocks, count):
+    # a multi-block selection must not silently integrate its first block
+    cfg = dict(BASE_CONFIGS["meanfield"], blocks=blocks)
+    out = tmp_path / "mf"
+    path = write_config(tmp_path, cfg)
+    assert main(["meanfield", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"meanfield needs exactly one block; the config selects {count}\n" in err
+    assert not out.exists()
+
+
+def test_overflow_in_numerics_is_a_numeric_failure(tmp_path, capsys):
+    # |alpha|^2 overflows a float inside the tail deficit
+    dyn = dict(BASE_CONFIGS["dynamics"]["dynamics"], alpha=[1.5e154, 0.0, 0.8])
+    cfg = dict(BASE_CONFIGS["dynamics"], dynamics=dyn)
+    out = tmp_path / "dyn"
+    path = write_config(tmp_path, cfg)
+    assert main(["dynamics", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: ")
+    assert not out.exists()
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    outs = []
+    for ncut in (2, 2.0):
+        cfg = dict(SPECTRUM_CFG, blocks={"ncut": ncut})
+        out = tmp_path / f"out{len(outs)}"
+        path = write_config(tmp_path, cfg, f"cfg{len(outs)}.json")
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+        outs.append((out / "spectrum.csv").read_text().splitlines()[1:])
+    assert outs[0] == outs[1]
+
+
+def test_config_defaults():
+    from polysl2.cli import parse_config
+
+    cfg = parse_config({"dynamics": {"fock": [0, 0, 1]}, "sl2_limit": {"j": 2}})
+    assert cfg.model is None and cfg.solver == "all"
+    assert cfg.inject_fault.psi_root_shift == 0.0
+    dyn = cfg.dynamics
+    assert (dyn.tmax, dyn.samples, dyn.ncut) == (100.0, 10001, 20)
+    assert dyn.deficit_bound == 1e-6
+    assert (dyn.window_periods, dyn.persist, dyn.qmax) == (5.0, 5, 8)
+    assert dyn.fock == (0, 0, 1) and dyn.alpha is None
+    sl2 = cfg.sl2_limit
+    assert (sl2.j, sl2.a, sl2.g, sl2.constant) == (2.0, 0.0, 0j, 0.0)
+
+
+def test_readme_config_table_matches_schema():
+    import re
+    from dataclasses import MISSING, fields
+
+    from polysl2 import cli
+
+    sections = {
+        "top level": cli.Config,
+        "three_boson": cli.ThreeBosonConfig,
+        "sl2_limit": cli.Sl2LimitConfig,
+        "custom_psi": cli.CustomPsiConfig,
+        "blocks": cli.BlocksConfig,
+        "blocks.labels[i]": cli.LabelConfig,
+        "dynamics": cli.DynamicsConfig,
+        "meanfield": cli.MeanfieldConfig,
+        "inject_fault": cli.InjectFaultConfig,
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) != 5 or cells[0] not in sections and "`" not in cells[0]:
+            continue
+        names = re.findall(r"`([^`]+)`", cells[0]) or [cells[0]]
+        for name in names:
+            for key in re.findall(r"`([^`]+)`", cells[1]):
+                documented[(sections[name], key)] = cells[2:4]
+    schema = {
+        (cls, f.name): f
+        for cls in sections.values()
+        for f in fields(cls)
+        if not (cls is cli.Config and f.name in sections)
+    }
+    assert set(documented) == set(schema)
+    for pair, (_, default) in documented.items():
+        value = schema[pair].default
+        if default == "-":
+            assert value in (MISSING, None), pair
+        elif default.startswith("`"):
+            assert value == default.strip("`"), pair
+        else:
+            assert value == float(default), pair

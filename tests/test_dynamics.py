@@ -309,6 +309,45 @@ def test_detector_input_validation():
     assert rep.collapse_time is None
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"persist": 0}, "persist"),
+        ({"persist": -3}, "persist"),
+        ({"persist": 2.5}, "persist"),
+        ({"persist": 5.0}, "persist"),
+        ({"persist": True}, "persist"),
+        ({"window_periods": 0.0}, "window_periods"),
+        ({"window_periods": -1.0}, "window_periods"),
+        ({"window_periods": math.nan}, "window_periods"),
+        ({"window_periods": math.inf}, "window_periods"),
+    ],
+)
+def test_detector_rejects_bad_parameters(kwargs, match):
+    t = np.linspace(0, 200, 4001)
+    env = np.exp(-(t**2) / 800) + np.exp(-((t - 160.0) ** 2) / 200)
+    with pytest.raises(ValueError, match=match):
+        detect_collapse_revival(Signal(t, env * np.cos(3.0 * t)), **kwargs)
+
+
+def test_detector_rejects_decreasing_times():
+    t = np.linspace(0, -50, 2001)
+    with pytest.raises(ValueError, match="times must not decrease"):
+        detect_collapse_revival(Signal(t, np.cos(2.0 * t)))
+
+
+def test_detector_equal_times_do_not_oscillate():
+    # one instant repeated: no frequency can be read, whatever the values
+    t = np.zeros(1500)
+    values = np.random.default_rng(3).normal(size=1500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = detect_collapse_revival(Signal(t, values))
+    assert not rep.oscillating
+    assert rep.collapse_time is None
+    assert rep.envelope is None
+
+
 def test_incommensurability_equidistant_is_zero():
     rep = incommensurability_measure([0.0, 1.0, 2.0, 3.0])
     assert rep.min_distance == pytest.approx(0.0, abs=1e-12)
