@@ -62,6 +62,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+MAX_MEANFIELD_STEPS = 10**7
 
 
 class ConfigError(Exception):
@@ -251,6 +252,15 @@ class MeanfieldConfig:
     tspan: float = _key(_real())
     dt: float = _key(_real(0.0, above=True))
 
+    def __post_init__(self):
+        # the integrator takes round(|tspan| / dt) RK4 steps
+        steps = abs(self.tspan) / self.dt
+        if not steps <= MAX_MEANFIELD_STEPS + 0.5:
+            raise ConfigError(
+                f"meanfield.tspan / meanfield.dt asks for {steps:.3g} RK4 steps; "
+                f"at most {MAX_MEANFIELD_STEPS:.0e} are allowed"
+            )
+
 
 @dataclass(frozen=True, kw_only=True)
 class InjectFaultConfig:
@@ -356,11 +366,16 @@ def _model_tasks(cfg: Config):
     sect = cfg.need(model)
     if model == "sl2_limit":
         psi, l0 = _sl2_structure(sect.j)
-        block = build_block(psi, float(l0))
+        block = build_block(psi, float(l0), dmax=int(2 * sect.j) + 1)
         return [(f"sl2_j{_fmt(-float(l0))}", block, psi, sect.params())]
     if model == "custom_psi":
         psi = StructureFunction(leading=sect.leading, roots=sect.roots)
         block = build_block(psi, sect.l0, dmax=sect.dmax)
+        if block.truncated:
+            raise RuntimeError(
+                f"custom_psi block reached custom_psi.dmax = {sect.dmax} levels "
+                "before psi terminated; raise custom_psi.dmax"
+            )
         return [("custom", block, psi, sect.params())]
     params3 = sect.params()
     return [
@@ -467,7 +482,10 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
     elapsed = time.perf_counter() - t0
 
     incomm = None
-    if len(np.unique(np.round(spec.energies, 9))) >= 3:
+    # ascending energies stay ascending when rounded, so distinct levels are
+    # counted by neighbour inequality (np.unique would import numpy.ma here)
+    levels = np.round(spec.energies, 9)
+    if np.count_nonzero(levels[1:] != levels[:-1]) >= 2:
         incomm = asdict(incommensurability_measure(spec.energies, qmax=dyn.qmax))
     gap_period = None
     if spec.energies.size >= 2:

@@ -3,8 +3,9 @@
 The block Hamiltonian a V0 + g V+ + g* V- + C is tridiagonal in the tower
 basis.  A diagonal gauge removes the coupling phase, so everything runs on a
 real symmetric tridiagonal; amplitudes are transformed back on output.  Two
-independent eigenvalue routes are provided: a LAPACK solve and a Sturm-count
-bisection on the characteristic recurrence, used as cross-checking oracles.
+independent eigenvalue routes are provided: numpy's dense LAPACK eigh of the
+tridiagonal and a Sturm-count bisection on the characteristic recurrence,
+used as cross-checking oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .algebra import Block, BlockError, StructureFunction
 from .variational import reg_hyp_2F1
@@ -133,8 +133,11 @@ def eigensolve(tri: TridiagonalHamiltonian) -> Spectrum:
             energies=tri.diag.astype(float).copy(),
             amplitudes=np.ones((1, 1), dtype=complex),
         )
+    # dense LAPACK eigh reads the lower triangle only: diagonal and sub-diagonal
+    h = np.diag(np.asarray(tri.offdiag, dtype=float), -1)
+    np.fill_diagonal(h, tri.diag)
     try:
-        e, q = eigh_tridiagonal(tri.diag, tri.offdiag)
+        e, q = np.linalg.eigh(h, UPLO="L")
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
     _reorthogonalize_degenerate(e, q, tri.norm_bound())

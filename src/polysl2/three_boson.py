@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .algebra import Block, StructureFunction, build_block
 from .solver import HamiltonianParams
@@ -194,6 +196,15 @@ class CoherentInput:
             raise ValueError("ncut must be positive")
 
 
+@lru_cache(maxsize=8)
+def _log_factorials(nmax: int) -> np.ndarray:
+    """log n! for n = 0..nmax, each the logarithm of the exact integer n!."""
+    facts = accumulate(range(1, nmax + 1), operator.mul, initial=1)
+    out = np.array([math.log(f) for f in facts])
+    out.setflags(write=False)
+    return out
+
+
 def _mode_amplitudes(alpha: complex, nmax: int) -> np.ndarray:
     """Coherent Fock amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..nmax.
 
@@ -205,7 +216,7 @@ def _mode_amplitudes(alpha: complex, nmax: int) -> np.ndarray:
         out[0] = 1.0
         return out
     n = np.arange(nmax + 1, dtype=float)
-    logmag = -0.5 * mod * mod + n * math.log(mod) - 0.5 * gammaln(n + 1)
+    logmag = -0.5 * mod * mod + n * math.log(mod) - 0.5 * _log_factorials(nmax)
     phase = n * cmath.phase(alpha)
     mag = np.exp(logmag)
     out.real = mag * np.cos(phase)
@@ -265,18 +276,52 @@ def coherent_block_weights(inp: CoherentInput, floor: float):
     return out
 
 
+def _log_poisson_cdf(x: float, n: int) -> float:
+    """log P(N <= n) for N ~ Poisson(x), x >= 0, without cancellation.
+
+    Below x = n + 1 the tail T = P(N > n) is the regularized lower incomplete
+    gamma P(n + 1, x), summed as its convergent series
+    e^-x x^(n+1) / (n+1)! * sum_k x^k / ((n+2)...(n+1+k)), and the result
+    is log1p(-T).  From x = n + 1 on, the finite sum e^-x sum_{k<=n} x^k / k!
+    is taken directly: its largest term k = n is factored out and the rest,
+    ratios below 1, is summed by Horner.
+    """
+    if x == 0.0:
+        return 0.0
+    if x == math.inf:
+        return -math.inf
+    # log(e^-x x^n / n!) as one exact sum of small terms log(x / k); a
+    # subnormal x / k underflows to 0, and log 0 = -inf is a head of 0
+    with np.errstate(divide="ignore"):
+        terms = np.log(x / np.arange(1.0, n + 1))
+    log_head = math.fsum(np.append(terms, -x))
+    if x < n + 1:
+        term = total = 1.0
+        k = n + 1
+        while term > total * 1e-17:
+            k += 1
+            term *= x / k
+            total += term
+        log_tail = log_head + math.log(x) - math.log(n + 1) + math.log(total)
+        return math.log1p(-math.exp(log_tail))
+    # sum_{k<=n} x^k / k! = x^n / n! * (1 + n/x (1 + (n-1)/x (1 + ...)))
+    total = 1.0
+    for k in range(1, n + 1):
+        total = 1.0 + total * k / x
+    return log_head + math.log(total)
+
+
 def coherent_tail_deficit(inp: CoherentInput) -> float:
     """Probability of the untruncated state outside the cube n_i <= ncut.
 
-    Each mode is Poisson in n, with tail P(n > ncut) = gammainc(ncut + 1,
-    |alpha|^2) (regularized lower incomplete gamma), so the deficit is
-    1 - prod(1 - T_i), evaluated without cancellation as
-    -expm1(sum log1p(-T_i)).
+    Each mode is Poisson in n with mean |alpha|^2, so the deficit is
+    1 - prod P(n_i <= ncut), evaluated without cancellation as
+    -expm1(sum log P(n_i <= ncut)).  A mode whose |alpha|^2 overflows a
+    float lies wholly outside the cube: the deficit is 1.
     """
-    tails = gammainc(
-        inp.ncut + 1, [abs(a) ** 2 for a in (inp.alpha1, inp.alpha2, inp.alpha3)]
-    )
-    with np.errstate(divide="ignore"):  # a tail of 1 is log 0 = -inf: deficit 1
-        logs = np.log1p(-tails)
+    logs = [
+        _log_poisson_cdf(abs(a) * abs(a), inp.ncut)
+        for a in (inp.alpha1, inp.alpha2, inp.alpha3)
+    ]
     # 0.0 - x: an untruncated state reports +0.0, not -0.0
     return 0.0 - math.expm1(math.fsum(logs))

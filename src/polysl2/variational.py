@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import eigh_tridiagonal
 
 from .algebra import Block, BlockError, StructureFunction
 
@@ -111,7 +110,8 @@ def _rotation_basis(d: int):
     """
     twoj = d - 1
     k = np.arange(twoj, dtype=float)
-    _, w = eigh_tridiagonal(np.zeros(d), 0.5 * np.sqrt((k + 1) * (twoj - k)))
+    # Jx has a zero diagonal; eigh reads its sub-diagonal from the lower triangle
+    _, w = np.linalg.eigh(np.diag(0.5 * np.sqrt((k + 1) * (twoj - k)), -1), UPLO="L")
     n = np.arange(d)
     phase = np.array([1, 1j, -1, -1j])[(n[None, :] - n[:, None]) % 4]
     w.setflags(write=False)
@@ -314,7 +314,7 @@ def solve_alpha(
     if a_eff > ALPHA_MAX:
         # keep full density in the central cluster, extend with equally
         # dense tails out to the root bound
-        xs = np.unique(
+        xs = np.sort(
             np.concatenate(
                 [
                     np.linspace(-a_eff, -ALPHA_MAX, grid_points),
@@ -323,6 +323,9 @@ def solve_alpha(
                 ]
             )
         )
+        # drop repeated points (the shared ends, and any that round together)
+        # without np.unique, whose lazy numpy.ma import outweighs the merge
+        xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
     else:
         xs = np.linspace(-a_eff, a_eff, grid_points)
     with np.errstate(over="ignore", invalid="ignore"):

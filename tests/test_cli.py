@@ -130,6 +130,44 @@ def test_numeric_failure_exit_code(tmp_path):
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
 
+def test_sl2_limit_block_is_never_truncated(tmp_path):
+    # 2j + 1 = 1,021 levels: more than custom_psi's default dmax of 1,000
+    j, a, g = 510, 0.5, 1.0
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "sl2_limit",
+            "solver": "exact",
+            "sl2_limit": {"j": j, "a": a, "g": g},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_rows(out / "spectrum.csv")
+    energies = [float(r[2]) for r in rows[1:]]
+    omega = math.hypot(a, 2 * g)
+    assert len(energies) == 2 * j + 1
+    assert energies == pytest.approx(
+        [(v - j) * omega for v in range(2 * j + 1)], abs=1e-9
+    )
+
+
+def test_truncated_custom_tower_is_a_numeric_failure(tmp_path, capsys):
+    # psi(x) = x has no zero above l0 = 0: the tower never terminates
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "custom_psi",
+            "solver": "exact",
+            "custom_psi": {"roots": [0.0], "l0": 0.0, "g": 1.0, "dmax": 50},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "custom_psi.dmax" in capsys.readouterr().err
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_verify_passes_clean(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -389,6 +427,10 @@ DROP = object()
         ("verify", ("inject_fault",), {"psi_root_shift": [1]}),
         ("verify", ("inject_fault",), {"psi_root_shift": "0.05"}),
         ("verify", ("inject_fault",), 0.05),
+        # more RK4 steps than the schema allows
+        ("meanfield", ("meanfield", "dt"), 1e-12),
+        ("meanfield", ("meanfield", "dt"), 5e-324),
+        ("meanfield", ("meanfield", "tspan"), -1e6),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, base, path, value):
@@ -505,3 +547,37 @@ def test_readme_config_table_matches_schema():
             assert value == default.strip("`"), pair
         else:
             assert value == float(default), pair
+
+
+def test_no_scipy_on_the_cli_path(tmp_path):
+    # one small run of each numeric command in a fresh interpreter, after
+    # which no scipy module may have been imported
+    import os
+    import subprocess
+    import sys
+
+    import polysl2
+
+    runs = []
+    for name in ("spectrum", "dynamics", "meanfield"):
+        cfg = write_config(tmp_path, BASE_CONFIGS[name], f"{name}.json")
+        runs.append([name, "--config", str(cfg), "--out", str(tmp_path / name)])
+    script = (
+        "import json, sys\n"
+        "from polysl2.cli import main\n"
+        "codes = [main(args) for args in json.loads(sys.argv[1])]\n"
+        "scipy = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(json.dumps({'codes': codes, 'scipy': scipy}))\n"
+    )
+    src = str(Path(polysl2.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "scipy": []}

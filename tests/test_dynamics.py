@@ -167,6 +167,13 @@ def _poisson_tail(x, ncut):
         ((0.0, 0.0, 5.0), 120),
         ((0.7 + 0.4j, -0.3 + 0.9j, 1.1 - 0.5j), 6),
         ((1.5, 0.0, 2.5j), 3),
+        # |alpha|^2 = 81 >> ncut = 5: a deficit near 1, on the finite sum
+        ((9.0, 0.0, 0.0), 5),
+        ((0.5, 0.3j, 1.2), 1),
+        # x = 9 = ncut + 1 takes the finite sum, 8.41 and 1 the series
+        ((3.0, 1.0j, 2.9), 8),
+        # deficit about 1e-49
+        ((0.2, 0.0, 0.1), 20),
     ],
 )
 def test_tail_deficit_matches_poisson_tail_sum(alpha, ncut):
@@ -176,6 +183,12 @@ def test_tail_deficit_matches_poisson_tail_sum(alpha, ncut):
     )
     got = coherent_tail_deficit(CoherentInput(*alpha, ncut=ncut))
     assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_tail_deficit_past_float_range_is_one():
+    # |alpha|^2 overflows a float: the mode lies wholly outside the cube
+    got = coherent_tail_deficit(CoherentInput(1.5e154, 0.0, 0.8, ncut=8))
+    assert got == 1.0
 
 
 def test_tail_deficit_of_vacuum_is_positive_zero():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from polysl2.three_boson import (
     fock_to_block,
     project_coherent,
     psi3_for_block,
+    _mode_amplitudes,
 )
 
 
@@ -203,3 +205,24 @@ def test_project_coherent_zero_outside_window():
     # v < m - ncut means n3 = m - v > ncut
     assert np.all(c[:2] == 0)
     assert np.any(c[2:] != 0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 3.0, 10.0, 0.7 - 1.1j, -2.5 + 0.5j, 0.3j])
+def test_mode_amplitudes_match_exact_factorials(alpha):
+    # |c_n|^2 = e^-x x^n / n! with x = |alpha|^2, exact but for exp(-x).
+    # The amplitude is exp of a sum of three logs, so its rounding error
+    # grows with their size: allow 4 ulp of 1 + 0.5 x + n |log|alpha|| +
+    # 0.5 log n! (under 1e-14 for the first n, about 1e-12 at n = 300).
+    nmax = 300
+    got = _mode_amplitudes(alpha, nmax)
+    mod = abs(alpha)
+    x = mod * mod
+    for n in range(nmax + 1):
+        want_sq = Fraction(math.exp(-x)) * Fraction(mod) ** (2 * n)
+        want_sq /= math.factorial(n)
+        if want_sq < Fraction(1, 10**600):
+            continue  # an amplitude below 1e-300 nears the subnormal range
+        rel = abs(math.sqrt(Fraction(abs(got[n])) ** 2 / want_sq) - 1.0)
+        size = 1.0 + 0.5 * x + n * abs(math.log(mod))
+        size += 0.5 * math.log(math.factorial(n))
+        assert rel <= 4 * sys.float_info.epsilon * size, n
