@@ -38,10 +38,10 @@ from .solver import (
     amplitude_recurrence,
     build_hamiltonian,
     eigensolve,
-    gcs_overlaps,
     sl2_reference_spectrum,
     spectral_polynomial_roots,
 )
+from .reference import gcs_overlaps, reg_hyp_2F1
 from .three_boson import (
     BlockLabel,
     CoherentInput,
@@ -57,7 +57,6 @@ from .three_boson import (
 from .variational import (
     VariationalSolution,
     energy_functional,
-    reg_hyp_2F1,
     solve_alpha,
     stationarity_residual,
     variational_spectrum,

@@ -43,10 +43,10 @@ from .solver import (
     amplitude_recurrence,
     build_hamiltonian,
     eigensolve,
-    gcs_overlaps,
     sl2_reference_spectrum,
     spectral_polynomial_roots,
 )
+from .reference import gcs_overlaps
 from .three_boson import (
     BlockLabel,
     CoherentInput,
@@ -56,13 +56,15 @@ from .three_boson import (
     enumerate_blocks,
     psi3_for_block,
 )
-from .variational import variational_spectrum
+from .variational import ALPHA_WIDTH, variational_spectrum
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 MAX_MEANFIELD_STEPS = 10**7
+MAX_BLOCK_DIM = 2001  # levels in one block; dense solvers hold several d x d arrays
+_DIM_NOTE = f" (a block holds at most {MAX_BLOCK_DIM} levels)"
 
 
 class ConfigError(Exception):
@@ -103,8 +105,14 @@ def _real(lo: float = -math.inf, above: bool = False) -> _Kind:
     )
 
 
-def _int(lo: int) -> _Kind:
-    return _Kind(f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo, int)
+def _int(lo: int, hi: int | None = None, note: str = "") -> _Kind:
+    if hi is None:
+        return _Kind(f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo, int)
+    return _Kind(
+        f"an integer from {lo} to {hi}{note}",
+        lambda v: _is_int(v) and lo <= v <= hi,
+        int,
+    )
 
 
 def _one_of(*choices: str) -> _Kind:
@@ -129,8 +137,10 @@ _COMPLEX = _Kind(
     lambda v: complex(*v) if type(v) is list else complex(v),
 )
 _HALF_INTEGER = _Kind(
-    "a nonnegative half-integer",
-    lambda v: _is_real(v) and v >= 0 and float(2 * v).is_integer(),
+    f"a half-integer from 0 to {(MAX_BLOCK_DIM - 1) / 2:g}{_DIM_NOTE}",
+    lambda v: _is_real(v)
+    and 0 <= v <= (MAX_BLOCK_DIM - 1) / 2
+    and float(2 * v).is_integer(),
     float,
 )
 _SIGN = _Kind("1 or -1", lambda v: _is_int(v) and v in (1, -1), int)
@@ -199,13 +209,13 @@ class CustomPsiConfig(_Coupling):
     roots: tuple = _key(_list(_real()))
     l0: float = _key(_real())
     leading: float = _key(_real(), 1.0)
-    dmax: int = _key(_int(1), 1000)
+    dmax: int = _key(_int(1, MAX_BLOCK_DIM, _DIM_NOTE), 1000)
 
 
 @dataclass(frozen=True, kw_only=True)
 class LabelConfig:
     k: int = _key(_int(0), 0)
-    m: int = _key(_int(0), 0)
+    m: int = _key(_int(0, MAX_BLOCK_DIM - 1, _DIM_NOTE), 0)
     sign: int = _key(_SIGN, 1)
 
 
@@ -243,6 +253,13 @@ class DynamicsConfig:
     def __post_init__(self):
         if self.alpha is None and self.fock is None:
             raise ConfigError("dynamics section needs 'alpha' or 'fock'")
+        for i, a in enumerate(self.alpha or ()):
+            # the mean occupation |alpha|^2 must be a float for the tail
+            # deficit and the Poisson weights
+            if not math.isfinite(a.real * a.real + a.imag * a.imag):
+                raise ConfigError(
+                    f"dynamics.alpha[{i}] = {a} has |alpha|^2 beyond the float range"
+                )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -445,7 +462,7 @@ def cmd_spectrum(cfg: Config, digest: str, args) -> int:
         "solver": cfg.solver,
         "blocks": summary_blocks,
         "tolerances": {
-            "alpha_bisection_width": 1e-14,
+            "alpha_bisection_width": ALPHA_WIDTH,
             "degenerate_cluster_rtol": 1e-12,
             "root_detection_rtol": 1e-12,
         },

@@ -13,12 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .algebra import Block, BlockError, StructureFunction
-from .variational import reg_hyp_2F1
 
 __all__ = [
     "HamiltonianParams",
@@ -29,7 +27,6 @@ __all__ = [
     "spectral_polynomial_roots",
     "amplitude_recurrence",
     "sl2_reference_spectrum",
-    "gcs_overlaps",
 ]
 
 
@@ -244,37 +241,3 @@ def sl2_reference_spectrum(block: Block, params: HamiltonianParams) -> Spectrum:
     )
     spec = eigensolve(tri)
     return Spectrum(energies=energies, amplitudes=spec.amplitudes)
-
-
-def gcs_overlaps(block: Block, v: int, r: float, theta: float = 0.0) -> np.ndarray:
-    """Overlaps <f| of the rotated basis state S_Y |v> on the su(2) level.
-
-    Coefficients combine a terminating regularized hypergeometric with a
-    factorial normalization; the result is unit norm by unitarity of the
-    rotation.  r = 0 returns the basis vector itself.
-    """
-    d = block.dim
-    twoj = d - 1
-    if not 0 <= v < d:
-        raise ValueError("v outside block")
-    out = np.zeros(d, dtype=complex)
-    cr = math.cos(r)
-    if abs(cr) < 1e-12:
-        raise ValueError("rotation angle too close to pi/2")
-    if r == 0.0:
-        out[v] = 1.0
-        return out
-    s2 = math.sin(r) ** 2
-    t = math.tan(r)
-    phase = -cmath.exp(1j * theta) * t
-    cos_pow = (cr * cr) ** (block.j - v)
-    for f in range(d):
-        hyp = reg_hyp_2F1(v, twoj + 1 - v, f - v + 1, s2)
-        if hyp == 0.0 and f < v:
-            continue
-        ratio = Fraction(
-            math.factorial(twoj - v) * math.factorial(f),
-            math.factorial(twoj - f) * math.factorial(v),
-        )
-        out[f] = cos_pow * phase ** (f - v) * hyp * math.sqrt(ratio)
-    return out

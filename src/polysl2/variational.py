@@ -3,43 +3,47 @@
 The trial state is a basis state rotated by the spin-j rotation
 R(r) = exp(r (Y- - Y+)); its energy is the diagonal entry
 E(v, r) = (R^T H R)_vv of the real tridiagonal block Hamiltonian.
-Stationarity in r reduces to a polynomial equation in alpha = -tan r,
-solved by a sign-change scan.
 
 R is built in float64 by exact diagonalisation (Feng, Wang, Yang & Jin,
 Phys. Rev. E 92, 043307, 2015): the generator Y- - Y+ = -2i Jy is similar
 to -2i Jx through the diagonal phase i^v, and Jx is a real symmetric
 tridiagonal with the known eigenvalues m = -j..j.  Its eigenvectors are
 cached per block dimension, so one rotation costs a d x d product and gives
-every level of the block at once.  The same energy is also an explicit sum
-of terminating regularized hypergeometrics; reg_hyp_2F1 evaluates those
-exactly from rational coefficients and serves as an independent reference
-(gcs_overlaps), not as the energy core, because its terms cancel heavily.
+every level of the block at once.  The exact rational overlaps in
+polysl2.reference serve as an independent check on it.
+
+The ground-state slope dE(0, r)/dr is a binomial (Bernstein) mean over
+the ladder rungs, because the rotated lowest state is an su(2) coherent
+state with binomial amplitudes (Perelomov, Generalized Coherent States,
+1986).  solve_alpha scans that mean for stationary points.  Bernstein form
+is the well-conditioned basis on [0, 1] (Farouki & Rajan, CAGD 4, 191,
+1987), and evaluated by scaled Horner it stays finite at any block size.
+Roots are reported as alpha = -tan r.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .algebra import Block, BlockError, StructureFunction
+from .algebra import Block, StructureFunction
+from .solver import build_hamiltonian
 
 __all__ = [
     "VariationalSolution",
-    "reg_hyp_2F1",
     "energy_functional",
     "stationarity_residual",
     "solve_alpha",
     "variational_spectrum",
 ]
 
-ALPHA_MAX = 50.0
 GRID_POINTS = 4001
+ALPHA_WIDTH = 1e-14  # refined roots are bracketed this tightly in alpha
+SECTIONS = 64  # subintervals per bracket and refinement pass
+NORM_SLACK = 1e-12  # round-off allowed on |E| <= norm bound
 
 
 @dataclass(frozen=True)
@@ -47,10 +51,12 @@ class VariationalSolution:
     """Stationary points and per-level energies for one block.
 
     theta is the coupling phase (fixed, not searched).  alpha_roots holds
-    every stationary point found in the scan bracket with its residual;
-    alpha_selected minimizes the v=0 energy among them.  energies has one
-    entry per block level.  ordering_ok flags whether the selected-root
-    energies came out ascending; a violation indicates root misselection.
+    every stationary point found in the scan bracket, in ascending order;
+    residuals holds the exact slope dE(0, r)/dr at each of them, divided by
+    the Hamiltonian's norm bound.  alpha_selected minimizes the v=0 energy
+    among them.  energies has one entry per block level.  ordering_ok
+    flags whether the selected-root energies came out ascending; a
+    violation indicates root misselection.
     """
 
     theta: float
@@ -64,42 +70,6 @@ class VariationalSolution:
     @property
     def r_selected(self) -> float:
         return -math.atan(self.alpha_selected)
-
-
-@lru_cache(maxsize=8192)
-def _frac_coeffs(v: int, b: Fraction, c: int):
-    """Exact series coefficients of F~(-v, b; c; x), ascending in x."""
-    out = []
-    for k in range(v + 1):
-        ck = c + k
-        if ck <= 0:
-            # 1/Gamma(nonpositive integer) = 0
-            out.append(Fraction(0))
-            continue
-        num = Fraction(1)
-        for i in range(k):
-            num *= (-v + i) * (b + i)
-        out.append(num / (math.factorial(k) * math.factorial(ck - 1)))
-    return tuple(out)
-
-
-def reg_hyp_2F1(v: int, b, c: int, x: float) -> float:
-    """Regularized Gauss hypergeometric F~(-v, b; c; x), terminating.
-
-    Defined as sum_k (-v)_k (b)_k x^k / (k! Gamma(c+k)) with the convention
-    1/Gamma(nonpositive integer) = 0, which keeps the value finite for any
-    integer c.  The first parameter is passed as the nonnegative integer v.
-    The sum runs in exact rational arithmetic at Fraction(x) and is rounded
-    once, so the result is correctly rounded however strongly terms cancel.
-    """
-    if v < 0 or v != int(v):
-        raise ValueError("first parameter must be a nonnegative integer")
-    coeffs = _frac_coeffs(int(v), Fraction(b), int(c))
-    xq = Fraction(x)
-    acc = Fraction(0)
-    for ck in reversed(coeffs):
-        acc = acc * xq + ck
-    return float(acc)
 
 
 @lru_cache(maxsize=64)
@@ -124,15 +94,6 @@ def _rotation(d: int, r: float) -> np.ndarray:
     w, phase = _rotation_basis(d)
     m = np.arange(d) - 0.5 * (d - 1)
     return (phase * ((w * np.exp(-2j * r * m)) @ w.T)).real
-
-
-def _tridiagonal(block: Block, psi: StructureFunction, params):
-    """Diagonal and off-diagonal of the gauge-free block Hamiltonian."""
-    diag = params.constant + params.a * block.weights()
-    vals = psi.values(block.l0 + np.arange(1, block.dim, dtype=float))
-    if np.any(vals < 0.0):
-        raise BlockError("negative psi value under the ladder square root")
-    return diag, params.g_mod * np.sqrt(vals)
 
 
 def _level_energies(diag: np.ndarray, off: np.ndarray, r: float):
@@ -166,7 +127,7 @@ def energy_functional(
     phase drops out.  Equivalently E = C + a(l0+j) + a(v-j) cos 2r minus a
     sum over ladder rungs of paired regularized hypergeometrics; that form
     cancels heavily, so it only serves as a reference, through the exact
-    rational reg_hyp_2F1 behind gcs_overlaps.  r = 0 returns the diagonal
+    rational overlaps of polysl2.reference.  r = 0 returns the diagonal
     entry unrotated.
     """
     d = block.dim
@@ -176,8 +137,8 @@ def energy_functional(
         raise ValueError("rotation angle too close to pi/2")
     if r == 0.0:
         return params.constant + params.a * (block.l0 + v)
-    diag, off = _tridiagonal(block, psi, params)
-    return float(_level_energies(diag, off, r)[0][v])
+    tri = build_hamiltonian(block, psi, params)
+    return float(_level_energies(tri.diag, tri.offdiag, r)[0][v])
 
 
 def _rung_weights(block: Block, psi: StructureFunction):
@@ -247,32 +208,61 @@ def _residual_scale(block: Block, psi: StructureFunction, params, alpha: float):
     return acc * scale
 
 
-def _residual_poly(block: Block, psi: StructureFunction, params):
-    """Stationarity residual as ascending polynomial coefficients in alpha."""
-    twoj = block.dim - 1
-    q = _rung_weights(block, psi)
-    weights, _ = _binomial_weights(twoj)
+def _stationarity(tri, params):
+    """F(alpha), vectorised: the ground-state slope in Bernstein form.
+
+    With n = d - 1, r = -atan(alpha), s = sin^2 r and c = cos^2 r,
+
+        F = -(a/|g|) sin r cos r + c S1(s) - s S2(s),
+
+    where S1 and S2 are the degree n-1 Bernstein sums of
+    (2f+1) q_f and (2n-2f-1) q_f, q_f = offdiag_f / (|g| sqrt((n-f)(f+1))).
+    F equals -dE(0, r)/dr / (2|g|n), and it is the stationarity polynomial
+    of stationarity_residual divided by (1 + alpha^2)^n times a positive
+    constant, so both share their roots.  c S1 - s S2 is kept as one
+    degree-n Bernstein sum with coefficients y_f.  It is evaluated in the
+    smaller of s and c by scaled Horner, coefficients reversed when s > c,
+    and below 1e-150 the partial sums are rescaled by powers of two as in
+    dynamics._CoherentEnergy._sums, so F stays finite at any block size.
+    """
+    n = tri.dim - 1
+    f = np.arange(n, dtype=float)
+    q = tri.offdiag / (params.g_mod * np.sqrt((n - f) * (f + 1)))
+    y = np.zeros(n + 1)
+    y[:-1] = (n - f) * (2 * f + 1) / n * q
+    y[1:] -= (f + 1) * (2 * (n - f) - 1) / n * q
     ratio = params.a / params.g_mod
-    coef = np.zeros(2 * twoj + 2)
-    for f, base in enumerate(weights):
-        coef[2 * f + 1] += base * ratio
-        coef[2 * f] += base * (2 * f + 1) * q[f]
-        coef[2 * f + 2] += base * ((2 * f + 1) - 2 * twoj) * q[f]
-    return coef
+    # (binomial ratio C(n, f+1) / C(n, f), y_f, y_(n-f)) from f = n-1 down
+    steps = [((n - k) / (k + 1), y[k], y[n - k]) for k in range(n - 1, -1, -1)]
 
+    def stationarity(alpha: np.ndarray) -> np.ndarray:
+        alpha = np.asarray(alpha, dtype=float)
+        flip = np.abs(alpha) > 1.0  # s > c: expand in c instead
+        w = alpha.copy()
+        np.divide(1.0, alpha, out=w, where=flip)
+        big = 1.0 / (1.0 + w * w)
+        small = w * w * big
+        power = 1.0
+        acc = np.where(flip, y[0], y[n])
+        exp2 = None
+        for count, (rb, fwd, rev) in enumerate(steps, 1):
+            power = power * big
+            acc *= small * rb
+            acc += power * np.where(flip, rev, fwd)
+            # big >= 1/2, so power cannot drop below 1e-150 in fewer steps
+            if count > 490:
+                top = np.maximum(power, np.abs(acc))
+                if top.min() < 1e-150:
+                    e = np.frexp(top)[1]
+                    power = np.ldexp(power, -e)
+                    acc = np.ldexp(acc, -e)
+                    exp2 = e if exp2 is None else exp2 + e
+        if exp2 is not None:
+            acc = np.ldexp(acc, exp2)
+        # -sin r cos r = alpha c = w * big on both sides of |alpha| = 1
+        return ratio * w * big + acc
 
-def _root_bound(coef):
-    """Cauchy bound on the magnitude of every real root of the polynomial."""
-    c = np.asarray(coef, dtype=float)
-    nz = np.nonzero(c)[0]
-    if nz.size < 2:
-        return 0.0
-    c = c[: nz[-1] + 1]
-    lead = abs(c[-1])
-    rest = np.abs(c[:-1])
-    if lead == 0.0 or not np.isfinite(lead) or not np.all(np.isfinite(rest)):
-        return math.inf
-    return 1.0 + float(rest.max()) / lead
+    return stationarity
 
 
 def solve_alpha(
@@ -284,14 +274,15 @@ def solve_alpha(
 ) -> VariationalSolution:
     """Locate all stationary alpha.
 
-    By default the scan covers [-A, A] with A the larger of ALPHA_MAX and
-    a Cauchy bound on the roots of the stationarity polynomial; weakly
-    coupled blocks push the ground rotation toward a flipped basis state
-    and the matching root far out, so a fixed bracket would lose it.  An
-    explicit alpha_max restricts the scan to that bracket instead.  Sign
-    changes on the grid are refined together, as arrays, by bisection to
-    an interval of 1e-14.
-    Returns a solution carrying roots and residuals only; the energies
+    The scan runs on grid_points angles spaced evenly in r = -atan(alpha)
+    over the closed interval [-pi/2, pi/2], so it covers every alpha with
+    no root bound: the stationarity function F (see _stationarity) is a
+    bounded Bernstein mean there.  An explicit alpha_max restricts the scan
+    to |r| <= atan(alpha_max).  Grid zeros are roots; every sign change is
+    refined, all brackets together as arrays, by SECTIONS-fold sectioning
+    until it is ALPHA_WIDTH wide in alpha or cannot be split in floating
+    point, and its midpoint is the root.  residuals holds dE(0, r)/dr /
+    norm_bound at each root, which is -2|g|n F / norm_bound.  The energies
     are filled in by variational_spectrum.
     """
     if params.g_mod == 0:
@@ -305,75 +296,52 @@ def solve_alpha(
             energies=(),
             residuals=(0.0,),
         )
-    coef = _residual_poly(block, psi, params)
-    if alpha_max is None:
-        bound = _root_bound(coef)
-        a_eff = ALPHA_MAX if not math.isfinite(bound) else max(ALPHA_MAX, bound)
-    else:
-        a_eff = float(alpha_max)
-    if a_eff > ALPHA_MAX:
-        # keep full density in the central cluster, extend with equally
-        # dense tails out to the root bound
-        xs = np.sort(
-            np.concatenate(
-                [
-                    np.linspace(-a_eff, -ALPHA_MAX, grid_points),
-                    np.linspace(-ALPHA_MAX, ALPHA_MAX, grid_points),
-                    np.linspace(ALPHA_MAX, a_eff, grid_points),
-                ]
-            )
-        )
-        # drop repeated points (the shared ends, and any that round together)
-        # without np.unique, whose lazy numpy.ma import outweighs the merge
-        xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-    else:
-        xs = np.linspace(-a_eff, a_eff, grid_points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ys = npoly.polyval(xs, coef)
-        y0, y1 = ys[:-1], ys[1:]
-        finite = np.isfinite(y0) & np.isfinite(y1)
-        # a grid zero counts unless its right neighbour overflowed
-        exact = ys == 0.0
-        exact[:-1] &= np.isfinite(y1)
-        change = finite & (y0 != 0.0) & (y1 != 0.0) & ((y0 > 0.0) != (y1 > 0.0))
-        brackets = np.nonzero(change)[0]
-        lo, hi, flo = xs[brackets], xs[brackets + 1], y0[brackets]
-        # bisect every bracket at once; a bracket leaves the loop when it is
-        # 1e-14 wide, can no longer be split in floating point, or hits an
-        # exact zero of the polynomial
-        active = hi - lo > 1e-14
-        while np.any(active):
-            mid = 0.5 * (lo + hi)
-            active &= (mid > lo) & (mid < hi)
-            fm = npoly.polyval(mid, coef)
-            zero = active & (fm == 0.0)
-            lo = np.where(zero, mid, lo)
-            hi = np.where(zero, mid, hi)
-            active &= ~zero
-            same = (fm < 0.0) == (flo < 0.0)
-            lo = np.where(active & same, mid, lo)
-            flo = np.where(active & same, fm, flo)
-            hi = np.where(active & ~same, mid, hi)
-            active &= hi - lo > 1e-14
-    # roots in grid order: exact grid zeros and bisected brackets interleave
+    tri = build_hamiltonian(block, psi, params)
+    stationarity = _stationarity(tri, params)
+    a_eff = math.inf if alpha_max is None else float(alpha_max)
+    r_max = math.atan(a_eff)
+    xs = np.tan(np.linspace(-r_max, r_max, grid_points))
+    ys = stationarity(xs)
+    exact = ys == 0.0
+    y0, y1 = ys[:-1], ys[1:]
+    brackets = np.nonzero((y0 != 0.0) & (y1 != 0.0) & ((y0 > 0.0) != (y1 > 0.0)))[0]
+    lo, hi, neg = xs[brackets], xs[brackets + 1], y0[brackets] < 0.0
+    # a bracket keeps the sign of F at its left end, so each pass keeps the
+    # first subinterval whose right end has the other sign (a zero counts
+    # as positive); a bracket leaves once it is ALPHA_WIDTH wide or stops
+    # shrinking in floating point
+    frac = np.linspace(0.0, 1.0, SECTIONS + 1)
+    active = np.nonzero(hi - lo > ALPHA_WIDTH)[0]
+    while active.size:
+        a, b = lo[active], hi[active]
+        pts = np.minimum(a[:, None] + (b - a)[:, None] * frac, b[:, None])
+        pts[:, -1] = b
+        change = np.ones((active.size, SECTIONS), dtype=bool)
+        vals = stationarity(pts[:, 1:-1].ravel())
+        change[:, :-1] = (vals < 0.0).reshape(-1, SECTIONS - 1) != neg[active, None]
+        k = np.argmax(change, axis=1)
+        rows = np.arange(active.size)
+        lo[active], hi[active] = pts[rows, k], pts[rows, k + 1]
+        width = hi[active] - lo[active]
+        active = active[(width < b - a) & (width > ALPHA_WIDTH)]
+    # roots in grid order: exact grid zeros and refined brackets interleave
     at = np.concatenate([np.nonzero(exact)[0], brackets])
     found = np.concatenate([xs[exact], 0.5 * (lo + hi)])
-    roots = [float(x) for x in found[np.argsort(at, kind="stable")]]
-    if not roots:
+    roots = found[np.argsort(at, kind="stable")]
+    if not roots.size:
         raise RuntimeError(
             "no stationary point in bracket "
-            f"[-{a_eff}, {a_eff}]; residual at endpoints: "
+            f"[-{a_eff}, {a_eff}]; stationarity function at endpoints: "
             f"{ys[0]:.6e}, {ys[-1]:.6e}"
         )
-    residuals = tuple(
-        stationarity_residual(block, psi, params, al) for al in roots
-    )
+    n = block.dim - 1
+    residuals = -2.0 * params.g_mod * n * stationarity(roots) / tri.norm_bound()
     return VariationalSolution(
         theta=params.g_phase,
-        alpha_roots=tuple(roots),
+        alpha_roots=tuple(roots.tolist()),
         alpha_selected=math.nan,
         energies=(),
-        residuals=residuals,
+        residuals=tuple(residuals.tolist()),
     )
 
 
@@ -388,6 +356,8 @@ def variational_spectrum(
     per_level=True each level instead picks the root at which its own
     energy is closest to stationary, recorded in alpha_per_level; slopes
     equal to within round-off count as a tie, which the first root wins.
+    An energy beyond the Hamiltonian's norm bound (with NORM_SLACK for
+    round-off) cannot be a Rayleigh quotient and raises RuntimeError.
     """
     if block.dim == 1:
         e0 = params.constant + params.a * block.l0
@@ -401,7 +371,8 @@ def variational_spectrum(
             alpha_per_level=(0.0,) if per_level else None,
         )
     sol = solve_alpha(block, psi, params)
-    diag, off = _tridiagonal(block, psi, params)
+    tri = build_hamiltonian(block, psi, params)
+    diag, off = tri.diag, tri.offdiag
     levels = [_level_energies(diag, off, -math.atan(al)) for al in sol.alpha_roots]
     best = None
     for k, (e, _) in enumerate(levels):
@@ -419,8 +390,15 @@ def variational_spectrum(
         pick = np.argmax(slopes <= slopes.min(axis=0) + floor, axis=0).tolist()
         energies = [float(levels[k][0][v]) for v, k in enumerate(pick)]
         alpha_per_level = tuple(sol.alpha_roots[k] for k in pick)
-    diffs = np.diff(energies) if block.dim > 1 else np.array([0.0])
-    span = max(np.max(np.abs(energies)), 1.0)
+    bound = tri.norm_bound()
+    worst = float(np.max(np.abs(energies)))
+    if not worst <= bound * (1.0 + NORM_SLACK):
+        raise RuntimeError(
+            f"variational energy {worst:.6e} in magnitude exceeds the "
+            f"norm bound {bound:.6e}"
+        )
+    diffs = np.diff(energies)
+    span = max(worst, 1.0)
     ordering_ok = bool(np.all(diffs >= -1e-10 * span))
     return VariationalSolution(
         theta=sol.theta,

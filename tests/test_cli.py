@@ -431,6 +431,10 @@ DROP = object()
         ("meanfield", ("meanfield", "dt"), 1e-12),
         ("meanfield", ("meanfield", "dt"), 5e-324),
         ("meanfield", ("meanfield", "tspan"), -1e6),
+        # blocks beyond MAX_BLOCK_DIM = 2001 levels
+        ("spectrum", ("blocks", "labels"), [{"k": 0, "m": 2001}]),
+        ("sl2", ("sl2_limit", "j"), 1000.5),
+        ("custom", ("custom_psi", "dmax"), 2002),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, base, path, value):
@@ -468,15 +472,73 @@ def test_meanfield_needs_exactly_one_block(tmp_path, capsys, blocks, count):
     assert not out.exists()
 
 
-def test_overflow_in_numerics_is_a_numeric_failure(tmp_path, capsys):
-    # |alpha|^2 overflows a float inside the tail deficit
-    dyn = dict(BASE_CONFIGS["dynamics"]["dynamics"], alpha=[1.5e154, 0.0, 0.8])
+@pytest.mark.parametrize("alpha", [[1.5e154, 0.0, 0.8], [0.3, [1e200, -1e200], 0.8]])
+def test_overflowing_coherent_amplitude_is_a_config_error(tmp_path, capsys, alpha):
+    # |alpha|^2 beyond the float range: no ncut can hold such a state
+    dyn = dict(BASE_CONFIGS["dynamics"]["dynamics"], alpha=alpha)
     cfg = dict(BASE_CONFIGS["dynamics"], dynamics=dyn)
     out = tmp_path / "dyn"
     path = write_config(tmp_path, cfg)
-    assert main(["dynamics", "--config", str(path), "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("numeric failure: ")
+    assert main(["dynamics", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dynamics.alpha[")
     assert not out.exists()
+
+
+def test_variational_energy_beyond_norm_bound_is_a_numeric_failure(
+    tmp_path, capsys, monkeypatch
+):
+    from polysl2 import variational
+
+    level_energies = variational._level_energies
+
+    def inflated(diag, off, r):
+        e, slope = level_energies(diag, off, r)
+        return 10.0 * e, slope
+
+    monkeypatch.setattr(variational, "_level_energies", inflated)
+    cfg = write_config(tmp_path, dict(SPECTRUM_CFG, solver="variational"))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: block k0_m1: variational energy")
+    assert "norm bound" in err
+    assert not (out / "spectrum.csv").exists()
+
+
+def test_variational_spectrum_of_a_1081_level_block(tmp_path):
+    # the monomial stationarity scan overflowed here; the Bernstein scan
+    # finds the pair of roots near alpha = -+sqrt(2)
+    from polysl2.solver import build_hamiltonian
+    from polysl2.three_boson import (
+        BlockLabel,
+        ThreeBosonParams,
+        block_constants,
+        build_model_block,
+    )
+
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "three_boson",
+            "solver": "variational",
+            "three_boson": {"omega1": 1.0, "omega2": 1.0, "omega3": 2.0, "g": 1.0},
+            "blocks": {"labels": [{"k": 0, "m": 1080}]},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    label = BlockLabel(0, 1080)
+    block, psi = build_model_block(label)
+    params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
+    bound = build_hamiltonian(block, psi, params).norm_bound()
+    _, rows = read_rows(out / "spectrum.csv")
+    assert len(rows) - 1 == block.dim == 1081
+    assert all(abs(float(r[3])) <= bound for r in rows[1:])
+    assert float(rows[1][7]) == pytest.approx(-1.41385, abs=1e-5)
+    assert abs(float(rows[1][8])) <= 1e-12
+    summary = json.loads((out / "spectrum.json").read_text())["blocks"][0]
+    assert all(abs(res) <= 1e-12 for res in summary["residuals"])
 
 
 def test_integral_floats_read_as_integers(tmp_path):

@@ -12,10 +12,10 @@ from polysl2.solver import (
     amplitude_recurrence,
     build_hamiltonian,
     eigensolve,
-    gcs_overlaps,
     sl2_reference_spectrum,
     spectral_polynomial_roots,
 )
+from polysl2.reference import gcs_overlaps
 from polysl2.three_boson import BlockLabel, build_model_block
 
 

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysl2.algebra import StructureFunction, build_block
+from polysl2.reference import gcs_overlaps, reg_hyp_2F1
 from polysl2.solver import (
     HamiltonianParams,
     build_hamiltonian,
     eigensolve,
-    gcs_overlaps,
 )
 from polysl2.three_boson import (
     BlockLabel,
@@ -20,7 +22,6 @@ from polysl2.three_boson import (
 )
 from polysl2.variational import (
     energy_functional,
-    reg_hyp_2F1,
     solve_alpha,
     stationarity_residual,
     variational_spectrum,
@@ -289,3 +290,88 @@ def test_variational_single_level_block():
     sol = variational_spectrum(block, psi, params)
     assert len(sol.energies) == 1
     assert sol.energies[0] == pytest.approx(1.0 + 2.0 * block.l0)
+
+
+@st.composite
+def small_blocks(draw):
+    """A random cubic-psi block with d <= 21 and its coupling."""
+    d = draw(st.integers(2, 21))
+    l0 = draw(st.floats(-2.0, 2.0))
+    gap = draw(st.floats(0.5, 3.0))
+    psi = StructureFunction(leading=1.0, roots=(l0, l0 + d, l0 + d + gap))
+    params = HamiltonianParams(
+        a=draw(st.floats(-3.0, 3.0)),
+        g_mod=draw(st.floats(0.05, 3.0)),
+        g_phase=draw(st.floats(0.0, 6.0)),
+        constant=draw(st.floats(-1.0, 1.0)),
+    )
+    return build_block(psi, l0), psi, params
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_blocks(), st.floats(-30.0, 30.0))
+def test_bernstein_stationarity_is_the_scaled_slope(case, alpha):
+    # F has the sign of the termwise residual and equals -dE0/dr / (2|g|n)
+    from polysl2.variational import _level_energies, _residual_scale, _stationarity
+
+    block, psi, params = case
+    tri = build_hamiltonian(block, psi, params)
+    n = block.dim - 1
+    f = float(_stationarity(tri, params)(np.array([alpha]))[0])
+    _, slope = _level_energies(tri.diag, tri.offdiag, -math.atan(alpha))
+    scale = 1.0 + tri.norm_bound() / params.g_mod
+    assert abs(f + slope[0] / (2 * params.g_mod * n)) <= 1e-11 * scale
+    ref = stationarity_residual(block, psi, params, alpha)
+    if abs(ref) > 1e-9 * _residual_scale(block, psi, params, alpha):
+        assert (f > 0) == (ref > 0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(small_blocks())
+def test_solve_alpha_roots_match_termwise_scan(case):
+    # the same scan angles evaluated termwise bracket the same roots
+    block, psi, params = case
+    alpha_max, points = 50.0, 801
+    xs = np.tan(np.linspace(-math.atan(alpha_max), math.atan(alpha_max), points))
+    ys = np.array([stationarity_residual(block, psi, params, x) for x in xs])
+    cells = np.nonzero(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)[0]
+    try:
+        sol = solve_alpha(block, psi, params, alpha_max=alpha_max, grid_points=points)
+    except RuntimeError:
+        assert cells.size == 0 and not np.any(ys == 0.0)
+        return
+    roots = np.array(sol.alpha_roots)
+    expect = np.sort(np.concatenate([xs[ys == 0.0], xs[cells]]))
+    assert roots.size == expect.size
+    for root, i in zip(roots, np.searchsorted(xs, expect)):
+        assert xs[i] <= root <= xs[min(i + 1, points - 1)]
+
+
+def test_stationarity_large_block_matches_log_space_sum():
+    # d = 2001: near |alpha| = 1 the Horner partial sums fall below the
+    # float range unless they are rescaled
+    from polysl2.variational import _stationarity
+
+    label = BlockLabel(0, 2000)
+    block, psi = build_model_block(label)
+    params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, g=1.0))
+    tri = build_hamiltonian(block, psi, params)
+    n = block.dim - 1
+    f = np.arange(n)
+    q = tri.offdiag / (params.g_mod * np.sqrt((n - f) * (f + 1)))
+    x1, x2 = (2 * f + 1) * q, (2 * n - 2 * f - 1) * q
+    log_binom = np.array(
+        [math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k) for k in f]
+    )
+    alphas = np.array([-30.0, -1.41, -1.0, -0.999, 0.0, 0.5, 1.001, 1.3])
+    got = _stationarity(tri, params)(alphas)
+    for al, value in zip(alphas, got):
+        r = -math.atan(al)
+        s, c = math.sin(r) ** 2, math.cos(r) ** 2
+        if s == 0.0:
+            ref = x1[0]
+        else:
+            bern = np.exp(log_binom + f * math.log(s) + (n - 1 - f) * math.log(c))
+            ref = -params.a / params.g_mod * math.sin(r) * math.cos(r)
+            ref += c * float(x1 @ bern) - s * float(x2 @ bern)
+        assert abs(value - ref) <= 1e-12 * float(np.max(x1))
