@@ -16,11 +16,12 @@ from .algebra import (
     build_block,
     falling_product,
     holstein_primakoff,
+    su2_ladder,
+    su2_rotation,
 )
 from .dynamics import (
     CollapseReport,
     IncommensurabilityReport,
-    MeanFieldState,
     MeanFieldTrajectory,
     RabiResult,
     Signal,
@@ -70,7 +71,6 @@ __all__ = [
     "CollapseReport",
     "HamiltonianParams",
     "IncommensurabilityReport",
-    "MeanFieldState",
     "MeanFieldTrajectory",
     "RabiResult",
     "Signal",
@@ -106,6 +106,8 @@ __all__ = [
     "solve_alpha",
     "spectral_polynomial_roots",
     "stationarity_residual",
+    "su2_ladder",
+    "su2_rotation",
     "variational_spectrum",
 ]
 

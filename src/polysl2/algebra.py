@@ -3,13 +3,14 @@
 A deformed algebra is fixed by a polynomial structure function psi, kept here
 in factored form (leading coefficient and real roots).  Finite unitary blocks
 are towers l0, l0+1, ..., l0+d-1 on which psi is positive between consecutive
-zeros; the ladder matrix elements are square roots of psi values.
+zeros; the ladder matrix elements are square roots of psi values.  Their
+su(2) images use the spin-j ladder and rotation defined here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -22,6 +23,8 @@ __all__ = [
     "build_block",
     "block_operators",
     "holstein_primakoff",
+    "su2_ladder",
+    "su2_rotation",
 ]
 
 # relative threshold for root detection and block termination
@@ -81,8 +84,7 @@ def falling_product(psi: StructureFunction, x, v: int):
 class Block:
     """One irreducible tower: lowest weight l0, dimension dim.
 
-    labels carries the model's integrals of motion by name (informational),
-    constant is the additive energy offset of the block Hamiltonian.
+    labels carries the model's integrals of motion by name (informational).
     truncated marks towers cut at dmax before a terminating zero of psi
     was found; exactness claims do not apply to those.
     """
@@ -90,7 +92,6 @@ class Block:
     l0: float
     dim: int
     labels: Mapping[str, float] = field(default_factory=dict)
-    constant: float = 0.0
     truncated: bool = False
 
     @property
@@ -102,46 +103,33 @@ class Block:
         return self.l0 + np.arange(self.dim, dtype=float)
 
 
-def _block_scale(psi: StructureFunction, l0: float, dmax: int) -> float:
-    vals = psi.values(l0 + np.arange(dmax + 1, dtype=float))
-    return float(np.max(np.abs(vals)))
-
-
-def build_block(psi, l0, labels=None, constant=0.0, dmax=1000) -> Block:
+def build_block(psi, l0, labels=None, dmax=1000) -> Block:
     """Construct the block generated from lowest weight l0.
 
     l0 must be a root of psi; the dimension is the first v >= 1 with
     psi(l0+v) below the detection threshold.  Intermediate values must be
     strictly positive, otherwise the tower is not unitary.  If no zero is
-    found up to dmax the block is returned truncated at dmax.
+    found up to dmax the block is returned truncated at dmax.  The
+    threshold is ROOT_RTOL times the largest |psi(l0+v)|, v = 0..dmax.
     """
     if dmax < 1:
         raise ValueError("dmax must be positive")
     l0 = float(l0)
-    tol = ROOT_RTOL * _block_scale(psi, l0, dmax)
-    head = float(psi(l0))
+    vals = psi.values(l0 + np.arange(dmax + 1, dtype=float))
+    tol = ROOT_RTOL * float(np.max(np.abs(vals)))
+    head = float(vals[0])
     if abs(head) > tol:
         raise BlockError(f"l0={l0} is not a root of psi (psi(l0)={head:.3e})")
-    dim = None
-    for v in range(1, dmax + 1):
-        val = float(psi(l0 + v))
-        if val < -tol:
-            raise BlockError(
-                f"non-unitary block: psi(l0+{v}) = {val:.6g} < 0 before termination"
-            )
-        if val <= tol:
-            dim = v
-            break
-    truncated = dim is None
-    if truncated:
-        dim = dmax
-    return Block(
-        l0=l0,
-        dim=dim,
-        labels=dict(labels or {}),
-        constant=float(constant),
-        truncated=truncated,
-    )
+    # the tower ends at the first rung <= tol; below -tol it is not unitary
+    low = np.flatnonzero(vals[1:] <= tol)
+    truncated = not low.size
+    dim = dmax if truncated else int(low[0]) + 1
+    if not truncated and vals[dim] < -tol:
+        raise BlockError(
+            f"non-unitary block: psi(l0+{dim}) = {float(vals[dim]):.6g} < 0 "
+            "before termination"
+        )
+    return Block(l0=l0, dim=dim, labels=dict(labels or {}), truncated=truncated)
 
 
 def block_operators(block: Block, psi: StructureFunction):
@@ -149,15 +137,19 @@ def block_operators(block: Block, psi: StructureFunction):
 
     (V0)_vv = l0 + v, (V+)_{v+1,v} = sqrt(psi(l0+v+1)), V- the adjoint.
     """
-    d = block.dim
     v0 = np.diag(block.weights()).astype(complex)
-    vp = np.zeros((d, d), dtype=complex)
-    for v in range(d - 1):
-        val = float(psi(block.l0 + v + 1))
-        if val < 0.0:
-            raise BlockError(f"negative psi under sqrt at v={v + 1}")
-        vp[v + 1, v] = math.sqrt(val)
+    vals = psi.values(block.l0 + np.arange(1, block.dim, dtype=float))
+    neg = np.flatnonzero(vals < 0.0)
+    if neg.size:
+        raise BlockError(f"negative psi under sqrt at v={neg[0] + 1}")
+    vp = np.diag(np.sqrt(vals), -1).astype(complex)
     return v0, vp, vp.conj().T
+
+
+def su2_ladder(d: int) -> np.ndarray:
+    """Spin-j ladder sqrt((v+1)(2j-v)), v = 0..d-2, on d = 2j+1 levels."""
+    v = np.arange(d - 1, dtype=float)
+    return np.sqrt((v + 1) * (d - 1 - v))
 
 
 def holstein_primakoff(block: Block, psi: StructureFunction):
@@ -168,9 +160,38 @@ def holstein_primakoff(block: Block, psi: StructureFunction):
     regardless of psi.
     """
     d = block.dim
-    j = block.j
-    y0 = np.diag(np.arange(d, dtype=float) - j).astype(complex)
-    yp = np.zeros((d, d), dtype=complex)
-    for v in range(d - 1):
-        yp[v + 1, v] = math.sqrt((v + 1) * (2 * j - v))
+    y0 = np.diag(np.arange(d, dtype=float) - block.j).astype(complex)
+    yp = np.diag(su2_ladder(d), -1).astype(complex)
     return y0, yp, yp.conj().T
+
+
+@lru_cache(maxsize=64)
+def _su2_rotation_basis(d: int):
+    """Spin-j Jx eigenvectors and the phases i^(v-f) that carry them to R.
+
+    Eigenvector columns are ordered by the eigenvalues m = -j..j.
+    """
+    # Jx has a zero diagonal; eigh reads its sub-diagonal from the lower triangle
+    _, w = np.linalg.eigh(np.diag(0.5 * su2_ladder(d), -1), UPLO="L")
+    n = np.arange(d)
+    phase = np.array([1, 1j, -1, -1j])[(n[None, :] - n[:, None]) % 4]
+    w.setflags(write=False)
+    phase.setflags(write=False)
+    return w, phase
+
+
+def su2_rotation(d: int, r: float) -> np.ndarray:
+    """Real spin-j rotation R(r) = exp(r (Y- - Y+)) on a d-level block.
+
+    R is built in float64 by exact diagonalisation (Feng, Wang, Yang & Jin,
+    Phys. Rev. E 92, 043307, 2015): the generator Y- - Y+ = -2i Jy is
+    similar to -2i Jx through the diagonal phase i^v, and Jx is a real
+    symmetric tridiagonal with the known eigenvalues m = -j..j.  Its
+    eigenvectors are cached per block dimension, so one rotation costs a
+    d x d product.  r = 0 gives the identity exactly.
+    """
+    if r == 0.0:
+        return np.eye(d)
+    w, phase = _su2_rotation_basis(d)
+    m = np.arange(d) - 0.5 * (d - 1)
+    return (phase * ((w * np.exp(-2j * r * m)) @ w.T)).real

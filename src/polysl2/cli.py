@@ -62,9 +62,12 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-MAX_MEANFIELD_STEPS = 10**7
+MAX_MEANFIELD_STEPS = 10**7  # also caps the dynamics samples
 MAX_BLOCK_DIM = 2001  # levels in one block; dense solvers hold several d x d arrays
 _DIM_NOTE = f" (a block holds at most {MAX_BLOCK_DIM} levels)"
+# the Fock cube n_i <= ncut holds blocks of up to 2 ncut + 1 levels
+MAX_NCUT = (MAX_BLOCK_DIM - 1) // 2
+MAX_QMAX = 1000
 
 
 class ConfigError(Exception):
@@ -223,7 +226,7 @@ class LabelConfig:
 class BlocksConfig:
     """Explicit labels, or every block of the Fock cube n_i <= ncut."""
 
-    ncut: int | None = _key(_int(0), None)
+    ncut: int | None = _key(_int(0, MAX_NCUT, _DIM_NOTE), None)
     labels: tuple | None = _key(_sections(LabelConfig), None)
 
     def __post_init__(self):
@@ -242,13 +245,13 @@ class DynamicsConfig:
 
     alpha: tuple | None = _key(_list(_COMPLEX, 3), None)
     fock: tuple | None = _key(_list(_int(0), 3), None)
-    ncut: int = _key(_int(1), 20)
+    ncut: int = _key(_int(1, MAX_NCUT, _DIM_NOTE), 20)
     tmax: float = _key(_real(0.0), 100.0)
-    samples: int = _key(_int(1000), 10001)
+    samples: int = _key(_int(1000, MAX_MEANFIELD_STEPS), 10001)
     deficit_bound: float = _key(_real(0.0), 1e-6)
     window_periods: float = _key(_real(0.0, above=True), 5.0)
     persist: int = _key(_int(1), 5)
-    qmax: int = _key(_int(1), 8)
+    qmax: int = _key(_int(1, MAX_QMAX), 8)
 
     def __post_init__(self):
         if self.alpha is None and self.fock is None:
@@ -492,18 +495,22 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
     signal = result.signal
     label, spec = result.dominant_label, result.dominant_spectrum
     if label is None:
-        raise RuntimeError(f"no block carries weight above {WEIGHT_FLOOR:.0e}")
+        occupations = ", ".join(f"{abs(a) ** 2:.3g}" for a in dyn.alpha)
+        raise RuntimeError(
+            f"no block carries weight above {WEIGHT_FLOOR:.0e}: dynamics.alpha "
+            f"has mean occupations ({occupations}), and the cube n_i <= "
+            f"dynamics.ncut = {dyn.ncut} leaves a tail deficit of "
+            f"{result.tail_deficit:.3e}"
+        )
     report = detect_collapse_revival(
         signal, window_periods=dyn.window_periods, persist=dyn.persist
     )
     elapsed = time.perf_counter() - t0
 
-    incomm = None
-    # ascending energies stay ascending when rounded, so distinct levels are
-    # counted by neighbour inequality (np.unique would import numpy.ma here)
-    levels = np.round(spec.energies, 9)
-    if np.count_nonzero(levels[1:] != levels[:-1]) >= 2:
+    try:
         incomm = asdict(incommensurability_measure(spec.energies, qmax=dyn.qmax))
+    except ValueError:  # fewer than three distinct levels: no spacing ratio
+        incomm = None
     gap_period = None
     if spec.energies.size >= 2:
         gap = float(spec.energies[1] - spec.energies[0])

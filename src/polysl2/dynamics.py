@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Block, StructureFunction
+from .algebra import Block, StructureFunction, su2_ladder
 from .solver import Spectrum, build_hamiltonian, eigensolve
 from .three_boson import (
     BlockLabel,
@@ -36,7 +36,6 @@ __all__ = [
     "RabiResult",
     "CollapseReport",
     "IncommensurabilityReport",
-    "MeanFieldState",
     "MeanFieldTrajectory",
     "evolve_block",
     "observable_n3",
@@ -376,26 +375,12 @@ def incommensurability_measure(energies, qmax: int = 8) -> IncommensurabilityRep
 
 
 @dataclass(frozen=True)
-class MeanFieldState:
-    """Canonical pair on the coherent manifold: p = j cos(theta), q = phi."""
-
-    p: float
-    q: float
-
-
-@dataclass(frozen=True)
 class MeanFieldTrajectory:
     times: np.ndarray
     p: np.ndarray
     q: np.ndarray
     energy: np.ndarray
     clamped: bool
-
-    def states(self):
-        return tuple(
-            MeanFieldState(p=float(a), q=float(b))
-            for a, b in zip(self.p, self.q)
-        )
 
 
 def _horner_table(beta, dbeta):
@@ -436,8 +421,7 @@ class _CoherentEnergy:
         self.diag0 = float(tri.diag[0])
         self.slope = float(tri.diag[1] - tri.diag[0]) if n else 0.0
         if n:
-            v = np.arange(n, dtype=float)
-            beta = tri.offdiag * n / np.sqrt((n - v) * (v + 1))
+            beta = tri.offdiag * n / su2_ladder(n + 1)
             dbeta = (n - 1) * np.diff(beta)
             beta, dbeta = beta.tolist(), dbeta.tolist()
             self._fwd = _horner_table(beta, dbeta)

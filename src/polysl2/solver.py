@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Block, BlockError, StructureFunction
+from .algebra import Block, BlockError, StructureFunction, su2_rotation
 
 __all__ = [
     "HamiltonianParams",
@@ -221,23 +221,17 @@ def amplitude_recurrence(tri: TridiagonalHamiltonian, energy: float):
 def sl2_reference_spectrum(block: Block, params: HamiltonianParams) -> Spectrum:
     """Equidistant su(2) approximation of the block spectrum.
 
-    Energies follow the closed form C + a(l0+j) + (-j+v) sqrt(a^2+4|g|^2);
-    amplitudes are eigenvectors of the su(2)-shaped tridiagonal with ladder
-    elements sqrt((v+1)(2j-v)).
+    Energies follow the closed form C + a(l0+j) + (-j+v) sqrt(a^2+4|g|^2).
+    In the real gauge a Y0 + |g| (Y+ + Y-) = R (omega Y0) R^T, omega that
+    square root, for the rotation R(r) = exp(r (Y- - Y+)) at
+    r = atan2(2|g|, a) / 2 (Perelomov, Generalized Coherent States, 1986),
+    so the amplitudes are the columns of su2_rotation in the original gauge.
     """
     d = block.dim
     j = block.j
     omega = math.hypot(params.a, 2.0 * params.g_mod)
     base = params.constant + params.a * (block.l0 + j)
     energies = base + (np.arange(d) - j) * omega
-    if d == 1:
-        return Spectrum(energies=energies, amplitudes=np.ones((1, 1), complex))
-    v = np.arange(d - 1, dtype=float)
-    off = params.g_mod * np.sqrt((v + 1) * (2 * j - v))
-    tri = TridiagonalHamiltonian(
-        diag=params.constant + params.a * block.weights(),
-        offdiag=off,
-        g_phase=params.g_phase,
-    )
-    spec = eigensolve(tri)
-    return Spectrum(energies=energies, amplitudes=spec.amplitudes)
+    rot = su2_rotation(d, 0.5 * math.atan2(2.0 * params.g_mod, params.a))
+    gauge = np.exp(1j * params.g_phase * np.arange(d))
+    return Spectrum(energies=energies, amplitudes=gauge[:, None] * rot)

@@ -4,13 +4,9 @@ The trial state is a basis state rotated by the spin-j rotation
 R(r) = exp(r (Y- - Y+)); its energy is the diagonal entry
 E(v, r) = (R^T H R)_vv of the real tridiagonal block Hamiltonian.
 
-R is built in float64 by exact diagonalisation (Feng, Wang, Yang & Jin,
-Phys. Rev. E 92, 043307, 2015): the generator Y- - Y+ = -2i Jy is similar
-to -2i Jx through the diagonal phase i^v, and Jx is a real symmetric
-tridiagonal with the known eigenvalues m = -j..j.  Its eigenvectors are
-cached per block dimension, so one rotation costs a d x d product and gives
-every level of the block at once.  The exact rational overlaps in
-polysl2.reference serve as an independent check on it.
+R is polysl2.algebra.su2_rotation: one d x d product gives every level of
+the block at once, and the exact rational overlaps in polysl2.reference
+check it independently.
 
 The ground-state slope dE(0, r)/dr is a binomial (Bernstein) mean over
 the ladder rungs, because the rotated lowest state is an su(2) coherent
@@ -29,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Block, StructureFunction
+from .algebra import Block, StructureFunction, su2_ladder, su2_rotation
 from .solver import build_hamiltonian
 
 __all__ = [
@@ -72,30 +68,6 @@ class VariationalSolution:
         return -math.atan(self.alpha_selected)
 
 
-@lru_cache(maxsize=64)
-def _rotation_basis(d: int):
-    """Spin-j Jx eigenvectors and the phases i^(v-f) that carry them to R.
-
-    Eigenvector columns are ordered by the eigenvalues m = -j..j.
-    """
-    twoj = d - 1
-    k = np.arange(twoj, dtype=float)
-    # Jx has a zero diagonal; eigh reads its sub-diagonal from the lower triangle
-    _, w = np.linalg.eigh(np.diag(0.5 * np.sqrt((k + 1) * (twoj - k)), -1), UPLO="L")
-    n = np.arange(d)
-    phase = np.array([1, 1j, -1, -1j])[(n[None, :] - n[:, None]) % 4]
-    w.setflags(write=False)
-    phase.setflags(write=False)
-    return w, phase
-
-
-def _rotation(d: int, r: float) -> np.ndarray:
-    """Real spin-j rotation R(r) = exp(r (Y- - Y+)) on a d-level block."""
-    w, phase = _rotation_basis(d)
-    m = np.arange(d) - 0.5 * (d - 1)
-    return (phase * ((w * np.exp(-2j * r * m)) @ w.T)).real
-
-
 def _level_energies(diag: np.ndarray, off: np.ndarray, r: float):
     """E(v, r) = (R^T H R)_vv and dE/dr for every level v of the tridiagonal H.
 
@@ -103,13 +75,12 @@ def _level_energies(diag: np.ndarray, off: np.ndarray, r: float):
     generator of R, rather than a difference quotient.
     """
     d = diag.size
-    rot = np.eye(d) if r == 0.0 else _rotation(d, r)
+    rot = su2_rotation(d, r)
     hr = diag[:, None] * rot
     hr[:-1] += off[:, None] * rot[1:]
     hr[1:] += off[:, None] * rot[:-1]
     e = np.einsum("fv,fv->v", rot, hr)
-    k = np.arange(d - 1, dtype=float)
-    y = np.sqrt((k + 1) * (d - 1 - k))[:, None]
+    y = su2_ladder(d)[:, None]
     gr = np.zeros_like(rot)
     gr[:-1] += y * rot[1:]
     gr[1:] -= y * rot[:-1]
@@ -227,7 +198,7 @@ def _stationarity(tri, params):
     """
     n = tri.dim - 1
     f = np.arange(n, dtype=float)
-    q = tri.offdiag / (params.g_mod * np.sqrt((n - f) * (f + 1)))
+    q = tri.offdiag / (params.g_mod * su2_ladder(tri.dim))
     y = np.zeros(n + 1)
     y[:-1] = (n - f) * (2 * f + 1) / n * q
     y[1:] -= (f + 1) * (2 * (n - f) - 1) / n * q

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysl2.algebra import (
+    ROOT_RTOL,
     Block,
     BlockError,
     StructureFunction,
@@ -14,6 +17,8 @@ from polysl2.algebra import (
     build_block,
     falling_product,
     holstein_primakoff,
+    su2_ladder,
+    su2_rotation,
 )
 
 
@@ -95,10 +100,58 @@ def test_build_block_root_tolerance_scales():
 
 
 def test_block_weights_and_labels():
-    block = build_block(sl2_psi(1.0), -1.0, labels={"twoj": 2.0}, constant=0.5)
+    block = build_block(sl2_psi(1.0), -1.0, labels={"twoj": 2.0})
     assert np.allclose(block.weights(), [-1.0, 0.0, 1.0])
     assert block.labels["twoj"] == 2.0
-    assert block.constant == 0.5
+
+
+def scalar_block(psi, l0, dmax):
+    """Reference tower: (dim, truncated) or the BlockError text, rung by rung."""
+    l0 = float(l0)
+    vals = [float(psi(l0 + v)) for v in range(dmax + 1)]
+    tol = ROOT_RTOL * max(abs(x) for x in vals)
+    if abs(vals[0]) > tol:
+        return f"l0={l0} is not a root of psi (psi(l0)={vals[0]:.3e})"
+    for v in range(1, dmax + 1):
+        if vals[v] < -tol:
+            return (
+                f"non-unitary block: psi(l0+{v}) = {vals[v]:.6g} < 0 "
+                "before termination"
+            )
+        if vals[v] <= tol:
+            return v, False
+    return dmax, True
+
+
+@st.composite
+def towers(draw):
+    """A structure function with rational or float roots and a start l0."""
+    exact = draw(st.booleans())
+    halves = st.integers(-12, 30).map(lambda k: Fraction(k, 2))
+    roots = draw(st.lists(halves, min_size=1, max_size=4))
+    if not exact:
+        roots = [float(r) for r in roots]
+    leading = draw(st.sampled_from([1, -1, 0.5, -2.25]))
+    psi = StructureFunction(
+        leading=Fraction(leading) if exact else float(leading), roots=tuple(roots)
+    )
+    # mostly a root of psi; otherwise a nearby non-root start
+    l0 = float(draw(st.sampled_from(roots)))
+    l0 += draw(st.sampled_from([0.0, 0.0, 0.0, 0.25, -1.5]))
+    return psi, l0, draw(st.integers(1, 40))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(towers())
+def test_build_block_matches_scalar_reference(case):
+    psi, l0, dmax = case
+    expect = scalar_block(psi, l0, dmax)
+    try:
+        block = build_block(psi, l0, dmax=dmax)
+    except BlockError as exc:
+        assert str(exc) == expect
+    else:
+        assert (block.dim, block.truncated) == expect
 
 
 def rand_cubic_block(rng):
@@ -153,6 +206,27 @@ def test_holstein_primakoff_su2_commutators():
         j = block.j
         cas = y0 @ y0 + 0.5 * (yp @ ym + ym @ yp)
         assert np.allclose(cas, j * (j + 1) * np.eye(d), atol=1e-10 * d * d)
+
+
+def test_su2_ladder_values():
+    assert su2_ladder(1).size == 0
+    for d in (2, 5, 12, 2001):
+        expect = [math.sqrt((v + 1) * (d - 1 - v)) for v in range(d - 1)]
+        assert su2_ladder(d).tolist() == expect
+
+
+def test_su2_rotation_is_orthogonal_and_composes():
+    for d in (1, 2, 6, 11):
+        assert np.array_equal(su2_rotation(d, 0.0), np.eye(d))
+        r1 = su2_rotation(d, 0.4)
+        assert np.allclose(r1.T @ r1, np.eye(d), atol=1e-13)
+        r2 = su2_rotation(d, -1.1)
+        assert np.allclose(r1 @ r2, su2_rotation(d, -0.7), atol=1e-13)
+    # the generator: dR/dr at r = 0 is Y- - Y+
+    d, h = 5, 1e-6
+    y = np.diag(su2_ladder(d), -1)
+    deriv = (su2_rotation(d, h) - su2_rotation(d, -h)) / (2 * h)
+    assert np.allclose(deriv, y.T - y, atol=1e-8)
 
 
 def test_holstein_primakoff_matches_sl2_ladder():

@@ -435,6 +435,11 @@ DROP = object()
         ("spectrum", ("blocks", "labels"), [{"k": 0, "m": 2001}]),
         ("sl2", ("sl2_limit", "j"), 1000.5),
         ("custom", ("custom_psi", "dmax"), 2002),
+        # run sizes: a cube beyond 2001-level blocks, samples, qmax
+        ("spectrum", ("blocks", "ncut"), 1001),
+        ("dynamics", ("dynamics", "ncut"), 1001),
+        ("dynamics", ("dynamics", "samples"), 10**7 + 1),
+        ("dynamics", ("dynamics", "qmax"), 1001),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, base, path, value):
@@ -483,6 +488,41 @@ def test_overflowing_coherent_amplitude_is_a_config_error(tmp_path, capsys, alph
     err = capsys.readouterr().err
     assert err.startswith("config error: dynamics.alpha[")
     assert not out.exists()
+
+
+def test_unweighted_cube_names_alpha_ncut_and_deficit(tmp_path, capsys):
+    # |alpha_1|^2 = 1e308 fits a float but no Fock cube: every block
+    # weight underflows, and the message points at the input
+    dyn = dict(BASE_CONFIGS["dynamics"]["dynamics"], alpha=[1e154, 0, 0.8], ncut=8)
+    cfg = dict(BASE_CONFIGS["dynamics"], dynamics=dyn)
+    out = tmp_path / "dyn"
+    path = write_config(tmp_path, cfg)
+    with pytest.warns(UserWarning, match="tail deficit"):
+        assert main(["dynamics", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: no block carries weight above 1e-18")
+    assert "dynamics.alpha has mean occupations (1e+308, 0, 0.64)" in err
+    assert "dynamics.ncut = 8 leaves a tail deficit of 1.000e+00" in err
+    assert not out.exists()
+
+
+def test_near_degenerate_levels_give_no_incommensurability(tmp_path):
+    # g = 3e-10 splits the dominant block's levels by less than the
+    # distinct-level rule of incommensurability_measure: fewer than three
+    # distinct levels is no measure, not a failure
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "three_boson",
+            "three_boson": {"omega1": 1, "omega2": 1, "omega3": 2, "g": 3e-10},
+            "dynamics": {"alpha": [0, 0, 2], "ncut": 20, "samples": 2000},
+        },
+    )
+    out = tmp_path / "dyn"
+    assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 0
+    data = json.loads((out / "dynamics.json").read_text())
+    assert data["dominant_block"] == "k0_m3"
+    assert data["incommensurability"] is None
 
 
 def test_variational_energy_beyond_norm_bound_is_a_numeric_failure(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from polysl2.algebra import BlockError, StructureFunction, build_block
+from polysl2.algebra import Block, BlockError, StructureFunction, build_block
 from polysl2.solver import (
     HamiltonianParams,
     amplitude_recurrence,
@@ -193,6 +193,41 @@ def test_sl2_reference_on_deformed_block_keeps_closed_form():
     base = 2.0 + 0.7 * (block.l0 + block.j)
     expect = base + (np.arange(5) - block.j) * omega
     assert np.allclose(ref.energies, expect, atol=1e-12)
+
+
+def su2_hamiltonian(block, params):
+    """Dense C + a V0 + g Y+ + g* Y- with the spin-j ladder, built entry by entry."""
+    d, twoj = block.dim, block.dim - 1
+    h = np.zeros((d, d), dtype=complex)
+    for v in range(d):
+        h[v, v] = params.constant + params.a * (block.l0 + v)
+    for v in range(d - 1):
+        h[v + 1, v] = params.g * math.sqrt((v + 1) * (twoj - v))
+        h[v, v + 1] = h[v + 1, v].conjugate()
+    return h
+
+
+@pytest.mark.parametrize(
+    "block, params",
+    [
+        (build_model_block(BlockLabel(2, 9, -1))[0], HamiltonianParams(0.7, 1.1, 0, 2)),
+        (Block(l0=0.5, dim=1), HamiltonianParams(-0.3, 0.8, 0.4, 1.0)),
+        (Block(l0=-0.5, dim=2), HamiltonianParams(0.6, 1.3, 0.0, -0.2)),
+        (Block(l0=-3.0, dim=7), HamiltonianParams(-1.4, 0.0, 0.0, 0.5)),
+        (Block(l0=-2.5, dim=6), HamiltonianParams(0.0, 0.0, 0.0, 0.0)),
+        (Block(l0=1.0 / 3, dim=9), HamiltonianParams(-0.9, 0.7, 2.3, 0.1)),
+    ],
+    ids=["deformed", "d1", "d2", "g0_a_negative", "a0_g0", "complex_phase"],
+)
+def test_sl2_reference_amplitudes_are_su2_eigenvectors(block, params):
+    # the rotated basis diagonalises the su(2) Hamiltonian in its own order
+    ref = sl2_reference_spectrum(block, params)
+    h = su2_hamiltonian(block, params)
+    bound = max(np.max(np.sum(np.abs(h), axis=1)), 1.0)
+    q = ref.amplitudes
+    assert q.shape == (block.dim, block.dim)
+    assert np.max(np.abs(h @ q - q * ref.energies)) <= 1e-12 * bound
+    assert np.allclose(q.conj().T @ q, np.eye(block.dim), atol=1e-12)
 
 
 def test_gcs_overlaps_unit_norm():
