@@ -42,7 +42,7 @@ from .solver import (
     sl2_reference_spectrum,
     spectral_polynomial_roots,
 )
-from .reference import gcs_overlaps, reg_hyp_2F1
+from .reference import gcs_overlaps, reg_hyp_2F1, stationarity_residual
 from .three_boson import (
     BlockLabel,
     CoherentInput,
@@ -59,7 +59,6 @@ from .variational import (
     VariationalSolution,
     energy_functional,
     solve_alpha,
-    stationarity_residual,
     variational_spectrum,
 )
 

@@ -9,9 +9,8 @@ su(2) images use the spin-j ladder and rotation defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -84,14 +83,12 @@ def falling_product(psi: StructureFunction, x, v: int):
 class Block:
     """One irreducible tower: lowest weight l0, dimension dim.
 
-    labels carries the model's integrals of motion by name (informational).
     truncated marks towers cut at dmax before a terminating zero of psi
     was found; exactness claims do not apply to those.
     """
 
     l0: float
     dim: int
-    labels: Mapping[str, float] = field(default_factory=dict)
     truncated: bool = False
 
     @property
@@ -103,7 +100,7 @@ class Block:
         return self.l0 + np.arange(self.dim, dtype=float)
 
 
-def build_block(psi, l0, labels=None, dmax=1000) -> Block:
+def build_block(psi, l0, dmax=1000) -> Block:
     """Construct the block generated from lowest weight l0.
 
     l0 must be a root of psi; the dimension is the first v >= 1 with
@@ -129,7 +126,7 @@ def build_block(psi, l0, labels=None, dmax=1000) -> Block:
             f"non-unitary block: psi(l0+{dim}) = {float(vals[dim]):.6g} < 0 "
             "before termination"
         )
-    return Block(l0=l0, dim=dim, labels=dict(labels or {}), truncated=truncated)
+    return Block(l0=l0, dim=dim, truncated=truncated)
 
 
 def block_operators(block: Block, psi: StructureFunction):

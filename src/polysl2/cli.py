@@ -330,11 +330,7 @@ def _load_config(path):
 
 def _fmt(x) -> str:
     """Shortest round-trip decimal for floats; empty for missing."""
-    if x is None:
-        return ""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _sanitize(obj):

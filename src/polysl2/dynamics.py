@@ -48,6 +48,10 @@ __all__ = [
 
 # blocks below this squared-norm weight cannot move any plotted digit
 WEIGHT_FLOOR = 1e-18
+# fractions of the initial envelope: a collapse stays below COLLAPSE_FRAC,
+# a revival peaks above REVIVAL_FRAC
+COLLAPSE_FRAC = 0.1
+REVIVAL_FRAC = 0.5
 # time samples per propagation chunk of _evolve_grid: the fastest of
 # 64..2048 at the README collapse config, one BLAS thread
 _CHUNK = 256
@@ -190,9 +194,12 @@ def rabi_signal(
     deficit = coherent_tail_deficit(inp)
     ok = deficit <= inp.deficit_bound
     if not ok:
+        alphas = (inp.alpha1, inp.alpha2, inp.alpha3)
+        occupations = ", ".join(f"{abs(a) * abs(a):.3g}" for a in alphas)
         warnings.warn(
             f"coherent tail deficit {deficit:.3e} exceeds bound "
-            f"{inp.deficit_bound:.1e}; raise ncut",
+            f"{inp.deficit_bound:.1e}: mean occupations ({occupations}) "
+            f"against the cube n_i <= ncut = {inp.ncut}",
             stacklevel=2,
         )
     projections = (
@@ -229,17 +236,15 @@ def detect_collapse_revival(
     signal: Signal,
     window_periods: float = 5.0,
     persist: int = 5,
-    collapse_frac: float = 0.1,
-    revival_frac: float = 0.5,
 ) -> CollapseReport:
     """Locate collapse and revivals of an oscillating signal.
 
     The envelope is the sliding RMS of the mean-subtracted signal over a
     window of window_periods carrier periods, the carrier being the
     dominant discrete-spectrum peak.  A collapse is the first time the
-    envelope stays below collapse_frac of its initial value for persist
+    envelope stays below COLLAPSE_FRAC of its initial value for persist
     consecutive window positions; revivals are later envelope peaks above
-    revival_frac of the initial value.  persist must be an integer >= 1,
+    REVIVAL_FRAC of the initial value.  persist must be an integer >= 1,
     window_periods finite and positive, and the times must not decrease,
     else ValueError; a grid of equal times gives the non-oscillating report.
     """
@@ -295,7 +300,7 @@ def detect_collapse_revival(
     collapse_time = None
     collapse_idx = None
     if env0 > 0.0:
-        below = env < collapse_frac * env0
+        below = env < COLLAPSE_FRAC * env0
         run = 0
         for i, b in enumerate(below):
             run = run + 1 if b else 0
@@ -305,7 +310,7 @@ def detect_collapse_revival(
                 break
     revivals = []
     if collapse_idx is not None:
-        high = env > revival_frac * env0
+        high = env > REVIVAL_FRAC * env0
         high[: collapse_idx + 1] = False
         i = collapse_idx + 1
         m = len(env)

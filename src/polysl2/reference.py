@@ -1,11 +1,13 @@
-"""Exact rational references for the su(2) coherent-state rotation.
+"""Independent references for the su(2) coherent-state rotation.
 
 The rotated basis state S_Y |v> has overlaps that combine a terminating
 regularized hypergeometric with a factorial normalisation.  Evaluated from
 exact rational coefficients these sums are correctly rounded however
 strongly their terms cancel, which makes them an independent check on the
 float64 rotation in variational, not a substitute for it: they cost
-rational arithmetic per entry.  Only tests and the verify command use them.
+rational arithmetic per entry.  The stationarity condition of the ground
+state is given termwise as a polynomial in alpha, a check on the Bernstein
+scan in variational.  Only tests and the verify command use them.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Block
+from .algebra import Block, StructureFunction
 
-__all__ = ["reg_hyp_2F1", "gcs_overlaps"]
+__all__ = ["reg_hyp_2F1", "gcs_overlaps", "stationarity_residual"]
 
 
 @lru_cache(maxsize=8192)
@@ -90,3 +92,70 @@ def gcs_overlaps(block: Block, v: int, r: float, theta: float = 0.0) -> np.ndarr
         )
         out[f] = cos_pow * phase ** (f - v) * hyp * math.sqrt(ratio)
     return out
+
+
+def _rung_weights(block: Block, psi: StructureFunction):
+    twoj = block.dim - 1
+    l0 = block.l0
+    q = np.empty(twoj)
+    for f in range(twoj):
+        q[f] = math.sqrt(float(psi(l0 + 1 + f)) / ((twoj - f) * (f + 1)))
+    return q
+
+
+@lru_cache(maxsize=64)
+def _binomial_weights(twoj: int):
+    """Term weights of the stationarity condition, normalised, and their scale.
+
+    The condition weighs term f by 1 / ((2j-1-f)! f!) = C(2j-1, f) / (2j-1)!,
+    whose factorials overflow a float from d = 173 on.  The weights returned
+    are C(2j-1, f) / max_f C(2j-1, f), each an exact integer ratio rounded
+    once, and scale = max_f C(2j-1, f) / (2j-1)! restores the factorial
+    form.  Roots do not depend on the scale, so a sign scan may use the
+    weights alone.
+    """
+    n = twoj - 1
+    combs = [math.comb(n, f) for f in range(twoj)]
+    top = math.comb(n, n // 2) if twoj else 1
+    weights = tuple(c / top for c in combs)
+    return weights, top / math.factorial(max(n, 0))
+
+
+def stationarity_residual(
+    block: Block, psi: StructureFunction, params, alpha: float
+) -> float:
+    """Residual of the stationarity condition at alpha = -tan r.
+
+    Zero iff the trial energy is stationary in r.  Termwise evaluation;
+    polysl2.variational.solve_alpha scans an equivalent Bernstein form.
+    """
+    if params.g_mod == 0:
+        raise ValueError("variational phase undefined at g = 0")
+    twoj = block.dim - 1
+    j = block.j
+    q = _rung_weights(block, psi)
+    weights, scale = _binomial_weights(twoj)
+    ratio = params.a / params.g_mod
+    acc = 0.0
+    for f in range(twoj):
+        term = alpha ** (2 * f) * weights[f]
+        brace = ratio * alpha
+        brace -= (4 * alpha**2 * j - (1 + alpha**2) * (2 * f + 1)) * q[f]
+        acc += term * brace
+    return acc * scale
+
+
+def _residual_scale(block: Block, psi: StructureFunction, params, alpha: float):
+    """Sum of absolute term magnitudes, for relative residual bounds."""
+    twoj = block.dim - 1
+    j = block.j
+    q = _rung_weights(block, psi)
+    weights, scale = _binomial_weights(twoj)
+    ratio = abs(params.a / params.g_mod)
+    acc = 0.0
+    for f in range(twoj):
+        term = abs(alpha) ** (2 * f) * weights[f]
+        brace = ratio * abs(alpha)
+        brace += abs(4 * alpha**2 * j - (1 + alpha**2) * (2 * f + 1)) * q[f]
+        acc += term * brace
+    return acc * scale

@@ -29,6 +29,8 @@ __all__ = [
     "sl2_reference_spectrum",
 ]
 
+ORACLE_TOL = 1e-12  # absolute bracket width of the Sturm bisection
+
 
 @dataclass(frozen=True)
 class HamiltonianParams:
@@ -156,12 +158,12 @@ def _sturm_counts(tri: TridiagonalHamiltonian, xs: np.ndarray) -> np.ndarray:
     return count
 
 
-def spectral_polynomial_roots(tri: TridiagonalHamiltonian, tol: float = 1e-12):
+def spectral_polynomial_roots(tri: TridiagonalHamiltonian):
     """Eigenvalues as roots of the characteristic three-term recurrence.
 
     Sturm sign counts locate each root inside a Gershgorin bracket and
-    bisection refines to absolute tolerance; independent of the LAPACK
-    route, so the two may be compared as oracles.
+    bisection refines it to ORACLE_TOL absolute width; independent of the
+    LAPACK route, so the two may be compared as oracles.
     """
     d = tri.dim
     if d == 1:
@@ -175,7 +177,7 @@ def spectral_polynomial_roots(tri: TridiagonalHamiltonian, tol: float = 1e-12):
     want = np.arange(1, d + 1)
     for _ in range(200):
         gap = hi - lo
-        if np.all(gap <= tol):
+        if np.all(gap <= ORACLE_TOL):
             break
         mid = 0.5 * (lo + hi)
         # float-spacing guard: interval no longer splittable
@@ -184,7 +186,7 @@ def spectral_polynomial_roots(tri: TridiagonalHamiltonian, tol: float = 1e-12):
         below = counts < want
         lo = np.where(~stuck & below, mid, lo)
         hi = np.where(~stuck & ~below, mid, hi)
-        if np.all(stuck | (gap <= tol)):
+        if np.all(stuck | (gap <= ORACLE_TOL)):
             break
     return 0.5 * (lo + hi)
 

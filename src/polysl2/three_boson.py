@@ -129,12 +129,7 @@ def block_constants(label: BlockLabel, params: ThreeBosonParams) -> HamiltonianP
 def build_model_block(label: BlockLabel) -> tuple[Block, StructureFunction]:
     """Unitary block plus its structure function, ready for the solver."""
     psi, l0 = psi3_for_block(label)
-    block = build_block(
-        psi,
-        float(l0),
-        labels={"R1": float(label.r1), "R2": float(label.r2)},
-        dmax=label.m + 2,
-    )
+    block = build_block(psi, float(l0), dmax=label.m + 2)
     if block.dim != label.dim:
         raise RuntimeError(
             f"block {label.block_id}: expected dim {label.dim}, got {block.dim}"

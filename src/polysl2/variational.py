@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .solver import build_hamiltonian
 __all__ = [
     "VariationalSolution",
     "energy_functional",
-    "stationarity_residual",
     "solve_alpha",
     "variational_spectrum",
 ]
@@ -47,7 +45,7 @@ class VariationalSolution:
     """Stationary points and per-level energies for one block.
 
     theta is the coupling phase (fixed, not searched).  alpha_roots holds
-    every stationary point found in the scan bracket, in ascending order;
+    every stationary point found by the scan, in ascending order;
     residuals holds the exact slope dE(0, r)/dr at each of them, divided by
     the Hamiltonian's norm bound.  alpha_selected minimizes the v=0 energy
     among them.  energies has one entry per block level.  ordering_ok
@@ -61,30 +59,19 @@ class VariationalSolution:
     energies: tuple
     residuals: tuple
     ordering_ok: bool = True
-    alpha_per_level: tuple | None = None
 
     @property
     def r_selected(self) -> float:
         return -math.atan(self.alpha_selected)
 
 
-def _level_energies(diag: np.ndarray, off: np.ndarray, r: float):
-    """E(v, r) = (R^T H R)_vv and dE/dr for every level v of the tridiagonal H.
-
-    The slope is the exact 2 (R^T H G R)_vv, with G = Y- - Y+ the
-    generator of R, rather than a difference quotient.
-    """
-    d = diag.size
-    rot = su2_rotation(d, r)
+def _level_energies(diag: np.ndarray, off: np.ndarray, r: float) -> np.ndarray:
+    """E(v, r) = (R^T H R)_vv for every level v of the tridiagonal H."""
+    rot = su2_rotation(diag.size, r)
     hr = diag[:, None] * rot
     hr[:-1] += off[:, None] * rot[1:]
     hr[1:] += off[:, None] * rot[:-1]
-    e = np.einsum("fv,fv->v", rot, hr)
-    y = su2_ladder(d)[:, None]
-    gr = np.zeros_like(rot)
-    gr[:-1] += y * rot[1:]
-    gr[1:] -= y * rot[:-1]
-    return e, 2.0 * np.einsum("fv,fv->v", hr, gr)
+    return np.einsum("fv,fv->v", rot, hr)
 
 
 def energy_functional(
@@ -109,74 +96,7 @@ def energy_functional(
     if r == 0.0:
         return params.constant + params.a * (block.l0 + v)
     tri = build_hamiltonian(block, psi, params)
-    return float(_level_energies(tri.diag, tri.offdiag, r)[0][v])
-
-
-def _rung_weights(block: Block, psi: StructureFunction):
-    twoj = block.dim - 1
-    l0 = block.l0
-    q = np.empty(twoj)
-    for f in range(twoj):
-        q[f] = math.sqrt(float(psi(l0 + 1 + f)) / ((twoj - f) * (f + 1)))
-    return q
-
-
-@lru_cache(maxsize=64)
-def _binomial_weights(twoj: int):
-    """Term weights of the stationarity condition, normalised, and their scale.
-
-    The condition weighs term f by 1 / ((2j-1-f)! f!) = C(2j-1, f) / (2j-1)!,
-    whose factorials overflow a float from d = 173 on.  The weights returned
-    are C(2j-1, f) / max_f C(2j-1, f), each an exact integer ratio rounded
-    once, and scale = max_f C(2j-1, f) / (2j-1)! restores the factorial
-    form.  Roots do not depend on the scale, so the scan uses the weights
-    alone.
-    """
-    n = twoj - 1
-    combs = [math.comb(n, f) for f in range(twoj)]
-    top = math.comb(n, n // 2) if twoj else 1
-    weights = tuple(c / top for c in combs)
-    return weights, top / math.factorial(max(n, 0))
-
-
-def stationarity_residual(
-    block: Block, psi: StructureFunction, params, alpha: float
-) -> float:
-    """Residual of the stationarity condition at alpha = -tan r.
-
-    Zero iff the trial energy is stationary in r.  Termwise evaluation; the
-    scan in solve_alpha uses an equivalent polynomial form.
-    """
-    if params.g_mod == 0:
-        raise ValueError("variational phase undefined at g = 0")
-    twoj = block.dim - 1
-    j = block.j
-    q = _rung_weights(block, psi)
-    weights, scale = _binomial_weights(twoj)
-    ratio = params.a / params.g_mod
-    acc = 0.0
-    for f in range(twoj):
-        term = alpha ** (2 * f) * weights[f]
-        brace = ratio * alpha
-        brace -= (4 * alpha**2 * j - (1 + alpha**2) * (2 * f + 1)) * q[f]
-        acc += term * brace
-    return acc * scale
-
-
-def _residual_scale(block: Block, psi: StructureFunction, params, alpha: float):
-    """Sum of absolute term magnitudes, for relative residual bounds."""
-    twoj = block.dim - 1
-    j = block.j
-    q = _rung_weights(block, psi)
-    weights, scale = _binomial_weights(twoj)
-    ratio = abs(params.a / params.g_mod)
-    acc = 0.0
-    for f in range(twoj):
-        term = abs(alpha) ** (2 * f) * weights[f]
-        brace = ratio * abs(alpha)
-        brace += abs(4 * alpha**2 * j - (1 + alpha**2) * (2 * f + 1)) * q[f]
-        acc += term * brace
-    return acc * scale
+    return float(_level_energies(tri.diag, tri.offdiag, r)[v])
 
 
 def _stationarity(tri, params):
@@ -189,12 +109,13 @@ def _stationarity(tri, params):
     where S1 and S2 are the degree n-1 Bernstein sums of
     (2f+1) q_f and (2n-2f-1) q_f, q_f = offdiag_f / (|g| sqrt((n-f)(f+1))).
     F equals -dE(0, r)/dr / (2|g|n), and it is the stationarity polynomial
-    of stationarity_residual divided by (1 + alpha^2)^n times a positive
-    constant, so both share their roots.  c S1 - s S2 is kept as one
-    degree-n Bernstein sum with coefficients y_f.  It is evaluated in the
-    smaller of s and c by scaled Horner, coefficients reversed when s > c,
-    and below 1e-150 the partial sums are rescaled by powers of two as in
-    dynamics._CoherentEnergy._sums, so F stays finite at any block size.
+    of polysl2.reference.stationarity_residual divided by (1 + alpha^2)^n
+    times a positive constant, so both share their roots.  c S1 - s S2 is
+    kept as one degree-n Bernstein sum with coefficients y_f.  It is
+    evaluated in the smaller of s and c by scaled Horner, coefficients
+    reversed when s > c, and below 1e-150 the partial sums are rescaled by
+    powers of two as in dynamics._CoherentEnergy._sums, so F stays finite
+    at any block size.
     """
     n = tri.dim - 1
     f = np.arange(n, dtype=float)
@@ -236,25 +157,19 @@ def _stationarity(tri, params):
     return stationarity
 
 
-def solve_alpha(
-    block: Block,
-    psi: StructureFunction,
-    params,
-    alpha_max: float | None = None,
-    grid_points: int = GRID_POINTS,
-) -> VariationalSolution:
+def solve_alpha(block: Block, psi: StructureFunction, params) -> VariationalSolution:
     """Locate all stationary alpha.
 
-    The scan runs on grid_points angles spaced evenly in r = -atan(alpha)
+    The scan runs on GRID_POINTS angles spaced evenly in r = -atan(alpha)
     over the closed interval [-pi/2, pi/2], so it covers every alpha with
     no root bound: the stationarity function F (see _stationarity) is a
-    bounded Bernstein mean there.  An explicit alpha_max restricts the scan
-    to |r| <= atan(alpha_max).  Grid zeros are roots; every sign change is
-    refined, all brackets together as arrays, by SECTIONS-fold sectioning
-    until it is ALPHA_WIDTH wide in alpha or cannot be split in floating
-    point, and its midpoint is the root.  residuals holds dE(0, r)/dr /
-    norm_bound at each root, which is -2|g|n F / norm_bound.  The energies
-    are filled in by variational_spectrum.
+    bounded Bernstein mean there.  Grid zeros are roots; every sign change
+    is refined, all brackets together as arrays, by SECTIONS-fold
+    sectioning until it is ALPHA_WIDTH wide in alpha or cannot be split in
+    floating point, and its midpoint is the root.  residuals holds
+    dE(0, r)/dr / norm_bound at each root, which is -2|g|n F / norm_bound.
+    The energies are filled in by variational_spectrum.  A grid on which F
+    has neither a zero nor a sign change raises RuntimeError.
     """
     if params.g_mod == 0:
         raise ValueError("variational phase undefined at g = 0")
@@ -269,9 +184,7 @@ def solve_alpha(
         )
     tri = build_hamiltonian(block, psi, params)
     stationarity = _stationarity(tri, params)
-    a_eff = math.inf if alpha_max is None else float(alpha_max)
-    r_max = math.atan(a_eff)
-    xs = np.tan(np.linspace(-r_max, r_max, grid_points))
+    xs = np.tan(np.linspace(-math.pi / 2, math.pi / 2, GRID_POINTS))
     ys = stationarity(xs)
     exact = ys == 0.0
     y0, y1 = ys[:-1], ys[1:]
@@ -301,9 +214,8 @@ def solve_alpha(
     roots = found[np.argsort(at, kind="stable")]
     if not roots.size:
         raise RuntimeError(
-            "no stationary point in bracket "
-            f"[-{a_eff}, {a_eff}]; stationarity function at endpoints: "
-            f"{ys[0]:.6e}, {ys[-1]:.6e}"
+            "no stationary point on the scan grid; stationarity function at "
+            f"alpha = -inf and +inf: {ys[0]:.6e}, {ys[-1]:.6e}"
         )
     n = block.dim - 1
     residuals = -2.0 * params.g_mod * n * stationarity(roots) / tri.norm_bound()
@@ -317,18 +229,16 @@ def solve_alpha(
 
 
 def variational_spectrum(
-    block: Block, psi: StructureFunction, params, per_level: bool = False
+    block: Block, psi: StructureFunction, params
 ) -> VariationalSolution:
     """Approximate block spectrum from the stationary trial states.
 
-    Among the stationary roots the one minimizing E(v=0) is selected (the
-    v=0 energy is a Rayleigh quotient, so this branch is variationally
-    controlled) and all levels are evaluated at its rotation angle.  With
-    per_level=True each level instead picks the root at which its own
-    energy is closest to stationary, recorded in alpha_per_level; slopes
-    equal to within round-off count as a tie, which the first root wins.
-    An energy beyond the Hamiltonian's norm bound (with NORM_SLACK for
-    round-off) cannot be a Rayleigh quotient and raises RuntimeError.
+    Among the stationary roots the one minimizing E(v=0) is selected, the
+    first of equal minima winning (the v=0 energy is a Rayleigh quotient,
+    so this branch is variationally controlled), and all levels are
+    evaluated at its rotation angle.  An energy beyond the Hamiltonian's
+    norm bound (with NORM_SLACK for round-off) cannot be a Rayleigh
+    quotient and raises RuntimeError.
     """
     if block.dim == 1:
         e0 = params.constant + params.a * block.l0
@@ -339,28 +249,14 @@ def variational_spectrum(
             energies=(e0,),
             residuals=(0.0,),
             ordering_ok=True,
-            alpha_per_level=(0.0,) if per_level else None,
         )
     sol = solve_alpha(block, psi, params)
     tri = build_hamiltonian(block, psi, params)
     diag, off = tri.diag, tri.offdiag
     levels = [_level_energies(diag, off, -math.atan(al)) for al in sol.alpha_roots]
-    best = None
-    for k, (e, _) in enumerate(levels):
-        if best is None or e[0] < levels[best][0][0]:
-            best = k
+    best = min(range(len(levels)), key=lambda k: levels[k][0])
     al_sel = sol.alpha_roots[best]
-    energies = levels[best][0].tolist()
-    alpha_per_level = None
-    if per_level:
-        # slopes within round-off of a level's smallest |dE/dr| tie, and a
-        # tie goes to the first root
-        slopes = np.abs([s for _, s in levels])
-        norm = np.max(np.abs(diag)) + 2.0 * np.max(off)
-        floor = 1e-12 * block.dim * max(norm, 1.0)
-        pick = np.argmax(slopes <= slopes.min(axis=0) + floor, axis=0).tolist()
-        energies = [float(levels[k][0][v]) for v, k in enumerate(pick)]
-        alpha_per_level = tuple(sol.alpha_roots[k] for k in pick)
+    energies = levels[best].tolist()
     bound = tri.norm_bound()
     worst = float(np.max(np.abs(energies)))
     if not worst <= bound * (1.0 + NORM_SLACK):
@@ -378,5 +274,4 @@ def variational_spectrum(
         energies=tuple(energies),
         residuals=sol.residuals,
         ordering_ok=ordering_ok,
-        alpha_per_level=alpha_per_level,
     )

@@ -100,9 +100,8 @@ def test_build_block_root_tolerance_scales():
 
 
 def test_block_weights_and_labels():
-    block = build_block(sl2_psi(1.0), -1.0, labels={"twoj": 2.0})
+    block = build_block(sl2_psi(1.0), -1.0)
     assert np.allclose(block.weights(), [-1.0, 0.0, 1.0])
-    assert block.labels["twoj"] == 2.0
 
 
 def scalar_block(psi, l0, dmax):

@@ -88,8 +88,6 @@ def test_build_model_block_dim_and_labels():
     block, psi = build_model_block(lab)
     assert block.dim == 6
     assert not block.truncated
-    assert block.labels["R1"] == 2.0
-    assert block.labels["R2"] == pytest.approx(float(Fraction(12, 3)))
     assert block.l0 == pytest.approx(-1.0)
     # interior positivity
     assert np.all(psi.values(block.l0 + np.arange(1, 6)) > 0)

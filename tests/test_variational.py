@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysl2.algebra import StructureFunction, build_block
-from polysl2.reference import gcs_overlaps, reg_hyp_2F1
+from polysl2 import variational
+from polysl2.algebra import StructureFunction, build_block, su2_ladder, su2_rotation
+from polysl2.reference import (
+    _residual_scale,
+    gcs_overlaps,
+    reg_hyp_2F1,
+    stationarity_residual,
+)
 from polysl2.solver import (
     HamiltonianParams,
     build_hamiltonian,
@@ -21,9 +27,9 @@ from polysl2.three_boson import (
     build_model_block,
 )
 from polysl2.variational import (
+    GRID_POINTS,
     energy_functional,
     solve_alpha,
-    stationarity_residual,
     variational_spectrum,
 )
 
@@ -158,8 +164,7 @@ def test_solve_alpha_two_level_symmetric():
 
 
 def test_solve_alpha_residuals_meet_relative_bound():
-    from polysl2.variational import _residual_scale
-
+    # residuals are dE0/dr divided by the norm bound, so they are relative
     rng = np.random.default_rng(9)
     for _ in range(8):
         d = int(rng.integers(2, 9))
@@ -172,15 +177,19 @@ def test_solve_alpha_residuals_meet_relative_bound():
         )
         sol = solve_alpha(block, psi, params)
         assert sol.alpha_roots
-        for al, res in zip(sol.alpha_roots, sol.residuals):
-            scale = _residual_scale(block, psi, params, al)
-            assert abs(res) <= 1e-10 * max(scale, 1.0)
+        for res in sol.residuals:
+            assert abs(res) <= 1e-10
 
 
-def test_solve_alpha_reports_empty_bracket():
+def test_solve_alpha_reports_empty_bracket(monkeypatch):
+    # a stationarity function without a zero or sign change on the grid
+    def positive(tri, params):
+        return lambda alpha: np.ones(np.shape(alpha))
+
+    monkeypatch.setattr(variational, "_stationarity", positive)
     block, psi = two_level_block(2.0)
-    with pytest.raises(RuntimeError, match="no stationary point in bracket"):
-        solve_alpha(block, psi, HamiltonianParams(a=0.0, g_mod=1.0), alpha_max=1e-4)
+    with pytest.raises(RuntimeError, match="no stationary point on the scan grid"):
+        solve_alpha(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
 
 
 def test_variational_two_level_exact():
@@ -274,16 +283,6 @@ def test_variational_stationarity_crosscheck():
         assert abs(block.dim * der) <= 1e-6 * params.g_mod
 
 
-def test_variational_per_level_mode():
-    block, psi = build_model_block(BlockLabel(0, 3))
-    params = HamiltonianParams(a=0.4, g_mod=1.0)
-    sol = variational_spectrum(block, psi, params, per_level=True)
-    assert sol.alpha_per_level is not None
-    assert len(sol.alpha_per_level) == block.dim
-    for al in sol.alpha_per_level:
-        assert al in sol.alpha_roots
-
-
 def test_variational_single_level_block():
     block, psi = build_model_block(BlockLabel(0, 0))
     params = HamiltonianParams(a=2.0, g_mod=1.0, constant=1.0)
@@ -311,16 +310,20 @@ def small_blocks(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(small_blocks(), st.floats(-30.0, 30.0))
 def test_bernstein_stationarity_is_the_scaled_slope(case, alpha):
-    # F has the sign of the termwise residual and equals -dE0/dr / (2|g|n)
-    from polysl2.variational import _level_energies, _residual_scale, _stationarity
-
+    # F has the sign of the termwise residual and equals -dE0/dr / (2|g|n),
+    # with the exact slope dE0/dr = 2 (R^T H G R)_00 and G = Y- - Y+ the
+    # generator of R
     block, psi, params = case
     tri = build_hamiltonian(block, psi, params)
     n = block.dim - 1
-    f = float(_stationarity(tri, params)(np.array([alpha]))[0])
-    _, slope = _level_energies(tri.diag, tri.offdiag, -math.atan(alpha))
+    f = float(variational._stationarity(tri, params)(np.array([alpha]))[0])
+    rot = su2_rotation(block.dim, -math.atan(alpha))
+    h = np.diag(tri.diag) + np.diag(tri.offdiag, 1) + np.diag(tri.offdiag, -1)
+    y = su2_ladder(block.dim)
+    gen = np.diag(y, 1) - np.diag(y, -1)
+    slope = 2.0 * (rot.T @ h @ gen @ rot)[0, 0]
     scale = 1.0 + tri.norm_bound() / params.g_mod
-    assert abs(f + slope[0] / (2 * params.g_mod * n)) <= 1e-11 * scale
+    assert abs(f + slope / (2 * params.g_mod * n)) <= 1e-11 * scale
     ref = stationarity_residual(block, psi, params, alpha)
     if abs(ref) > 1e-9 * _residual_scale(block, psi, params, alpha):
         assert (f > 0) == (ref > 0)
@@ -329,29 +332,28 @@ def test_bernstein_stationarity_is_the_scaled_slope(case, alpha):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(small_blocks())
 def test_solve_alpha_roots_match_termwise_scan(case):
-    # the same scan angles evaluated termwise bracket the same roots
+    # the production scan angles inside |alpha| <= 50, evaluated termwise,
+    # bracket the same roots there
     block, psi, params = case
-    alpha_max, points = 50.0, 801
-    xs = np.tan(np.linspace(-math.atan(alpha_max), math.atan(alpha_max), points))
+    grid = np.tan(np.linspace(-math.pi / 2, math.pi / 2, GRID_POINTS))
+    xs = grid[np.abs(grid) <= 50.0]
     ys = np.array([stationarity_residual(block, psi, params, x) for x in xs])
     cells = np.nonzero(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)[0]
     try:
-        sol = solve_alpha(block, psi, params, alpha_max=alpha_max, grid_points=points)
+        sol = solve_alpha(block, psi, params)
     except RuntimeError:
         assert cells.size == 0 and not np.any(ys == 0.0)
         return
-    roots = np.array(sol.alpha_roots)
+    roots = np.array([al for al in sol.alpha_roots if xs[0] <= al <= xs[-1]])
     expect = np.sort(np.concatenate([xs[ys == 0.0], xs[cells]]))
     assert roots.size == expect.size
     for root, i in zip(roots, np.searchsorted(xs, expect)):
-        assert xs[i] <= root <= xs[min(i + 1, points - 1)]
+        assert xs[i] <= root <= xs[min(i + 1, xs.size - 1)]
 
 
 def test_stationarity_large_block_matches_log_space_sum():
     # d = 2001: near |alpha| = 1 the Horner partial sums fall below the
     # float range unless they are rescaled
-    from polysl2.variational import _stationarity
-
     label = BlockLabel(0, 2000)
     block, psi = build_model_block(label)
     params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, g=1.0))
@@ -364,7 +366,7 @@ def test_stationarity_large_block_matches_log_space_sum():
         [math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k) for k in f]
     )
     alphas = np.array([-30.0, -1.41, -1.0, -0.999, 0.0, 0.5, 1.001, 1.3])
-    got = _stationarity(tri, params)(alphas)
+    got = variational._stationarity(tri, params)(alphas)
     for al, value in zip(alphas, got):
         r = -math.atan(al)
         s, c = math.sin(r) ** 2, math.cos(r) ** 2
