@@ -39,6 +39,7 @@ from .solver import (
     amplitude_recurrence,
     build_hamiltonian,
     eigensolve,
+    sl2_reference_energies,
     sl2_reference_spectrum,
     spectral_polynomial_roots,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "psi3_for_block",
     "rabi_signal",
     "reg_hyp_2F1",
+    "sl2_reference_energies",
     "sl2_reference_spectrum",
     "solve_alpha",
     "spectral_polynomial_roots",

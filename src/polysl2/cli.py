@@ -43,7 +43,7 @@ from .solver import (
     amplitude_recurrence,
     build_hamiltonian,
     eigensolve,
-    sl2_reference_spectrum,
+    sl2_reference_energies,
     spectral_polynomial_roots,
 )
 from .reference import gcs_overlaps
@@ -424,7 +424,7 @@ def _solve_block(task, solver: str):
             else:
                 var = variational_spectrum(block, psi, params)
         if solver in ("sl2_reference", "all"):
-            sl2 = sl2_reference_spectrum(block, params).energies
+            sl2 = sl2_reference_energies(block, params)
     except (BlockError, RuntimeError, ValueError) as exc:
         raise RuntimeError(f"block {bid}: {exc}") from exc
     alpha = residual = None

@@ -7,7 +7,10 @@ strongly their terms cancel, which makes them an independent check on the
 float64 rotation in variational, not a substitute for it: they cost
 rational arithmetic per entry.  The stationarity condition of the ground
 state is given termwise as a polynomial in alpha, a check on the Bernstein
-scan in variational.  Only tests and the verify command use them.
+scan in variational.  The Rabi signal of one block is evaluated by a real
+GEMM per chunk of time samples, about 4 d^2 flops per sample, a check on
+the Bohr-frequency NUFFT in dynamics.  Only tests and the verify command
+use them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ import numpy as np
 
 from .algebra import Block, StructureFunction
 
-__all__ = ["reg_hyp_2F1", "gcs_overlaps", "stationarity_residual"]
+__all__ = [
+    "reg_hyp_2F1",
+    "gcs_overlaps",
+    "stationarity_residual",
+    "evolve_grid_gemm",
+]
+
+# time samples per chunk of evolve_grid_gemm
+_CHUNK = 256
 
 
 @lru_cache(maxsize=8192)
@@ -159,3 +170,31 @@ def _residual_scale(block: Block, psi: StructureFunction, params, alpha: float):
         brace += abs(4 * alpha**2 * j - (1 + alpha**2) * (2 * f + 1)) * q[f]
         acc += term * brace
     return acc * scale
+
+
+def evolve_grid_gemm(spectrum, c0, times, occ, gauge) -> np.ndarray:
+    """Block contribution sum_v occ_v |c_v(t)|^2 on a uniform time grid.
+
+    The amplitudes are spectrum.amplitudes = conj(gauge) Q with Q real; the
+    gauge is a diagonal phase and drops out of |c_v|^2, so c(t) is formed as
+    Q (exp(-i E t) * cr) by a real GEMM on the float view of the complex
+    factor.  Time runs in chunks of _CHUNK samples: the phases of a chunk
+    are its start phase times one chunk-long base exp(-i E b dt), so the
+    d x len(times) phase and amplitude arrays are never built.
+    """
+    n = len(times)
+    out = np.empty(n)
+    if n == 0:
+        return out
+    vectors = (gauge[:, None] * spectrum.amplitudes).real
+    cr = spectrum.amplitudes.conj().T @ np.asarray(c0, dtype=complex)
+    energies = spectrum.energies
+    dt = (times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
+    base = np.exp(-1j * np.outer(energies, np.arange(min(n, _CHUNK)) * dt))
+    for s in range(0, n, _CHUNK):
+        b = min(_CHUNK, n - s)
+        z = (np.exp(-1j * energies * times[s]) * cr)[:, None] * base[:, :b]
+        y = vectors @ z.view(float)
+        y *= y
+        out[s : s + b] = (occ @ y).reshape(b, 2).sum(axis=1)
+    return out

@@ -26,6 +26,7 @@ __all__ = [
     "eigensolve",
     "spectral_polynomial_roots",
     "amplitude_recurrence",
+    "sl2_reference_energies",
     "sl2_reference_spectrum",
 ]
 
@@ -220,20 +221,26 @@ def amplitude_recurrence(tri: TridiagonalHamiltonian, energy: float):
     return best
 
 
+def sl2_reference_energies(block: Block, params: HamiltonianParams) -> np.ndarray:
+    """Closed-form su(2) energies C + a(l0+j) + (-j+v) sqrt(a^2+4|g|^2)."""
+    omega = math.hypot(params.a, 2.0 * params.g_mod)
+    base = params.constant + params.a * (block.l0 + block.j)
+    return base + (np.arange(block.dim) - block.j) * omega
+
+
 def sl2_reference_spectrum(block: Block, params: HamiltonianParams) -> Spectrum:
     """Equidistant su(2) approximation of the block spectrum.
 
-    Energies follow the closed form C + a(l0+j) + (-j+v) sqrt(a^2+4|g|^2).
-    In the real gauge a Y0 + |g| (Y+ + Y-) = R (omega Y0) R^T, omega that
-    square root, for the rotation R(r) = exp(r (Y- - Y+)) at
+    Energies follow the closed form of sl2_reference_energies.
+    In the real gauge a Y0 + |g| (Y+ + Y-) = R (omega Y0) R^T, omega =
+    sqrt(a^2+4|g|^2), for the rotation R(r) = exp(r (Y- - Y+)) at
     r = atan2(2|g|, a) / 2 (Perelomov, Generalized Coherent States, 1986),
     so the amplitudes are the columns of su2_rotation in the original gauge.
     """
     d = block.dim
-    j = block.j
-    omega = math.hypot(params.a, 2.0 * params.g_mod)
-    base = params.constant + params.a * (block.l0 + j)
-    energies = base + (np.arange(d) - j) * omega
     rot = su2_rotation(d, 0.5 * math.atan2(2.0 * params.g_mod, params.a))
     gauge = np.exp(1j * params.g_phase * np.arange(d))
-    return Spectrum(energies=energies, amplitudes=gauge[:, None] * rot)
+    return Spectrum(
+        energies=sl2_reference_energies(block, params),
+        amplitudes=gauge[:, None] * rot,
+    )

@@ -8,11 +8,10 @@ import pytest
 
 from polysl2.algebra import StructureFunction, build_block, holstein_primakoff
 from polysl2.dynamics import (
-    _CHUNK,
     WEIGHT_FLOOR,
+    IncommensurabilityReport,
     _block_signals,
     _CoherentEnergy,
-    _evolve_grid,
     Signal,
     detect_collapse_revival,
     evolve_block,
@@ -22,6 +21,7 @@ from polysl2.dynamics import (
     observable_n3,
     rabi_signal,
 )
+from polysl2.reference import evolve_grid_gemm
 from polysl2.solver import HamiltonianParams, build_hamiltonian, eigensolve
 from polysl2.three_boson import (
     BlockLabel,
@@ -196,21 +196,74 @@ def test_tail_deficit_of_vacuum_is_positive_zero():
     assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
-@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 10001])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 255, 256, 257, 10001])
 def test_evolve_grid_chunks_match_per_time_evolution(n):
-    label = BlockLabel(2, 10, -1)
-    block, psi = build_model_block(label)
-    tri = build_hamiltonian(block, psi, block_constants(label, GENERIC_PARAMS))
-    spec = eigensolve(tri)
-    rng = np.random.default_rng(3)
-    c0 = rng.normal(size=block.dim) + 1j * rng.normal(size=block.dim)
-    c0 /= np.linalg.norm(c0)
-    occ = label.m - np.arange(block.dim, dtype=float)
-    times = np.linspace(0.5, 40.0, n)
-    got = _evolve_grid(spec, c0, times, occ, tri.gauge())
-    want = np.array([occ @ np.abs(evolve_block(spec, c0, t)) ** 2 for t in times])
-    assert got.shape == (n,)
-    assert np.max(np.abs(got - want)) <= 1e-12 * block.dim
+    # one block's Bohr-term NUFFT against per-time propagation: grids short
+    # enough that the kernel wraps round the fine grid several times, grid
+    # sizes on both sides of a power of two, and start times t0 != 0 and
+    # t0 < 0, whose phase is folded into the amplitudes
+    for label in (
+        BlockLabel(0, 1),
+        BlockLabel(2, 10, -1),
+        BlockLabel(0, 40),
+        BlockLabel(0, 60),
+    ):
+        block, psi = build_model_block(label)
+        tri = build_hamiltonian(block, psi, block_constants(label, GENERIC_PARAMS))
+        spec = eigensolve(tri)
+        rng = np.random.default_rng(3)
+        c0 = rng.normal(size=block.dim) + 1j * rng.normal(size=block.dim)
+        c0 /= np.linalg.norm(c0)
+        occ = label.m - np.arange(block.dim, dtype=float)
+        for t0, t1 in ((0.5, 40.0), (-30.0, 12.0)):
+            times = np.linspace(t0, t1, n)
+            got = _block_signals(
+                [(label, 1.0, c0)], GENERIC_PARAMS, times, 0.0, True
+            ).signal.values
+            want = np.array(
+                [occ @ np.abs(evolve_block(spec, c0, t)) ** 2 for t in times]
+            )
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - want)) <= 1e-12 * block.dim
+
+
+@pytest.mark.parametrize(
+    "params, alpha3",
+    [
+        (ThreeBosonParams(1.0, 1.0, 2.0, 1.0), 5.0),
+        (
+            ThreeBosonParams(
+                1.03, 0.97, 2.02, 1.05 * complex(math.cos(0.2), math.sin(0.2))
+            ),
+            5.0 * complex(math.cos(0.9), math.sin(0.9)),
+        ),
+    ],
+    ids=["readme", "perturbed"],
+)
+def test_rabi_nufft_matches_chunked_gemm_reference(params, alpha3):
+    # the README collapse config (ncut 120, 10,001 samples) and a perturbed one
+    inp = CoherentInput(0.0, 0.0, alpha3, ncut=120)
+    times = np.linspace(0.0, 100.0, 10001)
+    res = rabi_signal(inp, params, times)
+    values = np.zeros(len(times))
+    weights = {}
+    for label, w in coherent_block_weights(inp, WEIGHT_FLOOR):
+        weights[label.block_id] = w
+        block, psi = build_model_block(label)
+        tri = build_hamiltonian(block, psi, block_constants(label, params))
+        occ = label.m - np.arange(block.dim, dtype=float)
+        c0 = project_coherent(inp, label)
+        values += evolve_grid_gemm(eigensolve(tri), c0, times, occ, tri.gauge())
+    n3 = res.signal.values
+    assert np.max(np.abs(n3 - values)) <= 1e-12 * np.max(np.abs(values))
+    assert res.block_weights == weights
+    assert res.dominant_label.block_id == max(weights, key=weights.get)
+    got = detect_collapse_revival(res.signal)
+    want = detect_collapse_revival(Signal(times=times, values=values))
+    assert got.collapse_time is not None and got.revival_times
+    assert got.collapse_time == want.collapse_time
+    assert got.revival_times == want.revival_times
+    assert got.carrier_frequency == want.carrier_frequency
 
 
 def test_rabi_dominant_block_is_heaviest_with_its_spectrum():
@@ -385,6 +438,56 @@ def test_incommensurability_needs_three_distinct():
         incommensurability_measure([1.0, 2.0])
     with pytest.raises(ValueError):
         incommensurability_measure([1.0, 1.0 + 1e-15, 1.0])
+
+
+def _incommensurability_loop(energies, qmax):
+    """The measure as a double loop over spacing pairs and denominators."""
+    e = np.sort(np.asarray(energies, dtype=float))
+    scale = max(e[-1] - e[0], 1.0)
+    keep = [e[0]]
+    for x in e[1:]:
+        if x - keep[-1] > 1e-9 * scale:
+            keep.append(x)
+    sp = np.diff(keep)
+    best = None
+    for i in range(len(sp) - 1):
+        rho = sp[i + 1] / sp[i]
+        for q in range(1, qmax + 1):
+            p = round(rho * q)
+            dist = abs(rho - p / q)
+            if best is None or dist < best[0]:
+                best = (dist, rho, i, p, q)
+    return IncommensurabilityReport(
+        min_distance=float(best[0]),
+        ratio=float(best[1]),
+        pair_index=int(best[2]),
+        p=int(best[3]),
+        q=int(best[4]),
+    )
+
+
+def _block_energies(label):
+    block, psi = build_model_block(label)
+    params = block_constants(label, GENERIC_PARAMS)
+    return eigensolve(build_hamiltonian(block, psi, params)).energies
+
+
+@pytest.mark.parametrize("qmax", [1, 8, 1000])
+@pytest.mark.parametrize(
+    "energies",
+    [
+        [0.0, 1.0, 2.0, 3.0],  # every (pair, q) ties at distance 0
+        [0.0, 1.0, 3.5, 6.0, 8.5],  # ratios 2.5 and 1: halves round to even
+        [0.0, 2.0, 3.0, 5.0, 6.0, 6.25],  # ratio 1/2 twice, 1/4 at the end
+        [0.0, 1.0, 1.0 + 1e-15, 2.7, 4.1],  # a near-degenerate pair dropped
+        np.sort(np.random.default_rng(8).normal(size=40)),
+        _block_energies(BlockLabel(0, 60)),
+    ],
+)
+def test_incommensurability_matches_double_loop(energies, qmax):
+    assert incommensurability_measure(energies, qmax) == _incommensurability_loop(
+        energies, qmax
+    )
 
 
 def test_meanfield_zero_coupling_precession():
