@@ -29,7 +29,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import BlockError, StructureFunction, block_operators, build_block
+from .algebra import (
+    BlockError,
+    StructureFunction,
+    block_operators,
+    build_block,
+    su2_rotation,
+)
 from .dynamics import (
     WEIGHT_FLOOR,
     detect_collapse_revival,
@@ -54,7 +60,6 @@ from .three_boson import (
     block_constants,
     build_model_block,
     enumerate_blocks,
-    psi3_for_block,
 )
 from .variational import ALPHA_WIDTH, variational_spectrum
 
@@ -67,7 +72,6 @@ MAX_BLOCK_DIM = 2001  # levels in one block; dense solvers hold several d x d ar
 _DIM_NOTE = f" (a block holds at most {MAX_BLOCK_DIM} levels)"
 # the Fock cube n_i <= ncut holds blocks of up to 2 ncut + 1 levels
 MAX_NCUT = (MAX_BLOCK_DIM - 1) // 2
-MAX_QMAX = 1000
 
 
 class ConfigError(Exception):
@@ -249,9 +253,6 @@ class DynamicsConfig:
     tmax: float = _key(_real(0.0), 100.0)
     samples: int = _key(_int(1000, MAX_MEANFIELD_STEPS), 10001)
     deficit_bound: float = _key(_real(0.0), 1e-6)
-    window_periods: float = _key(_real(0.0, above=True), 5.0)
-    persist: int = _key(_int(1), 5)
-    qmax: int = _key(_int(1, MAX_QMAX), 8)
 
     def __post_init__(self):
         if self.alpha is None and self.fock is None:
@@ -283,11 +284,6 @@ class MeanfieldConfig:
 
 
 @dataclass(frozen=True, kw_only=True)
-class InjectFaultConfig:
-    psi_root_shift: float = _key(_real(), 0.0)
-
-
-@dataclass(frozen=True, kw_only=True)
 class Config:
     model: str | None = _key(_one_of("three_boson", "sl2_limit", "custom_psi"), None)
     solver: str = _key(_one_of("exact", "variational", "sl2_reference", "all"), "all")
@@ -297,9 +293,6 @@ class Config:
     blocks: BlocksConfig | None = _key(partial(_read, BlocksConfig), None)
     dynamics: DynamicsConfig | None = _key(partial(_read, DynamicsConfig), None)
     meanfield: MeanfieldConfig | None = _key(partial(_read, MeanfieldConfig), None)
-    inject_fault: InjectFaultConfig = _key(
-        partial(_read, InjectFaultConfig), InjectFaultConfig()
-    )
 
     def need(self, key: str):
         """The value of a top-level key that this command cannot do without."""
@@ -462,7 +455,6 @@ def cmd_spectrum(cfg: Config, digest: str, args) -> int:
         "blocks": summary_blocks,
         "tolerances": {
             "alpha_bisection_width": ALPHA_WIDTH,
-            "degenerate_cluster_rtol": 1e-12,
             "root_detection_rtol": 1e-12,
         },
     }
@@ -498,13 +490,11 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
             f"dynamics.ncut = {dyn.ncut} leaves a tail deficit of "
             f"{result.tail_deficit:.3e}"
         )
-    report = detect_collapse_revival(
-        signal, window_periods=dyn.window_periods, persist=dyn.persist
-    )
+    report = detect_collapse_revival(signal)
     elapsed = time.perf_counter() - t0
 
     try:
-        incomm = asdict(incommensurability_measure(spec.energies, qmax=dyn.qmax))
+        incomm = asdict(incommensurability_measure(spec.energies))
     except ValueError:  # fewer than three distinct levels: no spacing ratio
         incomm = None
     gap_period = None
@@ -574,13 +564,7 @@ def cmd_meanfield(cfg: Config, digest: str, args) -> int:
     return EXIT_OK
 
 
-def _shifted_psi(psi: StructureFunction, shift: float) -> StructureFunction:
-    roots = list(psi.roots)
-    roots[-1] = float(roots[-1]) + shift
-    return StructureFunction(leading=float(psi.leading), roots=tuple(roots))
-
-
-def _check_commutators(fault_shift: float):
+def _check_commutators():
     labels = [
         BlockLabel(k=0, m=1),
         BlockLabel(k=0, m=5),
@@ -589,10 +573,8 @@ def _check_commutators(fault_shift: float):
     ]
     worst = 0.0
     for lab in labels:
-        psi, l0 = psi3_for_block(lab)
-        block, _ = build_model_block(lab)
-        psi_used = _shifted_psi(psi, fault_shift) if fault_shift else psi
-        v0, vp, vm = block_operators(block, psi_used)
+        block, psi = build_model_block(lab)
+        v0, vp, vm = block_operators(block, psi)
         scale = max(
             1.0, max(abs(float(psi(block.l0 + v))) for v in range(block.dim + 1))
         )
@@ -671,26 +653,26 @@ def _check_recurrence():
     return worst <= 1e-8, worst
 
 
-def _check_gcs_norm():
-    lab = BlockLabel(0, 9)
-    block, _ = build_model_block(lab)
+def _check_rotation():
+    """su2_rotation columns against the exact rational overlaps."""
+    block, _ = build_model_block(BlockLabel(0, 9))
     worst = 0.0
-    for v in (0, 3, 9):
-        for r in (0.3, 1.0, -0.7):
-            c = gcs_overlaps(block, v, r, theta=0.6)
-            worst = max(worst, abs(np.linalg.norm(c) - 1.0))
+    for r in (0.3, 1.0, -0.7):
+        rot = su2_rotation(block.dim, r)
+        for v in (0, 3, 9):
+            exact = gcs_overlaps(block, v, r, theta=0.0)
+            worst = max(worst, float(np.max(np.abs(rot[:, v] - exact))))
     return worst <= 1e-10, worst
 
 
 def cmd_verify(cfg: Config, digest: str, args) -> int:
-    fault = cfg.inject_fault.psi_root_shift
     checks = [
-        ("commutator closure", lambda: _check_commutators(fault)),
+        ("commutator closure", _check_commutators),
         ("eigenvalue oracle equivalence", _check_oracle_equivalence),
         ("sl(2) variational reduction", _check_sl2_reduction),
         ("evolution unitarity + composition", _check_unitarity),
         ("amplitude recurrence closure", _check_recurrence),
-        ("coherent overlap normalization", _check_gcs_norm),
+        ("su(2) rotation vs exact overlaps", _check_rotation),
     ]
     all_ok = True
     for name, fn in checks:

@@ -55,6 +55,10 @@ WEIGHT_FLOOR = 1e-18
 # a revival peaks above REVIVAL_FRAC
 COLLAPSE_FRAC = 0.1
 REVIVAL_FRAC = 0.5
+# the envelope window spans WINDOW_PERIODS carrier periods; a collapse holds
+# for PERSIST consecutive window positions
+WINDOW_PERIODS = 5.0
+PERSIST = 5
 # half-width, in fine-grid points, of the Gaussian kernel that spreads the
 # Bohr terms of the Rabi signal: at 12 a Fock run's n3(0) is 1.6e-12 off
 _KERNEL_W = 16
@@ -313,30 +317,21 @@ class CollapseReport:
     envelope: Signal | None
 
 
-def detect_collapse_revival(
-    signal: Signal,
-    window_periods: float = 5.0,
-    persist: int = 5,
-) -> CollapseReport:
+def detect_collapse_revival(signal: Signal) -> CollapseReport:
     """Locate collapse and revivals of an oscillating signal.
 
     The envelope is the sliding RMS of the mean-subtracted signal over a
-    window of window_periods carrier periods, the carrier being the
+    window of WINDOW_PERIODS carrier periods, the carrier being the
     dominant discrete-spectrum peak.  A collapse is the first time the
-    envelope stays below COLLAPSE_FRAC of its initial value for persist
-    consecutive window positions; revivals are later envelope peaks above
-    REVIVAL_FRAC of the initial value.  persist must be an integer >= 1,
-    window_periods finite and positive, and the times must not decrease,
-    else ValueError; a grid of equal times gives the non-oscillating report.
+    envelope stays below COLLAPSE_FRAC of its initial value for PERSIST
+    consecutive window positions; each later run of positions above
+    REVIVAL_FRAC of the initial value is a revival, timed at its envelope
+    peak.  The times must not decrease, else ValueError; a grid of equal
+    times gives the non-oscillating report.
     """
     n = len(signal)
     if n < 1000:
         raise ValueError("need at least 1000 samples")
-    integral = isinstance(persist, (int, np.integer)) and not isinstance(persist, bool)
-    if not integral or persist < 1:
-        raise ValueError("persist must be an integer >= 1")
-    if not (math.isfinite(window_periods) and window_periods > 0):
-        raise ValueError("window_periods must be finite and positive")
     t = np.asarray(signal.times, dtype=float)
     dt = t[1] - t[0]
     if dt < 0:
@@ -362,7 +357,7 @@ def detect_collapse_revival(
         return no_osc
     omega = 2.0 * math.pi * kpk / (n * dt)
     period = 2.0 * math.pi / omega
-    w = int(round(window_periods * period / dt))
+    w = int(round(WINDOW_PERIODS * period / dt))
     w = max(w, 2)
     if w >= n:
         return CollapseReport(
@@ -378,33 +373,19 @@ def detect_collapse_revival(
     env = np.sqrt((sq[w:] - sq[:-w]) / w)
     env_t = t[: n - w + 1]
     env0 = float(env[0])
+    # window positions that start PERSIST consecutive positions below threshold
+    below = env < COLLAPSE_FRAC * env0
+    runs = np.convolve(below, np.ones(PERSIST), "valid") == PERSIST
     collapse_time = None
-    collapse_idx = None
-    if env0 > 0.0:
-        below = env < COLLAPSE_FRAC * env0
-        run = 0
-        for i, b in enumerate(below):
-            run = run + 1 if b else 0
-            if run >= persist:
-                collapse_idx = i - persist + 1
-                collapse_time = float(env_t[collapse_idx])
-                break
     revivals = []
-    if collapse_idx is not None:
-        high = env > REVIVAL_FRAC * env0
-        high[: collapse_idx + 1] = False
-        i = collapse_idx + 1
-        m = len(env)
-        while i < m:
-            if not high[i]:
-                i += 1
-                continue
-            k = i
-            while k < m and high[k]:
-                k += 1
-            seg = slice(i, k)
-            revivals.append(float(env_t[seg][np.argmax(env[seg])]))
-            i = k
+    if runs.any():
+        first = int(np.argmax(runs))
+        collapse_time = float(env_t[first])
+        # [start, end) of each run of positions above REVIVAL_FRAC after it
+        high = env[first + 1 :] > REVIVAL_FRAC * env0
+        edges = np.flatnonzero(np.diff(high, prepend=False, append=False))
+        for lo, hi in (edges.reshape(-1, 2) + first + 1).tolist():
+            revivals.append(float(env_t[lo + np.argmax(env[lo:hi])]))
     return CollapseReport(
         oscillating=True,
         carrier_frequency=omega,

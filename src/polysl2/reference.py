@@ -4,7 +4,7 @@ The rotated basis state S_Y |v> has overlaps that combine a terminating
 regularized hypergeometric with a factorial normalisation.  Evaluated from
 exact rational coefficients these sums are correctly rounded however
 strongly their terms cancel, which makes them an independent check on the
-float64 rotation in variational, not a substitute for it: they cost
+float64 rotation in algebra, not a substitute for it: they cost
 rational arithmetic per entry.  The stationarity condition of the ground
 state is given termwise as a polynomial in alpha, a check on the Bernstein
 scan in variational.  The Rabi signal of one block is evaluated by a real

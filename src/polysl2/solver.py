@@ -112,20 +112,6 @@ def build_hamiltonian(
     return TridiagonalHamiltonian(diag=diag, offdiag=off, g_phase=params.g_phase)
 
 
-def _reorthogonalize_degenerate(e: np.ndarray, q: np.ndarray, scale: float):
-    """QR-orthonormalize clusters of eigenvectors closer than 1e-12*scale."""
-    tol = 1e-12 * max(scale, 1e-300)
-    n = len(e)
-    i = 0
-    while i < n:
-        k = i + 1
-        while k < n and e[k] - e[k - 1] < tol:
-            k += 1
-        if k - i > 1:
-            q[:, i:k], _ = np.linalg.qr(q[:, i:k])
-        i = k
-
-
 def eigensolve(tri: TridiagonalHamiltonian) -> Spectrum:
     """Full eigendecomposition with amplitudes in the original gauge."""
     if tri.dim == 1:
@@ -140,7 +126,6 @@ def eigensolve(tri: TridiagonalHamiltonian) -> Spectrum:
         e, q = np.linalg.eigh(h, UPLO="L")
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
-    _reorthogonalize_degenerate(e, q, tri.norm_bound())
     amps = tri.gauge().conj()[:, None] * q
     return Spectrum(energies=e, amplitudes=amps)
 

@@ -176,9 +176,15 @@ def test_verify_passes_clean(capsys):
     assert lines[-1].endswith("all checks passed")
 
 
-def test_verify_catches_injected_fault(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"inject_fault": {"psi_root_shift": 0.05}})
-    assert main(["verify", "--config", str(cfg)]) == 1
+def test_verify_catches_injected_fault(monkeypatch, capsys):
+    from polysl2 import algebra, cli
+
+    def perturbed(block, psi):
+        v0, vp, vm = algebra.block_operators(block, psi)
+        return v0, 1.05 * vp, vm
+
+    monkeypatch.setattr(cli, "block_operators", perturbed)
+    assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert out.splitlines()[0].startswith("commutator closure")
@@ -376,6 +382,9 @@ DROP = object()
 
 @pytest.mark.parametrize(
     "base, path, value",
+    # the qmax, persist, window_periods and inject_fault rows set keys the
+    # schema no longer has (test_removed_config_key_is_unknown); they keep
+    # their places so that the positional ids of the other rows stay put
     [
         ("spectrum", ("blocks", "labels"), 5),
         ("spectrum", ("blocks", "labels"), [{"k": [1]}]),
@@ -436,7 +445,7 @@ DROP = object()
         ("spectrum", ("blocks", "labels"), [{"k": 0, "m": 2001}]),
         ("sl2", ("sl2_limit", "j"), 1000.5),
         ("custom", ("custom_psi", "dmax"), 2002),
-        # run sizes: a cube beyond 2001-level blocks, samples, qmax
+        # run sizes: a cube beyond 2001-level blocks, samples
         ("spectrum", ("blocks", "ncut"), 1001),
         ("dynamics", ("dynamics", "ncut"), 1001),
         ("dynamics", ("dynamics", "samples"), 10**7 + 1),
@@ -460,6 +469,24 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, base, path, value)
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["dynamics.window_periods", "dynamics.persist", "dynamics.qmax", "inject_fault"],
+)
+def test_removed_config_key_is_unknown(tmp_path, capsys, key):
+    # the collapse window and persistence are dynamics.WINDOW_PERIODS and
+    # PERSIST, qmax is the library default, and verify takes no fault
+    cfg = json.loads(json.dumps(BASE_CONFIGS["dynamics"]))
+    section, _, name = key.rpartition(".")
+    (cfg[section] if section else cfg)[name] = 5
+    out = tmp_path / "out"
+    args = ["dynamics", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown config key: {key}\n"
     assert not out.exists()
 
 
@@ -601,11 +628,9 @@ def test_config_defaults():
 
     cfg = parse_config({"dynamics": {"fock": [0, 0, 1]}, "sl2_limit": {"j": 2}})
     assert cfg.model is None and cfg.solver == "all"
-    assert cfg.inject_fault.psi_root_shift == 0.0
     dyn = cfg.dynamics
     assert (dyn.tmax, dyn.samples, dyn.ncut) == (100.0, 10001, 20)
     assert dyn.deficit_bound == 1e-6
-    assert (dyn.window_periods, dyn.persist, dyn.qmax) == (5.0, 5, 8)
     assert dyn.fock == (0, 0, 1) and dyn.alpha is None
     sl2 = cfg.sl2_limit
     assert (sl2.j, sl2.a, sl2.g, sl2.constant) == (2.0, 0.0, 0j, 0.0)
@@ -626,7 +651,6 @@ def test_readme_config_table_matches_schema():
         "blocks.labels[i]": cli.LabelConfig,
         "dynamics": cli.DynamicsConfig,
         "meanfield": cli.MeanfieldConfig,
-        "inject_fault": cli.InjectFaultConfig,
     }
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     documented = {}

@@ -32,7 +32,6 @@ SECTIONS = (
     cli.LabelConfig,
     cli.DynamicsConfig,
     cli.MeanfieldConfig,
-    cli.InjectFaultConfig,
 )
 KEYS = sorted({f.name for cls in SECTIONS for f in fields(cls)})
 
