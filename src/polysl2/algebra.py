@@ -4,13 +4,14 @@ A deformed algebra is fixed by a polynomial structure function psi, kept here
 in factored form (leading coefficient and real roots).  Finite unitary blocks
 are towers l0, l0+1, ..., l0+d-1 on which psi is positive between consecutive
 zeros; the ladder matrix elements are square roots of psi values.  Their
-su(2) images use the spin-j ladder and rotation defined here.
+su(2) images use the spin-j ladder and rotation defined here; the rotation
+is one real eigh of the rotated Jz per call, with nothing cached.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -107,12 +108,16 @@ def build_block(psi, l0, dmax=1000) -> Block:
     psi(l0+v) below the detection threshold.  Intermediate values must be
     strictly positive, otherwise the tower is not unitary.  If no zero is
     found up to dmax the block is returned truncated at dmax.  The
-    threshold is ROOT_RTOL times the largest |psi(l0+v)|, v = 0..dmax.
+    threshold is ROOT_RTOL times the largest |psi(l0+v)|, v = 0..dmax, and
+    every one of these values must be finite.
     """
     if dmax < 1:
         raise ValueError("dmax must be positive")
     l0 = float(l0)
     vals = psi.values(l0 + np.arange(dmax + 1, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise BlockError(f"psi(l0+{bad[0]}) = {vals[bad[0]]} is not finite")
     tol = ROOT_RTOL * float(np.max(np.abs(vals)))
     head = float(vals[0])
     if abs(head) > tol:
@@ -162,33 +167,36 @@ def holstein_primakoff(block: Block, psi: StructureFunction):
     return y0, yp, yp.conj().T
 
 
-@lru_cache(maxsize=64)
-def _su2_rotation_basis(d: int):
-    """Spin-j Jx eigenvectors and the phases i^(v-f) that carry them to R.
+def _su2_eigenbasis(d: int, r: float) -> np.ndarray:
+    """Columns of su2_rotation(d, r), each with the sign LAPACK gives it.
 
-    Eigenvector columns are ordered by the eigenvalues m = -j..j.
+    Column v is the eigenvector for v - j of the tridiagonal
+    T(r) = R Y0 R^T = cos 2r Y0 + sin 2r Jx.  Its eigenvalues are one apart,
+    so eigh returns the columns in order and well conditioned.  r = 0 gives
+    the identity exactly.
     """
-    # Jx has a zero diagonal; eigh reads its sub-diagonal from the lower triangle
-    _, w = np.linalg.eigh(np.diag(0.5 * su2_ladder(d), -1), UPLO="L")
-    n = np.arange(d)
-    phase = np.array([1, 1j, -1, -1j])[(n[None, :] - n[:, None]) % 4]
-    w.setflags(write=False)
-    phase.setflags(write=False)
-    return w, phase
+    if r == 0.0:
+        return np.eye(d)
+    # eigh reads the lower triangle only: diagonal and sub-diagonal
+    t = np.diag(0.5 * math.sin(2 * r) * su2_ladder(d), -1)
+    np.fill_diagonal(t, (np.arange(d) - 0.5 * (d - 1)) * math.cos(2 * r))
+    return np.linalg.eigh(t, UPLO="L")[1]
 
 
 def su2_rotation(d: int, r: float) -> np.ndarray:
     """Real spin-j rotation R(r) = exp(r (Y- - Y+)) on a d-level block.
 
-    R is built in float64 by exact diagonalisation (Feng, Wang, Yang & Jin,
-    Phys. Rev. E 92, 043307, 2015): the generator Y- - Y+ = -2i Jy is
-    similar to -2i Jx through the diagonal phase i^v, and Jx is a real
-    symmetric tridiagonal with the known eigenvalues m = -j..j.  Its
-    eigenvectors are cached per block dimension, so one rotation costs a
-    d x d product.  r = 0 gives the identity exactly.
+    Columns from _su2_eigenbasis, signs from two facts.  Column 0 is the
+    coherent state sqrt(C(n, f)) cos^(n-f) r (-sin r)^f, n = d - 1: its
+    largest entry gets that sign, read from the signs of cos r and sin r
+    (their powers underflow at large d).  R commutes with A = Y- - Y+, so
+    q_(v+1)^T A q_v = -su2_ladder(d)[v], at least sqrt(n) in magnitude, and
+    the signs of these links fix the other columns.  R(0) = I exactly.
     """
-    if r == 0.0:
-        return np.eye(d)
-    w, phase = _su2_rotation_basis(d)
-    m = np.arange(d) - 0.5 * (d - 1)
-    return (phase * ((w * np.exp(-2j * r * m)) @ w.T)).real
+    u = _su2_eigenbasis(d, r)
+    n, f = d - 1, int(np.argmax(np.abs(u[:, 0])))
+    flips = (n - f) * (math.cos(r) < 0.0) + f * (math.sin(r) > 0.0) + (u[f, 0] < 0.0)
+    # q_(v+1)^T A q_v as a sum over rungs f of ladder_f times a 2 x 2 minor
+    links = su2_ladder(d) @ (u[:-1, 1:] * u[1:, :-1] - u[1:, 1:] * u[:-1, :-1])
+    signs = np.cumprod(np.concatenate(([(-1.0) ** flips], -np.sign(links))))
+    return u * signs

@@ -18,6 +18,7 @@ import cmath
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -30,6 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import (
+    ROOT_RTOL,
     BlockError,
     StructureFunction,
     block_operators,
@@ -347,17 +349,29 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
+# a whole cell that str() made of a non-finite float
+_NON_FINITE = re.compile(r"(?:^|,)(-?inf|nan)(?=,|$)", re.MULTILINE)
+
+
 def _write_csv(path: Path, digest: str, header, rows) -> None:
+    """Write the CSV; a non-finite cell raises RuntimeError and writes nothing."""
     lines = [f"# config sha256: {digest}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    # no other text of the file spells inf or nan: clean output costs one scan
+    bad = ("inf" in text or "nan" in text) and _NON_FINITE.search(text)
+    if bad:
+        at = bad.start(1)
+        column = header[text.count(",", text.rfind("\n", 0, at), at)]
+        raise RuntimeError(f"{path.name}: column {column} holds {bad[1]}")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _write_outputs(args, name, digest, header, rows, summary, note):
     """<out>/<name>.csv and <out>/<name>.json, both stamped with the digest."""
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / f"{name}.csv", digest, header, rows)
     _write_json(outdir / f"{name}.json", {"config_sha256": digest, **summary})
     print(f"{name}: {note} -> {outdir}", file=sys.stderr)
@@ -455,7 +469,7 @@ def cmd_spectrum(cfg: Config, digest: str, args) -> int:
         "blocks": summary_blocks,
         "tolerances": {
             "alpha_bisection_width": ALPHA_WIDTH,
-            "root_detection_rtol": 1e-12,
+            "root_detection_rtol": ROOT_RTOL,
         },
     }
     note = f"{len(tasks)} block(s) in {elapsed:.2f}s"
@@ -565,15 +579,9 @@ def cmd_meanfield(cfg: Config, digest: str, args) -> int:
 
 
 def _check_commutators():
-    labels = [
-        BlockLabel(k=0, m=1),
-        BlockLabel(k=0, m=5),
-        BlockLabel(k=2, m=4, sign=1),
-        BlockLabel(k=3, m=6, sign=-1),
-    ]
     worst = 0.0
-    for lab in labels:
-        block, psi = build_model_block(lab)
+    for k, m, sign in ((0, 1, 1), (0, 5, 1), (2, 4, 1), (3, 6, -1)):
+        block, psi = build_model_block(BlockLabel(k, m, sign))
         v0, vp, vm = block_operators(block, psi)
         scale = max(
             1.0, max(abs(float(psi(block.l0 + v))) for v in range(block.dim + 1))
@@ -617,10 +625,7 @@ def _check_sl2_reduction():
             sol = variational_spectrum(block, psi, params)
             omega = math.hypot(a, 2 * g)
             exact = [(-j + v) * omega + a * (float(l0) + j) for v in range(block.dim)]
-            worst = max(
-                worst,
-                max(abs(x - y) for x, y in zip(sol.energies, exact)),
-            )
+            worst = max(worst, max(abs(x - y) for x, y in zip(sol.energies, exact)))
     return worst <= 1e-8, worst
 
 

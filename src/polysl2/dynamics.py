@@ -312,9 +312,9 @@ class CollapseReport:
     carrier_frequency: float
     window: float
     initial_envelope: float
-    collapse_time: float | None
-    revival_times: tuple
-    envelope: Signal | None
+    collapse_time: float | None = None
+    revival_times: tuple = ()
+    envelope: Signal | None = None
 
 
 def detect_collapse_revival(signal: Signal) -> CollapseReport:
@@ -339,15 +339,7 @@ def detect_collapse_revival(signal: Signal) -> CollapseReport:
     y = np.asarray(signal.values, dtype=float)
     y0 = y - y.mean()
     amp = float(np.max(np.abs(y0)))
-    no_osc = CollapseReport(
-        oscillating=False,
-        carrier_frequency=math.nan,
-        window=math.nan,
-        initial_envelope=0.0,
-        collapse_time=None,
-        revival_times=(),
-        envelope=None,
-    )
+    no_osc = CollapseReport(False, math.nan, math.nan, 0.0)
     if dt == 0 or amp <= 1e-12 * max(1.0, abs(float(y.mean()))):
         return no_osc
     power = np.abs(np.fft.rfft(y0))
@@ -357,18 +349,9 @@ def detect_collapse_revival(signal: Signal) -> CollapseReport:
         return no_osc
     omega = 2.0 * math.pi * kpk / (n * dt)
     period = 2.0 * math.pi / omega
-    w = int(round(WINDOW_PERIODS * period / dt))
-    w = max(w, 2)
+    w = max(int(round(WINDOW_PERIODS * period / dt)), 2)
     if w >= n:
-        return CollapseReport(
-            oscillating=True,
-            carrier_frequency=omega,
-            window=w * dt,
-            initial_envelope=float(np.sqrt(np.mean(y0**2))),
-            collapse_time=None,
-            revival_times=(),
-            envelope=None,
-        )
+        return CollapseReport(True, omega, w * dt, float(np.sqrt(np.mean(y0**2))))
     sq = np.concatenate(([0.0], np.cumsum(y0**2)))
     env = np.sqrt((sq[w:] - sq[:-w]) / w)
     env_t = t[: n - w + 1]

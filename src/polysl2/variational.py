@@ -4,9 +4,9 @@ The trial state is a basis state rotated by the spin-j rotation
 R(r) = exp(r (Y- - Y+)); its energy is the diagonal entry
 E(v, r) = (R^T H R)_vv of the real tridiagonal block Hamiltonian.
 
-R is polysl2.algebra.su2_rotation: one d x d product gives every level of
-the block at once, and the exact rational overlaps in polysl2.reference
-check it independently.
+The columns of R are the eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx:
+one real eigh gives every level of the block at once, and the exact
+rational overlaps in polysl2.reference check R independently.
 
 The ground-state slope dE(0, r)/dr is a binomial (Bernstein) mean over
 the ladder rungs, because the rotated lowest state is an su(2) coherent
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Block, StructureFunction, su2_ladder, su2_rotation
+from .algebra import Block, StructureFunction, _su2_eigenbasis, su2_ladder
 from .solver import build_hamiltonian
 
 __all__ = [
@@ -66,8 +66,11 @@ class VariationalSolution:
 
 
 def _level_energies(diag: np.ndarray, off: np.ndarray, r: float) -> np.ndarray:
-    """E(v, r) = (R^T H R)_vv for every level v of the tridiagonal H."""
-    rot = su2_rotation(diag.size, r)
+    """E(v, r) = (R^T H R)_vv for every level v of the tridiagonal H.
+
+    E is quadratic in each column of R, so their signs are never fixed.
+    """
+    rot = _su2_eigenbasis(diag.size, r)
     hr = diag[:, None] * rot
     hr[:-1] += off[:, None] * rot[1:]
     hr[1:] += off[:, None] * rot[:-1]

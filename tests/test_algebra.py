@@ -1,6 +1,8 @@
 """Structure functions, block construction, operator identities."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from polysl2.algebra import (
     su2_ladder,
     su2_rotation,
 )
+from polysl2.reference import gcs_overlaps
 
 
 def sl2_psi(j):
@@ -215,17 +218,48 @@ def test_su2_ladder_values():
 
 
 def test_su2_rotation_is_orthogonal_and_composes():
-    for d in (1, 2, 6, 11):
+    # d = 401 and angles beyond +-pi/2 as well
+    cases = [(d, 0.4, -1.1) for d in (1, 2, 6, 11, 401)]
+    for d, a, b in cases + [(d, 2.5, -3.0) for d in (2, 6, 11)]:
         assert np.array_equal(su2_rotation(d, 0.0), np.eye(d))
-        r1 = su2_rotation(d, 0.4)
+        r1 = su2_rotation(d, a)
         assert np.allclose(r1.T @ r1, np.eye(d), atol=1e-13)
-        r2 = su2_rotation(d, -1.1)
-        assert np.allclose(r1 @ r2, su2_rotation(d, -0.7), atol=1e-13)
+        r2 = su2_rotation(d, b)
+        assert np.allclose(r1 @ r2, su2_rotation(d, a + b), atol=1e-13)
     # the generator: dR/dr at r = 0 is Y- - Y+
     d, h = 5, 1e-6
     y = np.diag(su2_ladder(d), -1)
     deriv = (su2_rotation(d, h) - su2_rotation(d, -h)) / (2 * h)
     assert np.allclose(deriv, y.T - y, atol=1e-8)
+
+
+def test_su2_rotation_matches_exact_overlaps_on_every_column():
+    block = Block(l0=0.0, dim=31)
+    for r in (0.3, -1.1, 1.4):
+        rot = su2_rotation(block.dim, r)
+        for v in range(block.dim):
+            assert np.max(np.abs(rot[:, v] - gcs_overlaps(block, v, r))) <= 1e-12
+
+
+def test_su2_rotation_retains_no_memory():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for d in range(301, 306):
+            su2_rotation(d, 0.7)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1e6
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_build_block_refuses_overflowing_psi():
+    # psi(1) = -1e10 * 1 * (-4) * (1 - 1e308) is about -4e318
+    psi = StructureFunction(leading=-1e10, roots=(0.0, 5.0, 1e308))
+    with pytest.raises(BlockError, match=r"psi\(l0\+1\) = -inf is not finite"):
+        build_block(psi, 0.0)
 
 
 def test_holstein_primakoff_matches_sl2_ladder():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from polysl2.algebra import ROOT_RTOL
 from polysl2.cli import main
 
 
@@ -54,6 +55,7 @@ def test_spectrum_outputs_and_digest(tmp_path):
     assert data["config_sha256"] == digest
     assert len(data["blocks"]) == 7
     assert data["tolerances"]["alpha_bisection_width"] == 1e-14
+    assert data["tolerances"]["root_detection_rtol"] == ROOT_RTOL
 
 
 def test_spectrum_rows_match_closed_forms(tmp_path):
@@ -129,6 +131,75 @@ def test_numeric_failure_exit_code(tmp_path):
         },
     )
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        (
+            "spectrum",
+            {
+                "model": "sl2_limit",
+                "solver": "sl2_reference",
+                "sl2_limit": {"j": 1000, "a": 1e306, "g": 1.0},
+            },
+            "spectrum.csv: column E_sl2ref holds -inf",
+        ),
+        (
+            "dynamics",
+            {
+                "model": "three_boson",
+                "three_boson": {
+                    "omega1": 1e306,
+                    "omega2": 1e306,
+                    "omega3": 2.0,
+                    "g": 1.0,
+                },
+                "dynamics": {
+                    "alpha": [0.0, 0.0, 1.0],
+                    "ncut": 10,
+                    "tmax": 100.0,
+                    "samples": 1000,
+                },
+            },
+            "dynamics.csv: column n3_mean holds nan",
+        ),
+        (
+            "meanfield",
+            {
+                "model": "sl2_limit",
+                "sl2_limit": {"j": 3, "a": 1e308, "g": 1e308},
+                "meanfield": {"p0": 0.1, "q0": 0.2, "tspan": 1.0, "dt": 0.1},
+            },
+            "meanfield.csv: column energy holds nan",
+        ),
+        (
+            # psi(1) is about -4e318: the block must not be cut at v = 1
+            "spectrum",
+            {
+                "model": "custom_psi",
+                "custom_psi": {
+                    "roots": [0.0, 5.0, 1e308],
+                    "leading": -1e10,
+                    "l0": 0.0,
+                    "g": 1.0,
+                },
+            },
+            "psi(l0+1) = -inf is not finite",
+        ),
+    ],
+    ids=["spectrum", "dynamics", "meanfield", "psi-overflow"],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_numbers_are_never_written(
+    tmp_path, capsys, command, payload, message
+):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sl2_limit_block_is_never_truncated(tmp_path):
