@@ -177,6 +177,15 @@ def _read(cls, raw, where: str = ""):
     return cls(**values)
 
 
+def _either(section: str, **keys) -> None:
+    """ConfigError unless exactly one of the two keys of a section is set."""
+    (a, va), (b, vb) = keys.items()
+    if va is None and vb is None:
+        raise ConfigError(f"{section} section needs '{a}' or '{b}'")
+    if va is not None and vb is not None:
+        raise ConfigError(f"{section} section sets both '{a}' and '{b}'; give one")
+
+
 def _sections(cls):
     def read(raw, where):
         if type(raw) is not list:
@@ -236,8 +245,7 @@ class BlocksConfig:
     labels: tuple | None = _key(_sections(LabelConfig), None)
 
     def __post_init__(self):
-        if self.ncut is None and self.labels is None:
-            raise ConfigError("blocks section needs 'labels' or 'ncut'")
+        _either("blocks", labels=self.labels, ncut=self.ncut)
 
     def block_labels(self) -> list:
         if self.labels is None:
@@ -247,18 +255,16 @@ class BlocksConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class DynamicsConfig:
-    """A coherent input (alpha, ncut) or, taking precedence, a Fock input."""
+    """A coherent input (alpha, ncut) or a Fock input."""
 
     alpha: tuple | None = _key(_list(_COMPLEX, 3), None)
     fock: tuple | None = _key(_list(_int(0), 3), None)
     ncut: int = _key(_int(1, MAX_NCUT, _DIM_NOTE), 20)
     tmax: float = _key(_real(0.0), 100.0)
     samples: int = _key(_int(1000, MAX_MEANFIELD_STEPS), 10001)
-    deficit_bound: float = _key(_real(0.0), 1e-6)
 
     def __post_init__(self):
-        if self.alpha is None and self.fock is None:
-            raise ConfigError("dynamics section needs 'alpha' or 'fock'")
+        _either("dynamics", alpha=self.alpha, fock=self.fock)
         for i, a in enumerate(self.alpha or ()):
             # the mean occupation |alpha|^2 must be a float for the tail
             # deficit and the Poisson weights
@@ -490,10 +496,7 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
     if dyn.fock is not None:
         result = fock_signal(dyn.fock, params3, times)
     else:
-        inp = CoherentInput(
-            *dyn.alpha, ncut=dyn.ncut, deficit_bound=dyn.deficit_bound
-        )
-        result = rabi_signal(inp, params3, times)
+        result = rabi_signal(CoherentInput(*dyn.alpha, dyn.ncut), params3, times)
     signal = result.signal
     label, spec = result.dominant_label, result.dominant_spectrum
     if label is None:
@@ -623,8 +626,7 @@ def _check_sl2_reduction():
         for a, g in ((0.0, 1.0), (1.5, 0.7)):
             params = HamiltonianParams(a=a, g_mod=g)
             sol = variational_spectrum(block, psi, params)
-            omega = math.hypot(a, 2 * g)
-            exact = [(-j + v) * omega + a * (float(l0) + j) for v in range(block.dim)]
+            exact = sl2_reference_energies(block, params)
             worst = max(worst, max(abs(x - y) for x, y in zip(sol.energies, exact)))
     return worst <= 1e-8, worst
 

@@ -51,6 +51,9 @@ __all__ = [
 
 # blocks below this squared-norm weight cannot move any plotted digit
 WEIGHT_FLOOR = 1e-18
+# a coherent input losing more probability than this to the cube truncation
+# is flagged (deficit_ok False) and warned about
+DEFICIT_BOUND = 1e-6
 # fractions of the initial envelope: a collapse stays below COLLAPSE_FRAC,
 # a revival peaks above REVIVAL_FRAC
 COLLAPSE_FRAC = 0.1
@@ -83,8 +86,7 @@ class Signal:
 
 def evolve_block(spectrum: Spectrum, c0, t: float) -> np.ndarray:
     """Amplitudes at time t under the block spectral propagator (hbar = 1)."""
-    c0 = np.asarray(c0, dtype=complex)
-    cr = spectrum.amplitudes.conj().T @ c0
+    cr = spectrum.coefficients(c0)
     return spectrum.amplitudes @ (np.exp(-1j * spectrum.energies * t) * cr)
 
 
@@ -99,17 +101,15 @@ def _fine_grid_size(n: int) -> int:
     return 1 << (max(2 * n, 4 * _KERNEL_W) - 1).bit_length()
 
 
-def _evolve_grid(
-    spectrum: Spectrum, c0, times: np.ndarray, occ: np.ndarray, gauge: np.ndarray
-):
+def _evolve_grid(spectrum: Spectrum, c0, times: np.ndarray, occ: np.ndarray):
     """Bohr terms of the block contribution sum_v occ_v |c_v(t)|^2.
 
-    With c(t) = Q exp(-i E t) cr the contribution is the Hermitian sum
-    sum_{f,f'} A_ff' exp(-i w_ff' t), w_ff' = E_f' - E_f, with
-    A = (conj(cr) cr^T) o (Q^H diag(occ) Q).  The amplitudes are
-    spectrum.amplitudes = conj(gauge) Q with Q real, so the gauge drops
-    out of Q^H diag(occ) Q.  On the grid t_k = t_0 + k dt the contribution
-    is sum_f A_ff + 2 Re sum_{f<f'} A_ff' exp(-i w_ff' t_k).  Returned are
+    With c(t) = conj(D) Q exp(-i E t) cr, Q = spectrum.vectors real, D the
+    diagonal gauge and cr = spectrum.coefficients(c0), the contribution is
+    the Hermitian sum sum_{f,f'} A_ff' exp(-i w_ff' t), w_ff' = E_f' - E_f,
+    with A = (conj(cr) cr^T) o (Q^T diag(occ) Q): D drops out of |c_v|^2.
+    On the grid t_k = t_0 + k dt the contribution is
+    sum_f A_ff + 2 Re sum_{f<f'} A_ff' exp(-i w_ff' t_k).  Returned are
     sum_f A_ff, the position of each term f < f' on the fine grid of
     _fine_grid_size(len(times)) cells (w dt in units of 2 pi / cells, taken
     modulo the cells) and its amplitude 2 A_ff' with the phase at t_0 and
@@ -119,9 +119,9 @@ def _evolve_grid(
     """
     n = len(times)
     cells = _fine_grid_size(n)
-    vectors = (gauge[:, None] * spectrum.amplitudes).real
-    cr = spectrum.amplitudes.conj().T @ np.asarray(c0, dtype=complex)
-    a = (cr.conj()[:, None] * cr) * (vectors.T @ (occ[:, None] * vectors))
+    q = spectrum.vectors
+    cr = spectrum.coefficients(c0)
+    a = (cr.conj()[:, None] * cr) * (q.T @ (occ[:, None] * q))
     lo, hi = np.triu_indices(len(cr), 1)
     omega = spectrum.energies[hi] - spectrum.energies[lo]
     pos = np.mod(omega * (_grid_step(times) * cells / (2.0 * math.pi)), cells)
@@ -246,7 +246,7 @@ def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
             occ = label.m - np.arange(block.dim, dtype=float)
             if w > best:
                 best, dominant, spectrum = w, label, spec
-            yield _evolve_grid(spec, c0, times, occ, tri.gauge())
+            yield _evolve_grid(spec, c0, times, occ)
 
     values = _bohr_signal(terms(), times)
     return RabiResult(
@@ -271,19 +271,19 @@ def rabi_signal(
     dominant_label and dominant_spectrum belong to the first block of
     largest weight (None if no block is kept).  The probability lost to the
     cube truncation is reported as tail_deficit (coherent_tail_deficit);
-    deficit_ok goes False (with a warning) when it exceeds the bound
-    configured on the input.  times must be finite and uniform, else
-    ValueError; grids of 0 or 1 samples are allowed.
+    deficit_ok goes False (with a warning) when it exceeds DEFICIT_BOUND.
+    times must be finite and uniform, else ValueError; grids of 0 or 1
+    samples are allowed.
     """
     times = _uniform_times(times)
     deficit = coherent_tail_deficit(inp)
-    ok = deficit <= inp.deficit_bound
+    ok = deficit <= DEFICIT_BOUND
     if not ok:
         alphas = (inp.alpha1, inp.alpha2, inp.alpha3)
         occupations = ", ".join(f"{abs(a) * abs(a):.3g}" for a in alphas)
         warnings.warn(
             f"coherent tail deficit {deficit:.3e} exceeds bound "
-            f"{inp.deficit_bound:.1e}: mean occupations ({occupations}) "
+            f"{DEFICIT_BOUND:.1e}: mean occupations ({occupations}) "
             f"against the cube n_i <= ncut = {inp.ncut}",
             stacklevel=2,
         )

@@ -172,29 +172,29 @@ def _residual_scale(block: Block, psi: StructureFunction, params, alpha: float):
     return acc * scale
 
 
-def evolve_grid_gemm(spectrum, c0, times, occ, gauge) -> np.ndarray:
+def evolve_grid_gemm(spectrum, c0, times, occ) -> np.ndarray:
     """Block contribution sum_v occ_v |c_v(t)|^2 on a uniform time grid.
 
-    The amplitudes are spectrum.amplitudes = conj(gauge) Q with Q real; the
-    gauge is a diagonal phase and drops out of |c_v|^2, so c(t) is formed as
-    Q (exp(-i E t) * cr) by a real GEMM on the float view of the complex
-    factor.  Time runs in chunks of _CHUNK samples: the phases of a chunk
-    are its start phase times one chunk-long base exp(-i E b dt), so the
-    d x len(times) phase and amplitude arrays are never built.
+    The amplitudes are spectrum.amplitudes = conj(D) Q with Q =
+    spectrum.vectors real and D a diagonal phase, which drops out of
+    |c_v|^2, so c(t) is formed as Q (exp(-i E t) * cr), cr =
+    spectrum.coefficients(c0), by a real GEMM on the float view of the
+    complex factor.  Time runs in chunks of _CHUNK samples: the phases of a
+    chunk are its start phase times one chunk-long base exp(-i E b dt), so
+    the d x len(times) phase and amplitude arrays are never built.
     """
     n = len(times)
     out = np.empty(n)
     if n == 0:
         return out
-    vectors = (gauge[:, None] * spectrum.amplitudes).real
-    cr = spectrum.amplitudes.conj().T @ np.asarray(c0, dtype=complex)
+    cr = spectrum.coefficients(c0)
     energies = spectrum.energies
     dt = (times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
     base = np.exp(-1j * np.outer(energies, np.arange(min(n, _CHUNK)) * dt))
     for s in range(0, n, _CHUNK):
         b = min(_CHUNK, n - s)
         z = (np.exp(-1j * energies * times[s]) * cr)[:, None] * base[:, :b]
-        y = vectors @ z.view(float)
+        y = spectrum.vectors @ z.view(float)
         y *= y
         out[s : s + b] = (occ @ y).reshape(b, 2).sum(axis=1)
     return out

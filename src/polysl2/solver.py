@@ -1,11 +1,12 @@
 """Per-block Hamiltonians, exact spectra and the su(2) reference solution.
 
 The block Hamiltonian a V0 + g V+ + g* V- + C is tridiagonal in the tower
-basis.  A diagonal gauge removes the coupling phase, so everything runs on a
-real symmetric tridiagonal; amplitudes are transformed back on output.  Two
-independent eigenvalue routes are provided: numpy's dense LAPACK eigh of the
-tridiagonal and a Sturm-count bisection on the characteristic recurrence,
-used as cross-checking oracles.
+basis.  The phase of g is a diagonal gauge, so every spectral quantity comes
+from a real symmetric tridiagonal; a Spectrum keeps its real eigenvectors
+and the coupling phase, which only its amplitudes in the original basis
+carry.  Two independent eigenvalue routes are provided: numpy's dense
+LAPACK eigh of the tridiagonal and a Sturm-count bisection on the
+characteristic recurrence, used as cross-checking oracles.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ class HamiltonianParams:
 class TridiagonalHamiltonian:
     """Real symmetric tridiagonal form of the block Hamiltonian.
 
-    diag[v] = C + a (l0 + v); offdiag[v] = |g| sqrt(psi(l0+v+1)).  The
-    removed coupling phase is kept for restoring amplitudes to the original
-    gauge.
+    diag[v] = C + a (l0 + v); offdiag[v] = |g| sqrt(psi(l0+v+1)).  g_phase
+    is the coupling phase that this real form gauges away; eigensolve hands
+    it on to the Spectrum.
     """
 
     diag: np.ndarray
@@ -70,34 +71,41 @@ class TridiagonalHamiltonian:
 
     def norm_bound(self) -> float:
         """Infinity-norm bound, also a spectral radius bound."""
-        d = np.abs(self.diag)
-        if self.dim == 1:
-            return float(d[0])
         e = np.abs(self.offdiag)
-        row = d.copy()
+        row = np.abs(self.diag)
         row[:-1] += e
         row[1:] += e
         return float(row.max())
 
-    def gauge(self) -> np.ndarray:
-        """Diagonal unitary D with D_v = exp(-i v theta_g)."""
-        return np.exp(-1j * self.g_phase * np.arange(self.dim))
-
     def dense(self) -> np.ndarray:
         """Dense complex matrix in the original gauge."""
+        g = self.offdiag * cmath.exp(1j * self.g_phase)
         h = np.diag(self.diag.astype(complex))
-        if self.dim > 1:
-            g = self.offdiag * cmath.exp(1j * self.g_phase)
-            h += np.diag(g, -1) + np.diag(g.conj(), 1)
-        return h
+        return h + np.diag(g, -1) + np.diag(g.conj(), 1)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenenergies and amplitude matrix Q[v, f] = <v|E_f>."""
+    """Ascending energies, real eigenvectors and the coupling phase theta.
+
+    vectors[v, f] is level f of the real tridiagonal, in which theta is
+    gauged away.  amplitudes restores it: Q[v, f] = <v|E_f> =
+    exp(i v theta) vectors[v, f].
+    """
 
     energies: np.ndarray
-    amplitudes: np.ndarray
+    vectors: np.ndarray
+    phase: float
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        phases = np.exp(1j * self.phase * np.arange(len(self.vectors)))
+        return phases[:, None] * self.vectors
+
+    def coefficients(self, c0) -> np.ndarray:
+        """<E_f|c0> = vectors^T D c0, D_v = exp(-i v theta), by real products."""
+        c = np.exp(-1j * self.phase * np.arange(len(self.vectors))) * c0
+        return self.vectors.T @ c.real + 1j * (self.vectors.T @ c.imag)
 
 
 def build_hamiltonian(
@@ -113,12 +121,7 @@ def build_hamiltonian(
 
 
 def eigensolve(tri: TridiagonalHamiltonian) -> Spectrum:
-    """Full eigendecomposition with amplitudes in the original gauge."""
-    if tri.dim == 1:
-        return Spectrum(
-            energies=tri.diag.astype(float).copy(),
-            amplitudes=np.ones((1, 1), dtype=complex),
-        )
+    """Full eigendecomposition of the real tridiagonal; see Spectrum."""
     # dense LAPACK eigh reads the lower triangle only: diagonal and sub-diagonal
     h = np.diag(np.asarray(tri.offdiag, dtype=float), -1)
     np.fill_diagonal(h, tri.diag)
@@ -126,8 +129,7 @@ def eigensolve(tri: TridiagonalHamiltonian) -> Spectrum:
         e, q = np.linalg.eigh(h, UPLO="L")
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
-    amps = tri.gauge().conj()[:, None] * q
-    return Spectrum(energies=e, amplitudes=amps)
+    return Spectrum(e, q, tri.g_phase)
 
 
 def _sturm_counts(tri: TridiagonalHamiltonian, xs: np.ndarray) -> np.ndarray:
@@ -152,8 +154,6 @@ def spectral_polynomial_roots(tri: TridiagonalHamiltonian):
     LAPACK route, so the two may be compared as oracles.
     """
     d = tri.dim
-    if d == 1:
-        return tri.diag.astype(float).copy()
     e = np.abs(tri.offdiag)
     rad = np.zeros(d)
     rad[:-1] += e
@@ -220,12 +220,7 @@ def sl2_reference_spectrum(block: Block, params: HamiltonianParams) -> Spectrum:
     In the real gauge a Y0 + |g| (Y+ + Y-) = R (omega Y0) R^T, omega =
     sqrt(a^2+4|g|^2), for the rotation R(r) = exp(r (Y- - Y+)) at
     r = atan2(2|g|, a) / 2 (Perelomov, Generalized Coherent States, 1986),
-    so the amplitudes are the columns of su2_rotation in the original gauge.
+    so the vectors are the columns of su2_rotation.
     """
-    d = block.dim
-    rot = su2_rotation(d, 0.5 * math.atan2(2.0 * params.g_mod, params.a))
-    gauge = np.exp(1j * params.g_phase * np.arange(d))
-    return Spectrum(
-        energies=sl2_reference_energies(block, params),
-        amplitudes=gauge[:, None] * rot,
-    )
+    rot = su2_rotation(block.dim, 0.5 * math.atan2(2.0 * params.g_mod, params.a))
+    return Spectrum(sl2_reference_energies(block, params), rot, params.g_phase)

@@ -184,7 +184,6 @@ class CoherentInput:
     alpha2: complex
     alpha3: complex
     ncut: int
-    deficit_bound: float = 1e-6
 
     def __post_init__(self):
         if self.ncut < 1:

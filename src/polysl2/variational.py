@@ -88,16 +88,14 @@ def energy_functional(
     phase drops out.  Equivalently E = C + a(l0+j) + a(v-j) cos 2r minus a
     sum over ladder rungs of paired regularized hypergeometrics; that form
     cancels heavily, so it only serves as a reference, through the exact
-    rational overlaps of polysl2.reference.  r = 0 returns the diagonal
-    entry unrotated.
+    rational overlaps of polysl2.reference.  At r = 0 the rotation is the
+    identity, so E is the diagonal entry exactly.
     """
     d = block.dim
     if not 0 <= v < d:
         raise ValueError("level index outside block")
     if abs(math.cos(r)) < 1e-12:
         raise ValueError("rotation angle too close to pi/2")
-    if r == 0.0:
-        return params.constant + params.a * (block.l0 + v)
     tri = build_hamiltonian(block, psi, params)
     return float(_level_energies(tri.diag, tri.offdiag, r)[v])
 

@@ -453,9 +453,10 @@ DROP = object()
 
 @pytest.mark.parametrize(
     "base, path, value",
-    # the qmax, persist, window_periods and inject_fault rows set keys the
-    # schema no longer has (test_removed_config_key_is_unknown); they keep
-    # their places so that the positional ids of the other rows stay put
+    # the qmax, persist, window_periods, deficit_bound and inject_fault rows
+    # set keys the schema no longer has (test_removed_config_key_is_unknown);
+    # they keep their places so that the positional ids of the other rows
+    # stay put
     [
         ("spectrum", ("blocks", "labels"), 5),
         ("spectrum", ("blocks", "labels"), [{"k": [1]}]),
@@ -521,6 +522,9 @@ DROP = object()
         ("dynamics", ("dynamics", "ncut"), 1001),
         ("dynamics", ("dynamics", "samples"), 10**7 + 1),
         ("dynamics", ("dynamics", "qmax"), 1001),
+        # both keys of an either-or section
+        ("spectrum", ("blocks", "labels"), [{"k": 0, "m": 2}]),
+        ("dynamics", ("dynamics", "fock"), [0, 1, 2]),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, base, path, value):
@@ -545,11 +549,18 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, base, path, value)
 
 @pytest.mark.parametrize(
     "key",
-    ["dynamics.window_periods", "dynamics.persist", "dynamics.qmax", "inject_fault"],
+    [
+        "dynamics.window_periods",
+        "dynamics.persist",
+        "dynamics.qmax",
+        "inject_fault",
+        "dynamics.deficit_bound",
+    ],
 )
 def test_removed_config_key_is_unknown(tmp_path, capsys, key):
     # the collapse window and persistence are dynamics.WINDOW_PERIODS and
-    # PERSIST, qmax is the library default, and verify takes no fault
+    # PERSIST, qmax is the library default, verify takes no fault, and the
+    # tail deficit bound is dynamics.DEFICIT_BOUND
     cfg = json.loads(json.dumps(BASE_CONFIGS["dynamics"]))
     section, _, name = key.rpartition(".")
     (cfg[section] if section else cfg)[name] = 5
@@ -694,6 +705,22 @@ def test_integral_floats_read_as_integers(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize(
+    "section, raw",
+    [
+        ("blocks", {"labels": [{"k": 0, "m": 2}], "ncut": 1}),
+        ("dynamics", {"alpha": [0.0, 0.0, 1.0], "fock": [0, 0, 1]}),
+    ],
+)
+def test_either_or_section_names_both_keys(section, raw):
+    from polysl2.cli import ConfigError, parse_config
+
+    a, b = raw
+    with pytest.raises(ConfigError) as err:
+        parse_config({section: raw})
+    assert str(err.value) == f"{section} section sets both '{a}' and '{b}'; give one"
+
+
 def test_config_defaults():
     from polysl2.cli import parse_config
 
@@ -701,7 +728,6 @@ def test_config_defaults():
     assert cfg.model is None and cfg.solver == "all"
     dyn = cfg.dynamics
     assert (dyn.tmax, dyn.samples, dyn.ncut) == (100.0, 10001, 20)
-    assert dyn.deficit_bound == 1e-6
     assert dyn.fock == (0, 0, 1) and dyn.alpha is None
     sl2 = cfg.sl2_limit
     assert (sl2.j, sl2.a, sl2.g, sl2.constant) == (2.0, 0.0, 0j, 0.0)

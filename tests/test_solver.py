@@ -60,10 +60,35 @@ def test_build_hamiltonian_rejects_negative_psi():
 
 def test_eigensolve_d1():
     block, psi = build_model_block(BlockLabel(0, 0))
-    spec = eigensolve(build_hamiltonian(block, psi, HamiltonianParams(a=1.0, g_mod=3.0, constant=4.0)))
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=1.0, g_mod=3.0, constant=4.0))
+    spec = eigensolve(tri)
     assert spec.energies.shape == (1,)
-    assert spec.energies[0] == pytest.approx(4.0 + 1.0 * block.l0)
+    assert spec.energies[0] == tri.diag[0] == 4.0 + 1.0 * block.l0
     assert spec.amplitudes[0, 0] == 1.0
+    assert tri.norm_bound() == abs(tri.diag[0])
+
+
+def test_spectrum_keeps_real_vectors_and_the_coupling_phase():
+    rng = np.random.default_rng(4)
+    block, psi = build_model_block(BlockLabel(1, 8, -1))
+    params = rand_params(rng)
+    assert params.g_phase != 0.0
+    tri = build_hamiltonian(block, psi, params)
+    exact = eigensolve(tri)
+    ref = sl2_reference_spectrum(block, params)
+    for spec in (exact, ref):
+        assert spec.vectors.dtype == np.float64
+        assert spec.phase == params.g_phase
+        phases = np.exp(1j * params.g_phase * np.arange(block.dim))
+        assert np.array_equal(spec.amplitudes, phases[:, None] * spec.vectors)
+    # the exact amplitudes diagonalise the phased matrix
+    q = exact.amplitudes
+    h = tri.dense()
+    bound = max(1.0, tri.norm_bound())
+    assert np.max(np.abs(h @ q - q * exact.energies)) <= 1e-12 * bound
+    # coefficients <E_f|c0> agree with the complex amplitudes
+    c0 = rng.normal(size=block.dim) + 1j * rng.normal(size=block.dim)
+    assert np.allclose(exact.coefficients(c0), q.conj().T @ c0, rtol=0, atol=1e-13)
 
 
 def test_eigensolve_resonant_cubic_block():
@@ -121,7 +146,7 @@ def test_sturm_roots_match_eigensolve():
 def test_sturm_roots_d1_and_degenerate():
     block, psi = build_model_block(BlockLabel(0, 0))
     tri = build_hamiltonian(block, psi, HamiltonianParams(a=2.0, g_mod=0.0, constant=0.5))
-    assert np.allclose(spectral_polynomial_roots(tri), tri.diag)
+    assert np.array_equal(spectral_polynomial_roots(tri), tri.diag)
     block4, psi4 = build_model_block(BlockLabel(0, 3))
     tri4 = build_hamiltonian(block4, psi4, HamiltonianParams(a=0.0, g_mod=0.0, constant=2.5))
     assert np.allclose(spectral_polynomial_roots(tri4), 2.5, atol=1e-11)
