@@ -48,6 +48,7 @@ from .dynamics import (
 )
 from .solver import (
     HamiltonianParams,
+    _lower,
     amplitude_recurrence,
     build_hamiltonian,
     eigensolve,
@@ -62,6 +63,7 @@ from .three_boson import (
     block_constants,
     build_model_block,
     enumerate_blocks,
+    fock_to_block,
 )
 from .variational import ALPHA_WIDTH, variational_spectrum
 
@@ -265,6 +267,11 @@ class DynamicsConfig:
 
     def __post_init__(self):
         _either("dynamics", alpha=self.alpha, fock=self.fock)
+        if self.fock and (label := fock_to_block(*self.fock)[0]).dim > MAX_BLOCK_DIM:
+            raise ConfigError(
+                f"dynamics.fock = {list(self.fock)} lies in block {label.block_id} "
+                f"of {label.dim} levels; a block holds at most {MAX_BLOCK_DIM}"
+            )
         for i, a in enumerate(self.alpha or ()):
             # the mean occupation |alpha|^2 must be a float for the tail
             # deficit and the Poisson weights
@@ -430,7 +437,8 @@ def _solve_block(task, solver: str):
     exact = var = sl2 = None
     try:
         if solver in ("exact", "all"):
-            exact = eigensolve(build_hamiltonian(block, psi, params)).energies
+            tri = build_hamiltonian(block, psi, params)
+            exact = np.linalg.eigvalsh(_lower(tri), UPLO="L")  # no vectors to print
         if solver in ("variational", "all"):
             if params.g_mod == 0.0:
                 entry["variational_skipped"] = "g = 0 (exact solver covers it)"
@@ -553,7 +561,9 @@ def cmd_meanfield(cfg: Config, digest: str, args) -> int:
 
     mf = cfg.need("meanfield")
     if cfg.model == "three_boson":  # the other models have exactly one block
-        count = len(cfg.need("blocks").block_labels())
+        blocks = cfg.need("blocks")  # a cube holds 3 n (n + 1) + 1: never list it
+        n = blocks.ncut
+        count = 3 * n * (n + 1) + 1 if blocks.labels is None else len(blocks.labels)
         if count != 1:
             raise ConfigError(
                 f"meanfield needs exactly one block; the config selects {count}"

@@ -8,8 +8,9 @@ FFT with an error of about 1e-12 of the signal's size.  The mean
 field side integrates the canonical equations on the (p, q) chart of the
 su(2) coherent manifold.  The coherent state has binomial amplitudes
 (Perelomov, Generalized Coherent States and Their Applications, 1986), so
-on the tridiagonal block Hamiltonian its energy and both partial
-derivatives are closed-form O(d) sums: no eigensolve, no difference step.
+its energy and both partial derivatives are the closed-form O(d) sums of
+polysl2.variational, whose scan finds this flow's fixed points on the real
+meridian: no eigensolve, no difference step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Block, StructureFunction, su2_ladder
+from .algebra import Block, StructureFunction
 from .solver import Spectrum, build_hamiltonian, eigensolve
 from .three_boson import (
     BlockLabel,
@@ -33,6 +34,7 @@ from .three_boson import (
     fock_to_block,
     project_coherent,
 )
+from .variational import _CoherentEnergy
 
 __all__ = [
     "Signal",
@@ -434,102 +436,6 @@ class MeanFieldTrajectory:
     q: np.ndarray
     energy: np.ndarray
     clamped: bool
-
-
-def _horner_table(beta, dbeta):
-    """Per-step coefficients and binomial ratios of _CoherentEnergy._sums."""
-    n1 = len(beta) - 1
-    steps = tuple(
-        (beta[v - 1], (n1 - v + 1) / v, dbeta[v - 2], (n1 - v + 1) / (v - 1))
-        for v in range(n1, 1, -1)
-    )
-    if n1 == 0:
-        return beta[0], 0.0, steps, None
-    return beta[-1], dbeta[-1], steps, beta[0]
-
-
-class _CoherentEnergy:
-    """Closed-form H(p, q) = <z(p,q)| H |z(p,q)> and its gradient on one block.
-
-    The su(2) coherent state has the binomial amplitudes
-    z_v = sqrt(C(n, v)) c^((n-v)/2) s^(v/2) exp(-i v q) with
-    c = (1 + p/j)/2, s = 1 - c and n = 2j, so on the tridiagonal H
-
-        H(p, q) = A(s) + B(s) cos(q + phi),
-        A(s) = diag_0 + (diag_1 - diag_0) n s,
-        B(s) = 2 sqrt(c s) Q(s),
-        Q(s) = sum_v beta_v C(n-1, v) s^v c^(n-1-v),
-
-    with beta_v = offdiag_v n / sqrt((n - v)(v + 1)) and phi the coupling
-    phase.  The diagonal is linear in v, so A is exact.  Q and dQ/ds are
-    Bernstein sums evaluated together in one scaled Horner pass, so each
-    evaluation costs O(d) and stays finite at any block size.
-    """
-
-    def __init__(self, tri):
-        n = tri.dim - 1
-        self.n = n
-        self.j = 0.5 * n
-        self.phase = float(tri.g_phase)
-        self.diag0 = float(tri.diag[0])
-        self.slope = float(tri.diag[1] - tri.diag[0]) if n else 0.0
-        if n:
-            beta = tri.offdiag * n / su2_ladder(n + 1)
-            dbeta = (n - 1) * np.diff(beta)
-            beta, dbeta = beta.tolist(), dbeta.tolist()
-            self._fwd = _horner_table(beta, dbeta)
-            self._rev = _horner_table(beta[::-1], dbeta[::-1])
-
-    @staticmethod
-    def _sums(small, big, table):
-        """Bernstein sums of Q and dQ/ds, coefficients ordered by powers of small.
-
-        Horner runs in the ratio small/big <= 1 with each partial sum kept
-        multiplied by the matching power of big.  Once that power falls
-        below 1e-150 (blocks of several hundred levels), the partial sums
-        are rescaled by a power of two at every step, so none of them
-        underflows or overflows.
-        """
-        q, dq, steps, first = table
-        power = 1.0
-        exp2 = 0
-        for b, rb, db, rdb in steps:
-            power *= big
-            q = power * b + small * rb * q
-            dq = power * db + small * rdb * dq
-            if power < 1e-150:
-                e = math.frexp(max(power, abs(q), abs(dq)))[1]
-                power = math.ldexp(power, -e)
-                q = math.ldexp(q, -e)
-                dq = math.ldexp(dq, -e)
-                exp2 += e
-        if first is not None:
-            q = power * big * first + small * (len(steps) + 1) * q
-        return math.ldexp(q, exp2), math.ldexp(dq, exp2)
-
-    def __call__(self, p: float, q: float):
-        """H, dH/dp and dH/dq at (p, q); |p| > j is evaluated at the pole."""
-        if self.n == 0:
-            return self.diag0, 0.0, 0.0
-        x = min(1.0, max(-1.0, p / self.j))
-        s = 0.5 - 0.5 * x
-        c = 0.5 + 0.5 * x
-        if s <= c:
-            bq, dbq = self._sums(s, c, self._fwd)
-        else:
-            bq, dbq = self._sums(c, s, self._rev)
-        root = math.sqrt(s * c)
-        # dB/ds; the sqrt(c s) derivative diverges on the pole, where q is
-        # undefined, and is taken as 0 there
-        db = 2.0 * root * dbq
-        if root > 0.0:
-            db += (c - s) / root * bq
-        ang = q + self.phase
-        cos_a = math.cos(ang)
-        b = 2.0 * root * bq
-        energy = self.diag0 + self.slope * self.n * s + b * cos_a
-        dhdp = -self.slope - db * cos_a / self.n
-        return energy, dhdp, -b * math.sin(ang)
 
 
 def meanfield_trajectory(

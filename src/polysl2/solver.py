@@ -120,13 +120,17 @@ def build_hamiltonian(
     return TridiagonalHamiltonian(diag=diag, offdiag=off, g_phase=params.g_phase)
 
 
-def eigensolve(tri: TridiagonalHamiltonian) -> Spectrum:
-    """Full eigendecomposition of the real tridiagonal; see Spectrum."""
-    # dense LAPACK eigh reads the lower triangle only: diagonal and sub-diagonal
+def _lower(tri: TridiagonalHamiltonian) -> np.ndarray:
+    """Dense diagonal and sub-diagonal: all that LAPACK eigh with UPLO="L" reads."""
     h = np.diag(np.asarray(tri.offdiag, dtype=float), -1)
     np.fill_diagonal(h, tri.diag)
+    return h
+
+
+def eigensolve(tri: TridiagonalHamiltonian) -> Spectrum:
+    """Full eigendecomposition of the real tridiagonal; see Spectrum."""
     try:
-        e, q = np.linalg.eigh(h, UPLO="L")
+        e, q = np.linalg.eigh(_lower(tri), UPLO="L")
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
     return Spectrum(e, q, tri.g_phase)

@@ -4,23 +4,21 @@ The trial state is a basis state rotated by the spin-j rotation
 R(r) = exp(r (Y- - Y+)); its energy is the diagonal entry
 E(v, r) = (R^T H R)_vv of the real tridiagonal block Hamiltonian.
 
-The columns of R are the eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx:
-one real eigh gives every level of the block at once, and the exact
-rational overlaps in polysl2.reference check R independently.
-
-The ground-state slope dE(0, r)/dr is a binomial (Bernstein) mean over
-the ladder rungs, because the rotated lowest state is an su(2) coherent
-state with binomial amplitudes (Perelomov, Generalized Coherent States,
-1986).  solve_alpha scans that mean for stationary points.  Bernstein form
-is the well-conditioned basis on [0, 1] (Farouki & Rajan, CAGD 4, 191,
-1987), and evaluated by scaled Horner it stays finite at any block size.
-Roots are reported as alpha = -tan r.
+The rotated lowest state is an su(2) coherent state (Perelomov, 1986) whose
+energy H(p, q), shared with the mean field of polysl2.dynamics, is a
+Bernstein sum over the ladder rungs (_CoherentEnergy): well conditioned
+(Farouki & Rajan, CAGD 4, 191, 1987) and, by scaled Horner, finite at any
+block size.  solve_alpha scans -dH/dp along the real meridian p = j cos 2r,
+so its roots alpha = -tan r are mean-field fixed points; the closed-form
+E(0, r) picks one.  Each block then gets one rotation: R's columns are the
+eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx, one real eigh for all
+levels, checked against the exact overlaps of polysl2.reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,11 +83,9 @@ def energy_functional(
     E = (R^T H R)_vv with R(r) = exp(r (Y- - Y+)) the float64 spin-j
     rotation and H the real tridiagonal block Hamiltonian, diagonal
     C + a(l0+v) and off-diagonal |g| sqrt(psi(l0+v+1)).  The coupling
-    phase drops out.  Equivalently E = C + a(l0+j) + a(v-j) cos 2r minus a
-    sum over ladder rungs of paired regularized hypergeometrics; that form
-    cancels heavily, so it only serves as a reference, through the exact
-    rational overlaps of polysl2.reference.  At r = 0 the rotation is the
-    identity, so E is the diagonal entry exactly.
+    phase drops out.  The hypergeometric form of E cancels heavily, so it
+    serves only as a reference (polysl2.reference).  At r = 0 the rotation
+    is the identity, so E is the diagonal entry exactly.
     """
     d = block.dim
     if not 0 <= v < d:
@@ -100,60 +96,149 @@ def energy_functional(
     return float(_level_energies(tri.diag, tri.offdiag, r)[v])
 
 
-def _stationarity(tri, params):
-    """F(alpha), vectorised: the ground-state slope in Bernstein form.
+def _horner_table(beta, dbeta):
+    """Steps of _CoherentEnergy._sums (coefficients, binomial ratios); None rescales."""
+    n1 = len(beta) - 1
+    steps = [
+        (beta[v - 1], (n1 - v + 1) / v, dbeta[v - 2], (n1 - v + 1) / (v - 1))
+        for v in range(n1, 1, -1)
+    ]
+    for at in range(490 * ((len(steps) - 1) // 490), 0, -490):
+        steps.insert(at, None)
+    if n1 == 0:
+        return beta[0], 0.0, steps, None
+    return beta[-1], dbeta[-1], steps, (beta[0], n1)
 
-    With n = d - 1, r = -atan(alpha), s = sin^2 r and c = cos^2 r,
 
-        F = -(a/|g|) sin r cos r + c S1(s) - s S2(s),
+class _CoherentEnergy:
+    """Closed-form H(p, q) = <z(p,q)| H |z(p,q)> and its gradient on one block.
 
-    where S1 and S2 are the degree n-1 Bernstein sums of
-    (2f+1) q_f and (2n-2f-1) q_f, q_f = offdiag_f / (|g| sqrt((n-f)(f+1))).
-    F equals -dE(0, r)/dr / (2|g|n), and it is the stationarity polynomial
-    of polysl2.reference.stationarity_residual divided by (1 + alpha^2)^n
-    times a positive constant, so both share their roots.  c S1 - s S2 is
-    kept as one degree-n Bernstein sum with coefficients y_f.  It is
-    evaluated in the smaller of s and c by scaled Horner, coefficients
-    reversed when s > c, and below 1e-150 the partial sums are rescaled by
-    powers of two as in dynamics._CoherentEnergy._sums, so F stays finite
-    at any block size.
+    The su(2) coherent state has the binomial amplitudes
+    z_v = sqrt(C(n, v)) c^((n-v)/2) s^(v/2) exp(-i v q) with
+    c = (1 + p/j)/2, s = 1 - c and n = 2j, so on the tridiagonal H
+
+        H(p, q) = A(s) + B(s) cos(q + phi),
+        A(s) = diag_0 + (diag_1 - diag_0) n s,
+        B(s) = 2 sqrt(c s) Q(s),
+        Q(s) = sum_v beta_v C(n-1, v) s^v c^(n-1-v),
+
+    with beta_v = offdiag_v n / sqrt((n - v)(v + 1)) and phi the coupling
+    phase.  The diagonal is linear in v, so A is exact.  Q and dQ/ds are
+    Bernstein sums evaluated together in one scaled Horner pass: O(d) per
+    evaluation, finite at any block size.
     """
-    n = tri.dim - 1
-    f = np.arange(n, dtype=float)
-    q = tri.offdiag / (params.g_mod * su2_ladder(tri.dim))
-    y = np.zeros(n + 1)
-    y[:-1] = (n - f) * (2 * f + 1) / n * q
-    y[1:] -= (f + 1) * (2 * (n - f) - 1) / n * q
+
+    def __init__(self, tri):
+        n = tri.dim - 1
+        self.n = n
+        self.j = 0.5 * n
+        self.phase = float(tri.g_phase)
+        self.diag0 = float(tri.diag[0])
+        self.slope = float(tri.diag[1] - tri.diag[0]) if n else 0.0
+        if n:
+            beta = tri.offdiag * n / su2_ladder(n + 1)
+            dbeta = (n - 1) * np.diff(beta)
+            beta, dbeta = beta.tolist(), dbeta.tolist()
+            self._fwd = _horner_table(beta, dbeta)
+            self._rev = _horner_table(beta[::-1], dbeta[::-1])
+
+    @staticmethod
+    def _sums(small, big, table):
+        """Bernstein sums of Q and dQ/ds, coefficients ordered by powers of small.
+
+        small and big are floats or equal-shape arrays.  Horner runs in the
+        ratio small/big <= 1, each partial sum kept times the matching power
+        of big >= 1/2.  The largest of power, |Q| (a sum of positive terms)
+        and |dQ| falls by at most about 2^-490 in 490 steps, so at each None
+        of the table all three are rescaled by the power of two that brings
+        it into [1/2, 1): nothing underflows or overflows.
+        """
+        q, dq, steps, last = table
+        power, exp2 = 1.0, None
+        for step in steps:
+            if step is None:
+                top = np.maximum(np.maximum(power, np.abs(q)), np.abs(dq))
+                e = np.frexp(top)[1]
+                power, q, dq = (np.ldexp(x, -e) for x in (power, q, dq))
+                if not np.ndim(e):  # numpy scalars are slower than floats
+                    power, q, dq, e = float(power), float(q), float(dq), int(e)
+                exp2 = e if exp2 is None else exp2 + e
+                continue
+            b, rb, db, rdb = step
+            power *= big
+            q = power * b + small * rb * q
+            dq = power * db + small * rdb * dq
+        if last is not None:  # Q has one more term than dQ
+            b, rb = last
+            q = power * big * b + small * rb * q
+        if exp2 is not None:
+            q, dq = np.ldexp(q, exp2), np.ldexp(dq, exp2)
+        return q, dq
+
+    def meridian(self, alpha: np.ndarray):
+        """c = cos^2 r, s = sin^2 r, Q(s) and dQ/ds at r = -atan(alpha).
+
+        Each sum runs in the smaller of s and c (reversed where s > c).
+        """
+        c = 1.0 / (1.0 + alpha * alpha)
+        s = alpha * alpha * c
+        lo = s <= c
+        groups = (lo, s, c, self._fwd), (~lo, c, s, self._rev)
+        for pick, small, big, table in groups:
+            if pick.all():  # one group needs no masks
+                return (c, s, *self._sums(small, big, table))
+        bq, dbq = np.empty_like(c), np.empty_like(c)
+        for pick, small, big, table in groups:  # both groups are nonempty
+            bq[pick], dbq[pick] = self._sums(small[pick], big[pick], table)
+        return c, s, bq, dbq
+
+    def __call__(self, p: float, q: float):
+        """H, dH/dp and dH/dq at (p, q); |p| > j is evaluated at the pole."""
+        if self.n == 0:
+            return self.diag0, 0.0, 0.0
+        x = min(1.0, max(-1.0, p / self.j))
+        s = 0.5 - 0.5 * x
+        c = 0.5 + 0.5 * x
+        if s <= c:
+            bq, dbq = self._sums(s, c, self._fwd)
+        else:
+            bq, dbq = self._sums(c, s, self._rev)
+        root = math.sqrt(s * c)
+        # dB/ds; the sqrt(c s) derivative diverges on the pole, where q is
+        # undefined, and is taken as 0 there
+        db = 2.0 * root * dbq
+        if root > 0.0:
+            db += (c - s) / root * bq
+        ang = q + self.phase
+        cos_a = math.cos(ang)
+        b = 2.0 * root * bq
+        energy = self.diag0 + self.slope * self.n * s + b * cos_a
+        dhdp = -self.slope - db * cos_a / self.n
+        return energy, dhdp, -b * math.sin(ang)
+
+
+def _stationarity(tri, params):
+    """F(alpha), vectorised: the ground-state slope on the coherent meridian.
+
+    With n = d - 1, r = -atan(alpha), s = sin^2 r, c = cos^2 r and Q, Q'
+    = dQ/ds the Bernstein sums of _CoherentEnergy,
+
+        F = (a/|g|) alpha c + ((c - s) Q + 2 s c Q') / (|g| n).
+
+    The rotated lowest state has E(0, r) = diag_0 + a n s + 2 alpha c Q(s),
+    and F = -dE(0, r)/dr / (2|g|n) = (alpha c / |g|) (-dH/dp) at
+    p = j cos 2r, cos(q + phi) = sign alpha: its roots are mean-field fixed
+    points.  F is polysl2.reference.stationarity_residual divided by
+    (1 + alpha^2)^n times a positive constant: both share their roots.
+    """
+    energy = _CoherentEnergy(tri)
     ratio = params.a / params.g_mod
-    # (binomial ratio C(n, f+1) / C(n, f), y_f, y_(n-f)) from f = n-1 down
-    steps = [((n - k) / (k + 1), y[k], y[n - k]) for k in range(n - 1, -1, -1)]
+    scale = params.g_mod * energy.n
 
     def stationarity(alpha: np.ndarray) -> np.ndarray:
         alpha = np.asarray(alpha, dtype=float)
-        flip = np.abs(alpha) > 1.0  # s > c: expand in c instead
-        w = alpha.copy()
-        np.divide(1.0, alpha, out=w, where=flip)
-        big = 1.0 / (1.0 + w * w)
-        small = w * w * big
-        power = 1.0
-        acc = np.where(flip, y[0], y[n])
-        exp2 = None
-        for count, (rb, fwd, rev) in enumerate(steps, 1):
-            power = power * big
-            acc *= small * rb
-            acc += power * np.where(flip, rev, fwd)
-            # big >= 1/2, so power cannot drop below 1e-150 in fewer steps
-            if count > 490:
-                top = np.maximum(power, np.abs(acc))
-                if top.min() < 1e-150:
-                    e = np.frexp(top)[1]
-                    power = np.ldexp(power, -e)
-                    acc = np.ldexp(acc, -e)
-                    exp2 = e if exp2 is None else exp2 + e
-        if exp2 is not None:
-            acc = np.ldexp(acc, exp2)
-        # -sin r cos r = alpha c = w * big on both sides of |alpha| = 1
-        return ratio * w * big + acc
+        c, s, bq, dbq = energy.meridian(alpha)
+        return ratio * alpha * c + ((c - s) * bq + 2.0 * s * c * dbq) / scale
 
     return stationarity
 
@@ -236,8 +321,10 @@ def variational_spectrum(
 
     Among the stationary roots the one minimizing E(v=0) is selected, the
     first of equal minima winning (the v=0 energy is a Rayleigh quotient,
-    so this branch is variationally controlled), and all levels are
-    evaluated at its rotation angle.  An energy beyond the Hamiltonian's
+    so this branch is variationally controlled).  E(0, r) is the closed-form
+    coherent energy diag_0 + a n s + 2 alpha c Q(s) of _stationarity, so
+    the choice costs O(d) per root, and one rotation then evaluates all
+    levels at the selected angle.  An energy beyond the Hamiltonian's
     norm bound (with NORM_SLACK for round-off) cannot be a Rayleigh
     quotient and raises RuntimeError.
     """
@@ -249,15 +336,14 @@ def variational_spectrum(
             alpha_selected=0.0,
             energies=(e0,),
             residuals=(0.0,),
-            ordering_ok=True,
         )
     sol = solve_alpha(block, psi, params)
     tri = build_hamiltonian(block, psi, params)
-    diag, off = tri.diag, tri.offdiag
-    levels = [_level_energies(diag, off, -math.atan(al)) for al in sol.alpha_roots]
-    best = min(range(len(levels)), key=lambda k: levels[k][0])
-    al_sel = sol.alpha_roots[best]
-    energies = levels[best].tolist()
+    roots = np.array(sol.alpha_roots)
+    c, s, bq, _ = _CoherentEnergy(tri).meridian(roots)
+    ground = tri.diag[0] + params.a * (block.dim - 1) * s + 2.0 * roots * c * bq
+    al_sel = sol.alpha_roots[int(np.argmin(ground))]
+    energies = _level_energies(tri.diag, tri.offdiag, -math.atan(al_sel)).tolist()
     bound = tri.norm_bound()
     worst = float(np.max(np.abs(energies)))
     if not worst <= bound * (1.0 + NORM_SLACK):
@@ -265,14 +351,7 @@ def variational_spectrum(
             f"variational energy {worst:.6e} in magnitude exceeds the "
             f"norm bound {bound:.6e}"
         )
-    diffs = np.diff(energies)
-    span = max(worst, 1.0)
-    ordering_ok = bool(np.all(diffs >= -1e-10 * span))
-    return VariationalSolution(
-        theta=sol.theta,
-        alpha_roots=sol.alpha_roots,
-        alpha_selected=al_sel,
-        energies=tuple(energies),
-        residuals=sol.residuals,
-        ordering_ok=ordering_ok,
+    ordering_ok = bool(np.all(np.diff(energies) >= -1e-10 * max(worst, 1.0)))
+    return replace(
+        sol, alpha_selected=al_sel, energies=tuple(energies), ordering_ok=ordering_ok
     )

@@ -446,8 +446,13 @@ BASE_CONFIGS = {
         "meanfield": {"p0": 0.8, "q0": 0.3, "tspan": 1.0, "dt": 0.01},
     },
     "verify": {},
+    "fock": {
+        "model": "three_boson",
+        "three_boson": THREE_BOSON,
+        "dynamics": {"fock": [0, 0, 1], "samples": 1000},
+    },
 }
-COMMAND = {"sl2": "spectrum", "custom": "spectrum"}
+COMMAND = {"sl2": "spectrum", "custom": "spectrum", "fock": "dynamics"}
 DROP = object()
 
 
@@ -525,6 +530,9 @@ DROP = object()
         # both keys of an either-or section
         ("spectrum", ("blocks", "labels"), [{"k": 0, "m": 2}]),
         ("dynamics", ("dynamics", "fock"), [0, 1, 2]),
+        # a Fock state in a block beyond MAX_BLOCK_DIM = 2001 levels
+        ("fock", ("dynamics", "fock"), [0, 0, 2001]),
+        ("fock", ("dynamics", "fock"), [5, 7, 1996]),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, base, path, value):
@@ -719,6 +727,63 @@ def test_either_or_section_names_both_keys(section, raw):
     with pytest.raises(ConfigError) as err:
         parse_config({section: raw})
     assert str(err.value) == f"{section} section sets both '{a}' and '{b}'; give one"
+
+
+@pytest.mark.parametrize("fock", [[0, 0, 2000], [7, 5, 1995], [10**9, 3, 4]])
+def test_fock_block_at_the_cap_is_accepted(fock):
+    from polysl2.cli import parse_config
+
+    assert parse_config({"dynamics": {"fock": fock}}).dynamics.fock == tuple(fock)
+
+
+def test_fock_block_beyond_the_cap_names_key_and_cap():
+    # parsing only: a block of 10^9 + 1 levels must never reach the solver
+    from polysl2.cli import ConfigError, parse_config
+
+    with pytest.raises(ConfigError) as err:
+        parse_config({"dynamics": {"fock": [0, 0, 10**9]}})
+    assert str(err.value).startswith("dynamics.fock = [0, 0, 1000000000]")
+    assert "1000000001 levels" in str(err.value)
+    assert "at most 2001" in str(err.value)
+
+
+@pytest.mark.parametrize("ncut", [0, 1, 2, 5])
+def test_meanfield_block_count_matches_enumeration(tmp_path, capsys, ncut):
+    from polysl2.three_boson import enumerate_blocks
+
+    # p0 = 0 fits the single level of the one block of the cube ncut = 0
+    mf = dict(BASE_CONFIGS["meanfield"]["meanfield"], p0=0.0)
+    cfg = dict(BASE_CONFIGS["meanfield"], blocks={"ncut": ncut}, meanfield=mf)
+    out = tmp_path / "out"
+    code = main(["meanfield", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    count = len(enumerate_blocks(ncut))
+    if count == 1:
+        assert code == 0
+    else:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: meanfield needs exactly one block; "
+            f"the config selects {count}\n"
+        )
+
+
+def test_meanfield_counts_a_large_cube_without_listing_it(tmp_path, capsys, monkeypatch):
+    # enumerate_blocks(1000) lists 3,003,001 labels; the count is closed form
+    from polysl2 import cli, three_boson
+
+    def refuse(ncut):
+        raise AssertionError("enumerate_blocks ran")
+
+    monkeypatch.setattr(cli, "enumerate_blocks", refuse)
+    monkeypatch.setattr(three_boson, "enumerate_blocks", refuse)
+    cfg = dict(BASE_CONFIGS["meanfield"], blocks={"ncut": 1000})
+    out = tmp_path / "out"
+    code = main(["meanfield", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("meanfield needs exactly one block; the config selects 3003001\n")
+    assert not out.exists()
 
 
 def test_config_defaults():

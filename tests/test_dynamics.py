@@ -14,7 +14,6 @@ from polysl2.dynamics import (
     WEIGHT_FLOOR,
     IncommensurabilityReport,
     _block_signals,
-    _CoherentEnergy,
     Signal,
     detect_collapse_revival,
     evolve_block,
@@ -26,6 +25,7 @@ from polysl2.dynamics import (
 )
 from polysl2.reference import evolve_grid_gemm
 from polysl2.solver import HamiltonianParams, build_hamiltonian, eigensolve
+from polysl2.variational import _CoherentEnergy
 from polysl2.three_boson import (
     BlockLabel,
     CoherentInput,

@@ -377,3 +377,65 @@ def test_stationarity_large_block_matches_log_space_sum():
             ref = -params.a / params.g_mod * math.sin(r) * math.cos(r)
             ref += c * float(x1 @ bern) - s * float(x2 @ bern)
         assert abs(value - ref) <= 1e-12 * float(np.max(x1))
+
+
+def _meridian_checks(block, psi, params):
+    """Every solve_alpha root against the coherent energy and the rotation.
+
+    At p = j cos 2r and cos(q + phi) = sign alpha the coherent state is the
+    rotated lowest state: the root is a fixed point of the mean-field flow
+    (dH/dq = 0 = dH/dp), and the closed-form E(0, r) that picks the root is
+    the rotation's ground energy.
+    """
+    tri = build_hamiltonian(block, psi, params)
+    energy = variational._CoherentEnergy(tri)
+    bound = tri.norm_bound()
+    roots = np.array(solve_alpha(block, psi, params).alpha_roots)
+    c, s, bq, _ = energy.meridian(roots)
+    ground = tri.diag[0] + params.a * (block.dim - 1) * s + 2.0 * roots * c * bq
+    for al, e0 in zip(roots, ground):
+        r = -math.atan(al)
+        q = (0.0 if al > 0 else math.pi) - params.g_phase
+        e, dhdp, dhdq = energy(block.j * math.cos(2 * r), q)
+        assert abs(dhdq) <= 1e-12 * bound
+        assert abs(dhdp) <= 1e-10 * bound / block.j
+        level = variational._level_energies(tri.diag, tri.offdiag, r)[0]
+        assert abs(e0 - level) <= 1e-12 * bound
+        assert abs(e - level) <= 1e-12 * bound
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_blocks())
+def test_variational_roots_are_meanfield_fixed_points(case):
+    _meridian_checks(*case)
+
+
+@pytest.mark.parametrize("m", [180, 400])
+def test_large_block_roots_are_meanfield_fixed_points(m):
+    label = BlockLabel(0, m)
+    block, psi = build_model_block(label)
+    base = block_constants(label, ThreeBosonParams(1.0, 0.9, 2.2, 0.8))
+    params = HamiltonianParams(base.a, base.g_mod, 0.7, base.constant)
+    _meridian_checks(block, psi, params)
+
+
+def test_variational_spectrum_rotates_once_per_block(monkeypatch):
+    # the root is chosen by the closed-form E(0, r), so every block of two or
+    # more levels takes one rotation, however many roots it has
+    calls = []
+    level_energies = variational._level_energies
+
+    def counted(diag, off, r):
+        calls.append(r)
+        return level_energies(diag, off, r)
+
+    monkeypatch.setattr(variational, "_level_energies", counted)
+    labels = [BlockLabel(0, 0), BlockLabel(0, 4), BlockLabel(2, 5, -1), BlockLabel(0, 30)]
+    roots = 0
+    for label in labels:
+        block, psi = build_model_block(label)
+        params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
+        sol = variational_spectrum(block, psi, params)
+        roots += len(sol.alpha_roots)
+    assert len(calls) == 3
+    assert roots > len(labels)
