@@ -18,13 +18,11 @@ import cmath
 import hashlib
 import json
 import math
-import re
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
-from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -76,6 +74,8 @@ MAX_BLOCK_DIM = 2001  # levels in one block; dense solvers hold several d x d ar
 _DIM_NOTE = f" (a block holds at most {MAX_BLOCK_DIM} levels)"
 # the Fock cube n_i <= ncut holds blocks of up to 2 ncut + 1 levels
 MAX_NCUT = (MAX_BLOCK_DIM - 1) // 2
+# CSV rows formatted at a time: the text of a file is never held whole
+_CSV_ROWS = 128
 
 
 class ConfigError(Exception):
@@ -362,30 +362,53 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-# a whole cell that str() made of a non-finite float
-_NON_FINITE = re.compile(r"(?:^|,)(-?inf|nan)(?=,|$)", re.MULTILINE)
+def _first_non_finite(column):
+    """(row, text) of the first non-finite float of a column, or None."""
+    if isinstance(column, np.ndarray):
+        bad = np.flatnonzero(~np.isfinite(column))
+        return (int(bad[0]), str(float(column[bad[0]]))) if bad.size else None
+    for row, x in enumerate(column):
+        if isinstance(x, float) and not math.isfinite(x):
+            return row, str(x)
+    return None
 
 
-def _write_csv(path: Path, digest: str, header, rows) -> None:
-    """Write the CSV; a non-finite cell raises RuntimeError and writes nothing."""
-    lines = [f"# config sha256: {digest}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
-    # no other text of the file spells inf or nan: clean output costs one scan
-    bad = ("inf" in text or "nan" in text) and _NON_FINITE.search(text)
+def _cells(column) -> list:
+    """Text of each cell of a column, as _fmt writes it."""
+    if isinstance(column, np.ndarray):  # a Python float's str is its repr
+        return list(map(repr, column.tolist()))
+    return [_fmt(x) for x in column]
+
+
+def _write_csv(path: Path, digest: str, header, columns) -> None:
+    """Write the CSV from its columns, float arrays or sequences of cells.
+
+    A column shorter than the longest ends in empty cells.  A non-finite
+    float raises RuntimeError naming the first in reading order, before any
+    text is made, and nothing is written.  Rows are formatted _CSV_ROWS at
+    a time, so the text is never held whole.
+    """
+    found = ((_first_non_finite(col), name) for name, col in zip(header, columns))
+    bad = [(at, name) for at, name in found if at is not None]
     if bad:
-        at = bad.start(1)
-        column = header[text.count(",", text.rfind("\n", 0, at), at)]
-        raise RuntimeError(f"{path.name}: column {column} holds {bad[1]}")
+        (_, text), name = min(bad, key=lambda b: b[0][0])
+        raise RuntimeError(f"{path.name}: column {name} holds {text}")
+    n = max(map(len, columns), default=0)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as fh:
+        fh.write(f"# config sha256: {digest}\n{','.join(header)}\n")
+        for start in range(0, n, _CSV_ROWS):
+            cells = [_cells(col[start : start + _CSV_ROWS]) for col in columns]
+            rows = min(_CSV_ROWS, n - start)
+            for col in cells:
+                col.extend([""] * (rows - len(col)))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _write_outputs(args, name, digest, header, rows, summary, note):
+def _write_outputs(args, name, digest, header, columns, summary, note):
     """<out>/<name>.csv and <out>/<name>.json, both stamped with the digest."""
     outdir = Path(args.out)
-    _write_csv(outdir / f"{name}.csv", digest, header, rows)
+    _write_csv(outdir / f"{name}.csv", digest, header, columns)
     _write_json(outdir / f"{name}.json", {"config_sha256": digest, **summary})
     print(f"{name}: {note} -> {outdir}", file=sys.stderr)
 
@@ -475,7 +498,7 @@ def cmd_spectrum(cfg: Config, digest: str, args) -> int:
     t0 = time.perf_counter()
     solved = [_solve_block(t, cfg.solver) for t in tasks]
     elapsed = time.perf_counter() - t0
-    rows = [row for block_rows, _ in solved for row in block_rows]
+    columns = list(zip(*(row for block_rows, _ in solved for row in block_rows)))
     summary_blocks = [entry for _, entry in solved]
     summary = {
         "model": cfg.model,
@@ -487,7 +510,7 @@ def cmd_spectrum(cfg: Config, digest: str, args) -> int:
         },
     }
     note = f"{len(tasks)} block(s) in {elapsed:.2f}s"
-    _write_outputs(args, "spectrum", digest, _SPECTRUM_HEADER, rows, summary, note)
+    _write_outputs(args, "spectrum", digest, _SPECTRUM_HEADER, columns, summary, note)
     if args.verbose:
         for entry in summary_blocks:
             print(f"  {entry['block_id']}: dim {entry['dim']}", file=sys.stderr)
@@ -529,10 +552,7 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
             gap_period = 2.0 * math.pi / gap
 
     env = () if report.envelope is None else report.envelope.values
-    rows = (
-        (float(t), float(y), None if e is None else float(e))
-        for t, y, e in zip_longest(signal.times, signal.values, env)
-    )
+    columns = (signal.times, signal.values, env)
     summary = {
         "oscillating": report.oscillating,
         "carrier_frequency": report.carrier_frequency,
@@ -552,7 +572,7 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
     }
     note = f"{dyn.samples} samples in {elapsed:.2f}s"
     header = ("t", "n3_mean", "envelope")
-    _write_outputs(args, "dynamics", digest, header, rows, summary, note)
+    _write_outputs(args, "dynamics", digest, header, columns, summary, note)
     return EXIT_OK
 
 
@@ -577,7 +597,6 @@ def cmd_meanfield(cfg: Config, digest: str, args) -> int:
     e0 = float(traj.energy[0])
     drift = float(np.max(np.abs(traj.energy - e0)))
     columns = (traj.times, traj.p, traj.q, traj.energy)
-    rows = zip(*(map(float, col) for col in columns))
     summary = {
         "block_id": bid,
         "clamped": traj.clamped,
@@ -587,7 +606,7 @@ def cmd_meanfield(cfg: Config, digest: str, args) -> int:
     }
     note = f"{len(traj.times) - 1} steps in {elapsed:.2f}s"
     header = ("t", "p", "q", "energy")
-    _write_outputs(args, "meanfield", digest, header, rows, summary, note)
+    _write_outputs(args, "meanfield", digest, header, columns, summary, note)
     return EXIT_OK
 
 

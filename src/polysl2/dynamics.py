@@ -4,7 +4,10 @@ Quantum evolution is spectral: blocks evolve independently under their own
 eigendecompositions, so unitarity is exact up to the eigensolve.  The Rabi
 signal <N_3(t)> is a sum over the Bohr frequencies E_f' - E_f of every
 block, evaluated on the whole time grid by one Gaussian-gridded non-uniform
-FFT with an error of about 1e-12 of the signal's size.  The mean
+FFT with an error of about 1e-12 of the signal's size.  Each block first
+drops its negligible Bohr terms, of total amplitude at most _PRUNE
+max|occ| times its squared norm; the sum of these dropped totals bounds
+the pruning error at every time (RabiResult.prune_bound).  The mean
 field side integrates the canonical equations on the (p, q) chart of the
 su(2) coherent manifold.  The coherent state has binomial amplitudes
 (Perelomov, Generalized Coherent States and Their Applications, 1986), so
@@ -67,8 +70,12 @@ PERSIST = 5
 # half-width, in fine-grid points, of the Gaussian kernel that spreads the
 # Bohr terms of the Rabi signal: at 12 a Fock run's n3(0) is 1.6e-12 off
 _KERNEL_W = 16
-# Bohr terms spread onto the fine grid per batch, bounding the working set
+# Bohr terms spread onto the fine grid per batch, bounding the working set;
+# blocks hand over a few hundred terms each, so batches span many blocks
 _BATCH = 2**13
+# a block drops Bohr terms of total amplitude at most _PRUNE max|occ| times
+# its squared norm (_evolve_grid): well inside the NUFFT's 1e-12
+_PRUNE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -104,44 +111,83 @@ def _fine_grid_size(n: int) -> int:
 
 
 def _evolve_grid(spectrum: Spectrum, c0, times: np.ndarray, occ: np.ndarray):
-    """Bohr terms of the block contribution sum_v occ_v |c_v(t)|^2.
+    """Bohr terms of the block contribution sum_v occ_v |c_v(t)|^2, pruned.
 
     With c(t) = conj(D) Q exp(-i E t) cr, Q = spectrum.vectors real, D the
     diagonal gauge and cr = spectrum.coefficients(c0), the contribution is
     the Hermitian sum sum_{f,f'} A_ff' exp(-i w_ff' t), w_ff' = E_f' - E_f,
     with A = (conj(cr) cr^T) o (Q^T diag(occ) Q): D drops out of |c_v|^2.
     On the grid t_k = t_0 + k dt the contribution is
-    sum_f A_ff + 2 Re sum_{f<f'} A_ff' exp(-i w_ff' t_k).  Returned are
-    sum_f A_ff, the position of each term f < f' on the fine grid of
-    _fine_grid_size(len(times)) cells (w dt in units of 2 pi / cells, taken
-    modulo the cells) and its amplitude 2 A_ff' with the phase at t_0 and
-    the mode-centring phase of _bohr_signal folded in.  The grid must be
+    sum_f A_ff + 2 Re sum_{f<f'} A_ff' exp(-i w_ff' t_k).
+
+    Terms whose amplitudes sum to at most the budget
+    b = _PRUNE max|occ| sum_f |cr_f|^2 are dropped; b is known before A is
+    formed.  Row f of Q^T diag(occ) Q has 2-norm at most max|occ| (Q is
+    orthogonal), so sum_f' |A_ff'| <= |cr_f| |cr| max|occ| by
+    Cauchy-Schwarz: levels of smallest |cr_f| leave first, while
+    2 |cr| max|occ| times the sum of their |cr_f| stays within b / 2, and
+    Q^T diag(occ) Q is formed on the kept columns only.  Then the terms of
+    smallest |2 A_ff'| leave while the dropped total stays within b.  A
+    dropped term moves the contribution by at most its |2 A_ff'| at every
+    t, so the dropped total bounds the pruning error over the whole grid.
+    Nothing is pruned unless b and every position and phase are finite,
+    and a non-finite amplitude is never dropped: it reaches the signal.
+
+    Returned are sum_f A_ff over the kept levels, the position of each kept
+    term f < f' on the fine grid of _fine_grid_size(len(times)) cells
+    (w dt in units of 2 pi / cells, taken modulo the cells), its amplitude
+    2 A_ff' with the phase at t_0 and the mode-centring phase of
+    _bohr_signal folded in, and the dropped total.  The grid must be
     uniform (_uniform_times checks it); on a grid with one sample or
     dt = 0 every position is 0 and only the t_0 phase is folded in.
     """
     n = len(times)
     cells = _fine_grid_size(n)
-    q = spectrum.vectors
+    energies = spectrum.energies
     cr = spectrum.coefficients(c0)
+    mag = np.abs(cr)
+    weight = float(mag @ mag)
+    top = float(np.max(np.abs(occ)))
+    scale = float(_grid_step(times)) * cells / (2.0 * math.pi)
+    t0 = float(times[0]) if n else 0.0
+    span = float(energies[-1]) - float(energies[0])  # eigh sorts them
+    budget = _PRUNE * top * weight
+    if not all(map(math.isfinite, (budget, span * scale, span * t0))):
+        budget = -math.inf  # prune nothing
+    order = np.argsort(mag)
+    bound = (2.0 * top * math.sqrt(weight)) * np.cumsum(mag[order])
+    cut = int(np.searchsorted(bound, 0.5 * budget, side="right"))
+    dropped = float(bound[cut - 1]) if cut else 0.0
+    keep = np.sort(order[cut:])
+    q, cr, energies = spectrum.vectors[:, keep], cr[keep], energies[keep]
     a = (cr.conj()[:, None] * cr) * (q.T @ (occ[:, None] * q))
     lo, hi = np.triu_indices(len(cr), 1)
-    omega = spectrum.energies[hi] - spectrum.energies[lo]
-    pos = np.mod(omega * (_grid_step(times) * cells / (2.0 * math.pi)), cells)
+    amp = 2.0 * a[lo, hi]
+    size = np.abs(amp)
+    order = np.argsort(size)  # inf and NaN sort last, and their sums exceed b
+    total = np.cumsum(size[order])
+    cut = int(np.searchsorted(total, budget - dropped, side="right"))
+    if cut:
+        dropped += float(total[cut - 1])
+        keep = np.sort(order[cut:])
+        lo, hi, amp = lo[keep], hi[keep], amp[keep]
+    omega = energies[hi] - energies[lo]
+    pos = np.mod(omega * scale, cells)
     # (n // 2) * pos modulo the cells, with the integer part taken exactly
     base = np.floor(pos)
     centre = np.mod((n // 2) * base, cells) + (n // 2) * (pos - base)
-    t0 = times[0] if n else 0.0
     phase = omega * t0 + (2.0 * math.pi / cells) * centre
-    return float(np.trace(a).real), pos, 2.0 * a[lo, hi] * np.exp(-1j * phase)
+    return float(np.trace(a).real), pos, amp * np.exp(-1j * phase), dropped
 
 
 def _bohr_signal(terms, times: np.ndarray) -> np.ndarray:
     """sum_f A_ff + 2 Re sum_{f<f'} A_ff' exp(-i w_ff' t) over all blocks.
 
-    terms yields the _evolve_grid output of each block.  The Bohr sum is a
-    type-1 non-uniform FFT S_k = sum_j F_j exp(-i k x_j), evaluated by
-    Gaussian gridding (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1368
-    (1993); Greengard & Lee, SIAM Rev. 46, 443 (2004)): each term is
+    terms yields the constant, positions and amplitudes of each block, as
+    _evolve_grid returns them.  The Bohr sum is a type-1 non-uniform FFT
+    S_k = sum_j F_j exp(-i k x_j), evaluated by Gaussian gridding (Dutt &
+    Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993); Greengard & Lee, SIAM
+    Rev. 46, 443 (2004)): each term is
     spread over the 2 _KERNEL_W nearest cells of a fine periodic grid with
     the Gaussian exp(-(x - x_j)^2 / (4 tau)), one FFT gives the Fourier
     coefficients of the smoothed sum, and dividing out the Gaussian's
@@ -149,8 +195,9 @@ def _bohr_signal(terms, times: np.ndarray) -> np.ndarray:
     centred, k = -(n // 2) ... n - 1 - n // 2, which keeps that division
     below exp(pi _KERNEL_W / 6); the shift is the centring phase in F_j.
     Terms are spread in batches of about _BATCH as the blocks arrive, so
-    the working set stays bounded.  Grids with one sample or dt = 0 take
-    the direct sum at t_0.
+    the working set stays bounded; a pruned block hands over a few hundred
+    terms, too few to spread on their own.  Grids with one sample or
+    dt = 0 take the direct sum at t_0.
     """
     n = len(times)
     if n <= 1 or _grid_step(times) == 0.0:
@@ -208,6 +255,8 @@ class RabiResult:
     block_weights: dict
     dominant_label: BlockLabel | None
     dominant_spectrum: Spectrum | None
+    # certified bound on max_t |signal - unpruned signal| (_evolve_grid)
+    prune_bound: float
 
 
 def _uniform_times(times) -> np.ndarray:
@@ -232,14 +281,15 @@ def _uniform_times(times) -> np.ndarray:
 def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
     """RabiResult summed over (label, weight, c0) block projections.
 
-    Each block is solved once and its Bohr terms go to _bohr_signal as it
-    is solved; the first block of largest weight is the dominant one.
+    Each block is solved once and its pruned Bohr terms go to _bohr_signal
+    as it is solved; the first block of largest weight is the dominant one,
+    and prune_bound is the sum of the blocks' dropped totals.
     """
     weights = {}
-    best, dominant, spectrum = -1.0, None, None
+    best, dominant, spectrum, pruned = -1.0, None, None, 0.0
 
     def terms():
-        nonlocal best, dominant, spectrum
+        nonlocal best, dominant, spectrum, pruned
         for label, w, c0 in projections:
             weights[label.block_id] = w
             block, psi = build_model_block(label)
@@ -248,7 +298,9 @@ def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
             occ = label.m - np.arange(block.dim, dtype=float)
             if w > best:
                 best, dominant, spectrum = w, label, spec
-            yield _evolve_grid(spec, c0, times, occ)
+            constant, pos, amp, dropped = _evolve_grid(spec, c0, times, occ)
+            pruned += dropped
+            yield constant, pos, amp
 
     values = _bohr_signal(terms(), times)
     return RabiResult(
@@ -258,6 +310,7 @@ def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
         block_weights=weights,
         dominant_label=dominant,
         dominant_spectrum=spectrum,
+        prune_bound=pruned,
     )
 
 
@@ -274,8 +327,9 @@ def rabi_signal(
     largest weight (None if no block is kept).  The probability lost to the
     cube truncation is reported as tail_deficit (coherent_tail_deficit);
     deficit_ok goes False (with a warning) when it exceeds DEFICIT_BOUND.
-    times must be finite and uniform, else ValueError; grids of 0 or 1
-    samples are allowed.
+    prune_bound bounds, at every time, the signal's distance from the sum
+    of all Bohr terms (see _evolve_grid).  times must be finite and
+    uniform, else ValueError; grids of 0 or 1 samples are allowed.
     """
     times = _uniform_times(times)
     deficit = coherent_tail_deficit(inp)

@@ -151,7 +151,8 @@ class _CoherentEnergy:
         of big >= 1/2.  The largest of power, |Q| (a sum of positive terms)
         and |dQ| falls by at most about 2^-490 in 490 steps, so at each None
         of the table all three are rescaled by the power of two that brings
-        it into [1/2, 1): nothing underflows or overflows.
+        it into [1/2, 1): nothing underflows or overflows.  Float inputs
+        give floats back.
         """
         q, dq, steps, last = table
         power, exp2 = 1.0, None
@@ -172,7 +173,8 @@ class _CoherentEnergy:
             b, rb = last
             q = power * big * b + small * rb * q
         if exp2 is not None:
-            q, dq = np.ldexp(q, exp2), np.ldexp(dq, exp2)
+            scale = np.ldexp if np.ndim(exp2) else math.ldexp
+            q, dq = scale(q, exp2), scale(dq, exp2)
         return q, dq
 
     def meridian(self, alpha: np.ndarray):
@@ -217,11 +219,11 @@ class _CoherentEnergy:
         return energy, dhdp, -b * math.sin(ang)
 
 
-def _stationarity(tri, params):
+def _stationarity(energy: _CoherentEnergy, params):
     """F(alpha), vectorised: the ground-state slope on the coherent meridian.
 
     With n = d - 1, r = -atan(alpha), s = sin^2 r, c = cos^2 r and Q, Q'
-    = dQ/ds the Bernstein sums of _CoherentEnergy,
+    = dQ/ds the Bernstein sums of energy, the block's _CoherentEnergy,
 
         F = (a/|g|) alpha c + ((c - s) Q + 2 s c Q') / (|g| n).
 
@@ -231,7 +233,6 @@ def _stationarity(tri, params):
     points.  F is polysl2.reference.stationarity_residual divided by
     (1 + alpha^2)^n times a positive constant: both share their roots.
     """
-    energy = _CoherentEnergy(tri)
     ratio = params.a / params.g_mod
     scale = params.g_mod * energy.n
 
@@ -257,19 +258,29 @@ def solve_alpha(block: Block, psi: StructureFunction, params) -> VariationalSolu
     The energies are filled in by variational_spectrum.  A grid on which F
     has neither a zero nor a sign change raises RuntimeError.
     """
+    return _solve_alpha(block, psi, params)[0]
+
+
+def _solve_alpha(block: Block, psi: StructureFunction, params):
+    """solve_alpha's solution, with the Hamiltonian and _CoherentEnergy it built.
+
+    Both are None on a single-level block, which needs neither.
+    """
     if params.g_mod == 0:
         raise ValueError("variational phase undefined at g = 0")
     if block.dim == 1:
         # no rotation freedom on a single level
-        return VariationalSolution(
+        sol = VariationalSolution(
             theta=params.g_phase,
             alpha_roots=(0.0,),
             alpha_selected=math.nan,
             energies=(),
             residuals=(0.0,),
         )
+        return sol, None, None
     tri = build_hamiltonian(block, psi, params)
-    stationarity = _stationarity(tri, params)
+    energy = _CoherentEnergy(tri)
+    stationarity = _stationarity(energy, params)
     xs = np.tan(np.linspace(-math.pi / 2, math.pi / 2, GRID_POINTS))
     ys = stationarity(xs)
     exact = ys == 0.0
@@ -305,13 +316,14 @@ def solve_alpha(block: Block, psi: StructureFunction, params) -> VariationalSolu
         )
     n = block.dim - 1
     residuals = -2.0 * params.g_mod * n * stationarity(roots) / tri.norm_bound()
-    return VariationalSolution(
+    sol = VariationalSolution(
         theta=params.g_phase,
         alpha_roots=tuple(roots.tolist()),
         alpha_selected=math.nan,
         energies=(),
         residuals=tuple(residuals.tolist()),
     )
+    return sol, tri, energy
 
 
 def variational_spectrum(
@@ -337,10 +349,9 @@ def variational_spectrum(
             energies=(e0,),
             residuals=(0.0,),
         )
-    sol = solve_alpha(block, psi, params)
-    tri = build_hamiltonian(block, psi, params)
+    sol, tri, energy = _solve_alpha(block, psi, params)
     roots = np.array(sol.alpha_roots)
-    c, s, bq, _ = _CoherentEnergy(tri).meridian(roots)
+    c, s, bq, _ = energy.meridian(roots)
     ground = tri.diag[0] + params.a * (block.dim - 1) * s + 2.0 * roots * c * bq
     al_sel = sol.alpha_roots[int(np.argmin(ground))]
     energies = _level_energies(tri.diag, tri.offdiag, -math.atan(al_sel)).tolist()

@@ -7,10 +7,11 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polysl2.algebra import ROOT_RTOL
-from polysl2.cli import main
+from polysl2.cli import _write_csv, main
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -200,6 +201,35 @@ def test_non_finite_numbers_are_never_written(
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_csv_columns_write_the_row_wise_text(tmp_path):
+    # float arrays, cell lists with ints, strings and None, and a short column
+    # give the text of str() per cell, rows joined by commas, short columns
+    # ending in empty cells
+    rng = np.random.default_rng(5)
+    floats = rng.normal(size=300) * 10.0 ** rng.integers(-300, 300, size=300)
+    floats[:4] = (0.0, -0.0, 1e-320, 0.1)
+    cells = ["b", 7, None, 2.5] * 75
+    short = np.linspace(0.0, 1.0, 120)
+    _write_csv(tmp_path / "x.csv", "d", ("f", "c", "s"), (floats, cells, short))
+    rows = zip(floats.tolist(), cells, [*short.tolist(), *[None] * 180])
+    want = ["# config sha256: d", "f,c,s"]
+    want += [",".join("" if x is None else str(x) for x in row) for row in rows]
+    assert (tmp_path / "x.csv").read_text() == "\n".join(want) + "\n"
+
+
+def test_csv_names_the_first_non_finite_cell_in_reading_order(tmp_path):
+    late = np.array([1.0, 2.0, np.nan])
+    early = np.array([1.0, -np.inf, 3.0])
+    for columns, message in (
+        ((late, early, [None, None, 1.0]), "column b holds -inf"),
+        ((late, [0.0, 1.0, math.inf], [1.0]), "column a holds nan"),
+        (([1.0, 2.0], [None, math.nan]), "column b holds nan"),
+    ):
+        with pytest.raises(RuntimeError, match=f"x.csv: {message}$"):
+            _write_csv(tmp_path / "x.csv", "d", ("a", "b", "c"), columns)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sl2_limit_block_is_never_truncated(tmp_path):

@@ -2,10 +2,12 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from polysl2 import dynamics
 from polysl2.algebra import StructureFunction, build_block, holstein_primakoff
 from polysl2.dynamics import (
     COLLAPSE_FRAC,
@@ -14,6 +16,7 @@ from polysl2.dynamics import (
     WEIGHT_FLOOR,
     IncommensurabilityReport,
     _block_signals,
+    _evolve_grid,
     Signal,
     detect_collapse_revival,
     evolve_block,
@@ -35,6 +38,7 @@ from polysl2.three_boson import (
     coherent_block_weights,
     coherent_tail_deficit,
     enumerate_blocks,
+    fock_to_block,
     project_coherent,
 )
 
@@ -268,6 +272,119 @@ def test_rabi_nufft_matches_chunked_gemm_reference(params, alpha3):
     assert got.collapse_time == want.collapse_time
     assert got.revival_times == want.revival_times
     assert got.carrier_frequency == want.carrier_frequency
+
+
+def _unpruned_reference(source, params, times):
+    """evolve_grid_gemm summed over the kept blocks, and the pruning budget.
+
+    source is a CoherentInput or a Fock triple.  The budget is the sum of
+    _PRUNE max|occ| sum_f |c_f|^2 over the blocks.
+    """
+    if isinstance(source, CoherentInput):
+        blocks = [
+            (label, project_coherent(source, label))
+            for label, _ in coherent_block_weights(source, WEIGHT_FLOOR)
+        ]
+    else:
+        label, v = fock_to_block(*source)
+        c0 = np.zeros(label.dim, dtype=complex)
+        c0[v] = 1.0
+        blocks = [(label, c0)]
+    values, budget = np.zeros(len(times)), 0.0
+    for label, c0 in blocks:
+        block, psi = build_model_block(label)
+        spec = eigensolve(
+            build_hamiltonian(block, psi, block_constants(label, params))
+        )
+        occ = label.m - np.arange(block.dim, dtype=float)
+        values += evolve_grid_gemm(spec, c0, times, occ)
+        weight = float(np.sum(np.abs(spec.coefficients(c0)) ** 2))
+        budget += dynamics._PRUNE * float(np.max(np.abs(occ))) * weight
+    return values, budget
+
+
+@pytest.mark.parametrize(
+    "params, source",
+    [
+        (ThreeBosonParams(1.0, 1.0, 2.0, 1.0), CoherentInput(0.0, 0.0, 5.0, 120)),
+        (
+            ThreeBosonParams(
+                1.03, 0.97, 2.02, 1.05 * complex(math.cos(0.2), math.sin(0.2))
+            ),
+            CoherentInput(
+                0.0, 0.0, 5.0 * complex(math.cos(0.9), math.sin(0.9)), 120
+            ),
+        ),
+        (GENERIC_PARAMS, (3, 5, 60)),
+    ],
+    ids=["readme", "perturbed", "fock"],
+)
+def test_pruned_signal_stays_within_its_certified_bound(monkeypatch, params, source):
+    # against the unpruned GEMM sum the error is at most the reported bound
+    # plus the kernel's 1e-12; against the unpruned NUFFT (_PRUNE = 0) it is
+    # the bound alone, up to round-off; the collapse report does not move
+    times = np.linspace(0.0, 100.0, 10001)
+    signal = rabi_signal if isinstance(source, CoherentInput) else fock_signal
+    res = signal(source, params, times)
+    ref, budget = _unpruned_reference(source, params, times)
+    size = np.max(np.abs(ref))
+    assert 0.0 < res.prune_bound <= budget
+    assert np.max(np.abs(res.signal.values - ref)) <= res.prune_bound + 1e-12 * size
+    monkeypatch.setattr(dynamics, "_PRUNE", 0.0)
+    full = signal(source, params, times)
+    assert full.prune_bound == 0.0
+    gap = np.max(np.abs(res.signal.values - full.signal.values))
+    assert gap <= res.prune_bound + 1e-14 * size
+    got, want = detect_collapse_revival(res.signal), detect_collapse_revival(full.signal)
+    assert got.collapse_time == want.collapse_time
+    assert got.revival_times == want.revival_times
+    assert got.carrier_frequency == want.carrier_frequency
+    assert res.dominant_label == full.dominant_label
+    if source == CoherentInput(0.0, 0.0, 5.0, 120):
+        assert got.collapse_time is not None and got.revival_times
+
+
+def test_evolve_grid_drops_most_terms_of_a_coherent_block():
+    # the README input's largest block keeps a few hundred of its Bohr
+    # terms, and the dropped total stays within the block budget
+    inp = CoherentInput(0.0, 0.0, 5.0, 120)
+    params = ThreeBosonParams(1.0, 1.0, 2.0, 1.0)
+    labels = [lab for lab, _ in coherent_block_weights(inp, WEIGHT_FLOOR)]
+    label = max(labels, key=lambda lab: lab.dim)
+    block, psi = build_model_block(label)
+    spec = eigensolve(build_hamiltonian(block, psi, block_constants(label, params)))
+    c0 = project_coherent(inp, label)
+    occ = label.m - np.arange(block.dim, dtype=float)
+    _, pos, amp, dropped = _evolve_grid(spec, c0, np.linspace(0.0, 100.0, 10001), occ)
+    weight = float(np.sum(np.abs(spec.coefficients(c0)) ** 2))
+    assert len(pos) == len(amp) < block.dim * (block.dim - 1) // 4
+    assert 0.0 < dropped <= dynamics._PRUNE * label.m * weight
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_evolve_grid_never_prunes_non_finite_terms():
+    # an infinite level, a Bohr span past the float range, or a NaN
+    # amplitude: every term reaches the signal and nothing counts as dropped
+    label = BlockLabel(0, 40)
+    block, psi = build_model_block(label)
+    spec = eigensolve(
+        build_hamiltonian(block, psi, block_constants(label, GENERIC_PARAMS))
+    )
+    c0 = project_coherent(CoherentInput(0.0, 0.0, 3.0, 40), label)
+    occ = label.m - np.arange(block.dim, dtype=float)
+    times = np.linspace(0.0, 10.0, 1000)
+    top = spec.energies.copy()
+    top[-1] = np.inf
+    wide = np.linspace(-1e308, 1e308, block.dim)
+    nan_c0 = c0.copy()
+    nan_c0[5] = np.nan
+    for energies, start in ((top, c0), (wide, c0), (spec.energies, nan_c0)):
+        bad = replace(spec, energies=energies)
+        _, pos, amp, dropped = _evolve_grid(bad, start, times, occ)
+        assert dropped == 0.0
+        assert len(pos) == block.dim * (block.dim - 1) // 2
+        assert not np.all(np.isfinite(amp))
 
 
 def test_rabi_dominant_block_is_heaviest_with_its_spectrum():
@@ -673,3 +790,17 @@ def test_meanfield_closed_form_large_block_matches_log_space_sum():
         got = energy(x * block.j, q)
         assert all(math.isfinite(g) for g in got)
         assert abs(got[0] - ref) <= 1e-10 * tri.norm_bound()
+
+
+def test_meanfield_energy_returns_floats_past_the_rescale():
+    # from d ~ 492 up, _sums rescales its Horner table: the scalar path must
+    # still hand back Python floats, so later RK4 steps avoid numpy scalars
+    label = BlockLabel(0, 600)
+    block, psi = build_model_block(label)
+    params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
+    energy = _CoherentEnergy(build_hamiltonian(block, psi, params))
+    assert block.dim == 601
+    for p, q in ((0.0, 0.3), (0.4 * block.j, -1.0), (-0.9 * block.j, 2.0)):
+        assert all(type(x) is float for x in energy(p, q))
+    traj = meanfield_trajectory(block, psi, params, 0.2 * block.j, 0.3, 0.01, 0.005)
+    assert np.all(np.isfinite(traj.energy))

@@ -183,7 +183,7 @@ def test_solve_alpha_residuals_meet_relative_bound():
 
 def test_solve_alpha_reports_empty_bracket(monkeypatch):
     # a stationarity function without a zero or sign change on the grid
-    def positive(tri, params):
+    def positive(energy, params):
         return lambda alpha: np.ones(np.shape(alpha))
 
     monkeypatch.setattr(variational, "_stationarity", positive)
@@ -316,7 +316,8 @@ def test_bernstein_stationarity_is_the_scaled_slope(case, alpha):
     block, psi, params = case
     tri = build_hamiltonian(block, psi, params)
     n = block.dim - 1
-    f = float(variational._stationarity(tri, params)(np.array([alpha]))[0])
+    energy = variational._CoherentEnergy(tri)
+    f = float(variational._stationarity(energy, params)(np.array([alpha]))[0])
     rot = su2_rotation(block.dim, -math.atan(alpha))
     h = np.diag(tri.diag) + np.diag(tri.offdiag, 1) + np.diag(tri.offdiag, -1)
     y = su2_ladder(block.dim)
@@ -366,7 +367,7 @@ def test_stationarity_large_block_matches_log_space_sum():
         [math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k) for k in f]
     )
     alphas = np.array([-30.0, -1.41, -1.0, -0.999, 0.0, 0.5, 1.001, 1.3])
-    got = variational._stationarity(tri, params)(alphas)
+    got = variational._stationarity(variational._CoherentEnergy(tri), params)(alphas)
     for al, value in zip(alphas, got):
         r = -math.atan(al)
         s, c = math.sin(r) ** 2, math.cos(r) ** 2
