@@ -37,6 +37,7 @@ from .algebra import (
     su2_rotation,
 )
 from .dynamics import (
+    MIN_SAMPLES,
     WEIGHT_FLOOR,
     detect_collapse_revival,
     evolve_block,
@@ -263,7 +264,7 @@ class DynamicsConfig:
     fock: tuple | None = _key(_list(_int(0), 3), None)
     ncut: int = _key(_int(1, MAX_NCUT, _DIM_NOTE), 20)
     tmax: float = _key(_real(0.0), 100.0)
-    samples: int = _key(_int(1000, MAX_MEANFIELD_STEPS), 10001)
+    samples: int = _key(_int(MIN_SAMPLES, MAX_MEANFIELD_STEPS), 10001)
 
     def __post_init__(self):
         _either("dynamics", alpha=self.alpha, fock=self.fock)
@@ -336,11 +337,6 @@ def _load_config(path):
     return parse_config(obj), hashlib.sha256(raw).hexdigest()
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal for floats; empty for missing."""
-    return "" if x is None else str(x)
-
-
 def _sanitize(obj):
     """JSON-ready copy: numpy scalars to Python, non-finite floats to None."""
     if isinstance(obj, dict):
@@ -362,46 +358,41 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def _first_non_finite(column):
-    """(row, text) of the first non-finite float of a column, or None."""
-    if isinstance(column, np.ndarray):
-        bad = np.flatnonzero(~np.isfinite(column))
-        return (int(bad[0]), str(float(column[bad[0]]))) if bad.size else None
-    for row, x in enumerate(column):
-        if isinstance(x, float) and not math.isfinite(x):
-            return row, str(x)
-    return None
-
-
-def _cells(column) -> list:
-    """Text of each cell of a column, as _fmt writes it."""
-    if isinstance(column, np.ndarray):  # a Python float's str is its repr
-        return list(map(repr, column.tolist()))
-    return [_fmt(x) for x in column]
+def _first_non_finite(column: np.ndarray):
+    """Row of the first non-finite cell of a float column, or None."""
+    if column.dtype.kind != "f":
+        return None
+    bad = np.flatnonzero(~np.isfinite(column))
+    return int(bad[0]) if bad.size else None
 
 
 def _write_csv(path: Path, digest: str, header, columns) -> None:
-    """Write the CSV from its columns, float arrays or sequences of cells.
+    """Write the CSV from its columns, one numpy array each.
 
-    A column shorter than the longest ends in empty cells.  A non-finite
-    float raises RuntimeError naming the first in reading order, before any
-    text is made, and nothing is written.  Rows are formatted _CSV_ROWS at
-    a time, so the text is never held whole.
+    Every cell is the str of its tolist() item (a Python float's str is its
+    repr), and a column shorter than the longest ends in empty cells.  A
+    non-finite float raises RuntimeError naming the first in reading order,
+    before any text is made, and nothing is written.  Rows are formatted
+    _CSV_ROWS at a time, so the text is never held whole.
     """
-    found = ((_first_non_finite(col), name) for name, col in zip(header, columns))
-    bad = [(at, name) for at, name in found if at is not None]
+    bad = [
+        (row, name, col)
+        for name, col in zip(header, columns)
+        if (row := _first_non_finite(col)) is not None
+    ]
     if bad:
-        (_, text), name = min(bad, key=lambda b: b[0][0])
-        raise RuntimeError(f"{path.name}: column {name} holds {text}")
+        row, name, col = min(bad, key=lambda b: b[0])
+        raise RuntimeError(f"{path.name}: column {name} holds {col[row]}")
     n = max(map(len, columns), default=0)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(f"# config sha256: {digest}\n{','.join(header)}\n")
         for start in range(0, n, _CSV_ROWS):
-            cells = [_cells(col[start : start + _CSV_ROWS]) for col in columns]
             rows = min(_CSV_ROWS, n - start)
-            for col in cells:
-                col.extend([""] * (rows - len(col)))
+            cells = []
+            for col in columns:
+                part = list(map(str, col[start : start + rows].tolist()))
+                cells.append(part + [""] * (rows - len(part)))
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -426,7 +417,7 @@ def _model_tasks(cfg: Config):
     if model == "sl2_limit":
         psi, l0 = _sl2_structure(sect.j)
         block = build_block(psi, float(l0), dmax=int(2 * sect.j) + 1)
-        return [(f"sl2_j{_fmt(-float(l0))}", block, psi, sect.params())]
+        return [(f"sl2_j{-float(l0)}", block, psi, sect.params())]
     if model == "custom_psi":
         psi = StructureFunction(leading=sect.leading, roots=sect.roots)
         block = build_block(psi, sect.l0, dmax=sect.dmax)
@@ -449,56 +440,63 @@ _SPECTRUM_HEADER = (
 ).split()
 
 
-def _diff(x, ref):
-    return None if x is None or ref is None else abs(x - ref)
+def _solve_block(task, solver: str, coupled: bool):
+    """The CSV columns and the JSON summary entry of one block.
 
-
-def _solve_block(task, solver: str):
-    """CSV rows and JSON summary entry of one block."""
+    The solver and whether the model's one coupling g is nonzero decide
+    the columns of the whole run.  A column the run does not compute, such
+    as the four variational ones at g = 0, is an empty array.
+    """
     bid, block, psi, params = task
-    entry = {"block_id": bid, "dim": block.dim}
-    exact = var = sl2 = None
+    d = block.dim
+    entry = {"block_id": bid, "dim": d}
+    exact = var = sl2 = alpha = residual = empty = np.empty(0)
+    variational = solver in ("variational", "all")
     try:
         if solver in ("exact", "all"):
             tri = build_hamiltonian(block, psi, params)
             exact = np.linalg.eigvalsh(_lower(tri), UPLO="L")  # no vectors to print
-        if solver in ("variational", "all"):
-            if params.g_mod == 0.0:
-                entry["variational_skipped"] = "g = 0 (exact solver covers it)"
-            else:
-                var = variational_spectrum(block, psi, params)
+        if variational and coupled:
+            sol = variational_spectrum(block, psi, params)
         if solver in ("sl2_reference", "all"):
             sl2 = sl2_reference_energies(block, params)
     except (BlockError, RuntimeError, ValueError) as exc:
         raise RuntimeError(f"block {bid}: {exc}") from exc
-    alpha = residual = None
-    if var is not None:
-        alpha = var.alpha_selected
-        residual = var.residuals[var.alpha_roots.index(alpha)]
+    if variational and not coupled:
+        entry["variational_skipped"] = "g = 0 (exact solver covers it)"
+    elif variational:
+        selected = sol.alpha_roots.index(sol.alpha_selected)
         entry.update(
-            alpha_roots=list(var.alpha_roots),
-            alpha_selected=alpha,
-            residuals=list(var.residuals),
-            ordering_ok=var.ordering_ok,
+            alpha_roots=list(sol.alpha_roots),
+            alpha_selected=sol.alpha_selected,
+            residuals=list(sol.residuals),
+            ordering_ok=sol.ordering_ok,
         )
-        var = var.energies
-    cols = [
-        [None] * block.dim if e is None else [float(x) for x in e]
-        for e in (exact, var, sl2)
-    ]
-    rows = [
-        (bid, v, ex, va, s2, _diff(va, ex), _diff(s2, ex), alpha, residual)
-        for v, (ex, va, s2) in enumerate(zip(*cols))
-    ]
-    return rows, entry
+        var = np.array(sol.energies, dtype=float)
+        alpha = np.full(d, sol.alpha_selected)
+        residual = np.full(d, sol.residuals[selected])
+    both = solver == "all"
+    columns = (
+        np.full(d, bid),
+        np.arange(d),
+        exact,
+        var,
+        sl2,
+        np.abs(var - exact) if both and coupled else empty,
+        np.abs(sl2 - exact) if both else empty,
+        alpha,
+        residual,
+    )
+    return columns, entry
 
 
 def cmd_spectrum(cfg: Config, digest: str, args) -> int:
     tasks = _model_tasks(cfg)
+    coupled = cfg.need(cfg.model).g != 0  # one coupling for every block
     t0 = time.perf_counter()
-    solved = [_solve_block(t, cfg.solver) for t in tasks]
+    solved = [_solve_block(t, cfg.solver, coupled) for t in tasks]
     elapsed = time.perf_counter() - t0
-    columns = list(zip(*(row for block_rows, _ in solved for row in block_rows)))
+    columns = [np.concatenate(col) for col in zip(*(cols for cols, _ in solved))]
     summary_blocks = [entry for _, entry in solved]
     summary = {
         "model": cfg.model,
@@ -511,9 +509,6 @@ def cmd_spectrum(cfg: Config, digest: str, args) -> int:
     }
     note = f"{len(tasks)} block(s) in {elapsed:.2f}s"
     _write_outputs(args, "spectrum", digest, _SPECTRUM_HEADER, columns, summary, note)
-    if args.verbose:
-        for entry in summary_blocks:
-            print(f"  {entry['block_id']}: dim {entry['dim']}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -551,7 +546,7 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
         if gap > 0:
             gap_period = 2.0 * math.pi / gap
 
-    env = () if report.envelope is None else report.envelope.values
+    env = np.empty(0) if report.envelope is None else report.envelope.values
     columns = (signal.times, signal.values, env)
     summary = {
         "oscillating": report.oscillating,
@@ -589,6 +584,11 @@ def cmd_meanfield(cfg: Config, digest: str, args) -> int:
                 f"meanfield needs exactly one block; the config selects {count}"
             )
     [(bid, block, psi, params)] = _model_tasks(cfg)
+    if abs(mf.p0) > block.j:
+        raise ConfigError(
+            f"meanfield.p0 = {mf.p0} lies outside |p| <= j = {block.j} "
+            f"of block {bid}"
+        )
     t0 = time.perf_counter()
     traj = meanfield_trajectory(
         block, psi, params, p0=mf.p0, q0=mf.q0, tspan=mf.tspan, dt=mf.dt
@@ -714,15 +714,11 @@ def cmd_verify(cfg: Config, digest: str, args) -> int:
     for name, fn in checks:
         try:
             ok, residual = fn()
-            detail = f"residual={residual:.3e}" if args.verbose else ""
+            detail = f"residual={residual:.3e}"
         except Exception as exc:
             ok, detail = False, f"error: {exc}"
         all_ok &= ok
-        status = "PASS" if ok else "FAIL"
-        line = f"{name:<36} {status}"
-        if detail:
-            line += f"  {detail}"
-        print(line)
+        print(f"{name:<36} {'PASS' if ok else 'FAIL'}  {detail}")
     print("verify:", "all checks passed" if all_ok else "FAILURES present")
     return EXIT_OK if all_ok else EXIT_VERIFY
 
@@ -743,7 +739,6 @@ def main(argv=None) -> int:
         p.set_defaults(command_fn=command)
         p.add_argument("--config", default=None, help="path to JSON config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
     try:

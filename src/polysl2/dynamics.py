@@ -67,6 +67,8 @@ REVIVAL_FRAC = 0.5
 # for PERSIST consecutive window positions
 WINDOW_PERIODS = 5.0
 PERSIST = 5
+# fewest samples of a signal that collapse detection accepts
+MIN_SAMPLES = 1000
 # half-width, in fine-grid points, of the Gaussian kernel that spreads the
 # Bohr terms of the Rabi signal: at 12 a Fock run's n3(0) is 1.6e-12 off
 _KERNEL_W = 16
@@ -386,8 +388,8 @@ def detect_collapse_revival(signal: Signal) -> CollapseReport:
     times gives the non-oscillating report.
     """
     n = len(signal)
-    if n < 1000:
-        raise ValueError("need at least 1000 samples")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     t = np.asarray(signal.times, dtype=float)
     dt = t[1] - t[0]
     if dt < 0:
@@ -527,8 +529,9 @@ def meanfield_trajectory(
 
     p, q = float(p0), float(q0)
     e, dhdp, dhdq = energy(p, q)
-    ps, qs, es = [p], [q], [e]
-    for _ in range(nsteps):
+    ps, qs, es = np.empty((3, nsteps + 1))
+    ps[0], qs[0], es[0] = p, q, e
+    for i in range(1, nsteps + 1):
         k1p, k1q = -dhdq, dhdp
         _, dhdp, dhdq = energy(p + half * k1p, q + half * k1q)
         k2p, k2q = -dhdq, dhdp
@@ -546,14 +549,6 @@ def meanfield_trajectory(
                 )
             clamped = True
         e, dhdp, dhdq = energy(p, q)
-        ps.append(p)
-        qs.append(q)
-        es.append(e)
+        ps[i], qs[i], es[i] = p, q, e
     times = np.arange(nsteps + 1) * step
-    return MeanFieldTrajectory(
-        times=times,
-        p=np.array(ps),
-        q=np.array(qs),
-        energy=np.array(es),
-        clamped=clamped,
-    )
+    return MeanFieldTrajectory(times=times, p=ps, q=qs, energy=es, clamped=clamped)

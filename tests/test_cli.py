@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 from polysl2.algebra import ROOT_RTOL
-from polysl2.cli import _write_csv, main
+from polysl2.cli import _CSV_ROWS, _write_csv, main
+from polysl2.solver import _lower, build_hamiltonian, sl2_reference_energies
+from polysl2.three_boson import (
+    ThreeBosonParams,
+    block_constants,
+    build_model_block,
+    enumerate_blocks,
+)
+from polysl2.variational import variational_spectrum
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -88,12 +96,62 @@ def test_spectrum_runs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("g", [0.0, 0.7])
+@pytest.mark.parametrize("solver", ["exact", "variational", "sl2_reference", "all"])
+def test_spectrum_columns_follow_solver_and_coupling(tmp_path, solver, g):
+    # the CSV equals rows built cell by cell from the library: an energy the
+    # solver does not compute is an empty cell, an error needs both of its
+    # energies, and at g = 0 no block runs the variational solver
+    three_boson = dict(SPECTRUM_CFG["three_boson"], g=g)
+    payload = dict(
+        SPECTRUM_CFG, solver=solver, three_boson=three_boson, blocks={"ncut": 2}
+    )
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    params3 = ThreeBosonParams(1.0, 1.0, 2.0, g)
+    variational = solver in ("variational", "all")
+    want = []
+    for lab in enumerate_blocks(2):
+        block, psi = build_model_block(lab)
+        params = block_constants(lab, params3)
+        exact = var = sl2 = [None] * block.dim
+        alpha = residual = None
+        if solver in ("exact", "all"):
+            tri = build_hamiltonian(block, psi, params)
+            exact = np.linalg.eigvalsh(_lower(tri), UPLO="L").tolist()
+        if variational and g != 0:
+            sol = variational_spectrum(block, psi, params)
+            var, alpha = list(sol.energies), sol.alpha_selected
+            residual = sol.residuals[sol.alpha_roots.index(alpha)]
+        if solver in ("sl2_reference", "all"):
+            sl2 = sl2_reference_energies(block, params).tolist()
+        for v, (ex, va, s2) in enumerate(zip(exact, var, sl2)):
+            errs = [None if x is None or ex is None else abs(x - ex) for x in (va, s2)]
+            row = (lab.block_id, v, ex, va, s2, *errs, alpha, residual)
+            want.append(["" if x is None else str(x) for x in row])
+    _, rows = read_rows(out / "spectrum.csv")
+    assert rows[1:] == want
+    blocks = json.loads((out / "spectrum.json").read_text())["blocks"]
+    assert len(blocks) == len(enumerate_blocks(2))
+    skipped = variational and g == 0
+    assert all(("variational_skipped" in b) == skipped for b in blocks)
+
+
 def test_jobs_flag_is_gone(tmp_path, capsys):
     cfg = write_config(tmp_path, SPECTRUM_CFG)
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_verbose_flag_is_gone(capsys):
+    # verify always prints the residuals; spectrum.json holds the block sizes
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--verbose"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
 
 
 def test_unknown_keys_are_config_errors(tmp_path):
@@ -203,29 +261,58 @@ def test_non_finite_numbers_are_never_written(
     assert not out.exists()
 
 
+def row_wise_csv(digest, header, columns):
+    """The CSV text built one row at a time, str per cell, empty past the end."""
+    n = max(map(len, columns))
+    cells = [col.tolist() + [None] * (n - len(col)) for col in columns]
+    lines = [f"# config sha256: {digest}", ",".join(header)]
+    lines += [",".join("" if x is None else str(x) for x in r) for r in zip(*cells)]
+    return "\n".join(lines) + "\n"
+
+
 def test_csv_columns_write_the_row_wise_text(tmp_path):
-    # float arrays, cell lists with ints, strings and None, and a short column
-    # give the text of str() per cell, rows joined by commas, short columns
-    # ending in empty cells
+    # float, int and text arrays and a short column give the text of str()
+    # per cell, rows joined by commas, short columns ending in empty cells
     rng = np.random.default_rng(5)
     floats = rng.normal(size=300) * 10.0 ** rng.integers(-300, 300, size=300)
     floats[:4] = (0.0, -0.0, 1e-320, 0.1)
-    cells = ["b", 7, None, 2.5] * 75
+    ints = np.arange(300) - 150
+    text = np.array(["b", "k0_m4", "sl2_j3.5"] * 100)
     short = np.linspace(0.0, 1.0, 120)
-    _write_csv(tmp_path / "x.csv", "d", ("f", "c", "s"), (floats, cells, short))
-    rows = zip(floats.tolist(), cells, [*short.tolist(), *[None] * 180])
-    want = ["# config sha256: d", "f,c,s"]
-    want += [",".join("" if x is None else str(x) for x in row) for row in rows]
-    assert (tmp_path / "x.csv").read_text() == "\n".join(want) + "\n"
+    columns = (floats, ints, text, short)
+    _write_csv(tmp_path / "x.csv", "d", ("f", "i", "t", "s"), columns)
+    assert (tmp_path / "x.csv").read_text() == row_wise_csv(
+        "d", ("f", "i", "t", "s"), columns
+    )
+    assert (tmp_path / "x.csv").read_text().splitlines()[-1].endswith("sl2_j3.5,")
+
+
+def test_csv_writes_a_hundred_thousand_rows_as_the_row_wise_text(tmp_path):
+    # many chunks of _CSV_ROWS rows, the last one ragged, and a short column
+    # that ends inside a chunk
+    n = 100_003
+    assert n % _CSV_ROWS
+    rng = np.random.default_rng(8)
+    columns = (
+        np.full(n, "k0_m4"),
+        np.arange(n),
+        rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n),
+        np.cumsum(rng.uniform(size=n - 1000)),
+    )
+    header = ("block_id", "v", "x", "y")
+    _write_csv(tmp_path / "x.csv", "d", header, columns)
+    want = row_wise_csv("d", header, columns)
+    assert (tmp_path / "x.csv").read_bytes() == want.encode()
 
 
 def test_csv_names_the_first_non_finite_cell_in_reading_order(tmp_path):
     late = np.array([1.0, 2.0, np.nan])
     early = np.array([1.0, -np.inf, 3.0])
+    text = np.array(["nan", "inf", "x"])  # text cells are never checked
     for columns, message in (
-        ((late, early, [None, None, 1.0]), "column b holds -inf"),
-        ((late, [0.0, 1.0, math.inf], [1.0]), "column a holds nan"),
-        (([1.0, 2.0], [None, math.nan]), "column b holds nan"),
+        ((late, early, text), "column b holds -inf"),
+        ((late, np.array([0.0, 1.0, np.inf]), np.array([1.0])), "column a holds nan"),
+        ((np.arange(2), np.array([5.0, np.nan]), text), "column b holds nan"),
     ):
         with pytest.raises(RuntimeError, match=f"x.csv: {message}$"):
             _write_csv(tmp_path / "x.csv", "d", ("a", "b", "c"), columns)
@@ -273,7 +360,8 @@ def test_truncated_custom_tower_is_a_numeric_failure(tmp_path, capsys):
 def test_verify_passes_clean(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert sum(1 for ln in lines if ln.endswith("PASS")) == 6
+    status = re.compile(r".{36} PASS  residual=\S+")
+    assert sum(1 for ln in lines if status.fullmatch(ln)) == 6
     assert lines[-1].endswith("all checks passed")
 
 
@@ -454,6 +542,24 @@ def test_spectrum_large_block_stays_in_norm_bound(tmp_path):
     energies = [float(r[3]) for r in rows[1:]]
     assert len(energies) == block.dim == 181
     assert all(abs(e) <= bound for e in energies)
+
+
+def test_meanfield_start_outside_the_chart_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "three_boson",
+            "three_boson": {"omega1": 1.0, "omega2": 1.0, "omega3": 2.0, "g": 1.0},
+            "blocks": {"labels": [{"k": 0, "m": 4}]},
+            "meanfield": {"p0": 8.0, "q0": 0.3, "tspan": 20.0, "dt": 0.002},
+        },
+    )
+    out = tmp_path / "mf"
+    assert main(["meanfield", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: meanfield.p0 = 8.0 lies outside |p| <= j = 2.0" in err
+    assert "of block k0_m4" in err
+    assert not out.exists()
 
 
 THREE_BOSON = {"omega1": 1.0, "omega2": 1.0, "omega3": 2.0, "g": 0.7}
