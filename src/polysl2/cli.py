@@ -43,6 +43,7 @@ from .dynamics import (
     evolve_block,
     fock_signal,
     incommensurability_measure,
+    meanfield_trajectory,
     rabi_signal,
 )
 from .solver import (
@@ -417,7 +418,7 @@ def _model_tasks(cfg: Config):
     if model == "sl2_limit":
         psi, l0 = _sl2_structure(sect.j)
         block = build_block(psi, float(l0), dmax=int(2 * sect.j) + 1)
-        return [(f"sl2_j{-float(l0)}", block, psi, sect.params())]
+        return [(f"sl2_j{sect.j}", block, psi, sect.params())]
     if model == "custom_psi":
         psi = StructureFunction(leading=sect.leading, roots=sect.roots)
         block = build_block(psi, sect.l0, dmax=sect.dmax)
@@ -572,8 +573,6 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
 
 
 def cmd_meanfield(cfg: Config, digest: str, args) -> int:
-    from .dynamics import meanfield_trajectory
-
     mf = cfg.need("meanfield")
     if cfg.model == "three_boson":  # the other models have exactly one block
         blocks = cfg.need("blocks")  # a cube holds 3 n (n + 1) + 1: never list it

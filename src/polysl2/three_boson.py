@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .algebra import Block, StructureFunction, build_block
+from .algebra import Block, StructureFunction
 from .solver import HamiltonianParams
 
 __all__ = [
@@ -127,14 +127,14 @@ def block_constants(label: BlockLabel, params: ThreeBosonParams) -> HamiltonianP
 
 
 def build_model_block(label: BlockLabel) -> tuple[Block, StructureFunction]:
-    """Unitary block plus its structure function, ready for the solver."""
+    """Unitary block plus its exact-rational structure function, for the solver.
+
+    psi(l0 + v) = v (k + v) (m + 1 - v) is positive for v = 1..m and zero at
+    v = m + 1, so the tower has label.dim = m + 1 levels and is never
+    truncated.
+    """
     psi, l0 = psi3_for_block(label)
-    block = build_block(psi, float(l0), dmax=label.m + 2)
-    if block.dim != label.dim:
-        raise RuntimeError(
-            f"block {label.block_id}: expected dim {label.dim}, got {block.dim}"
-        )
-    return block, psi
+    return Block(float(l0), label.dim), psi
 
 
 def fock_to_block(n1: int, n2: int, n3: int):

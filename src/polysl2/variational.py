@@ -9,10 +9,12 @@ energy H(p, q), shared with the mean field of polysl2.dynamics, is a
 Bernstein sum over the ladder rungs (_CoherentEnergy): well conditioned
 (Farouki & Rajan, CAGD 4, 191, 1987) and, by scaled Horner, finite at any
 block size.  solve_alpha scans -dH/dp along the real meridian p = j cos 2r,
-so its roots alpha = -tan r are mean-field fixed points; the closed-form
-E(0, r) picks one.  Each block then gets one rotation: R's columns are the
-eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx, one real eigh for all
-levels, checked against the exact overlaps of polysl2.reference.
+so its roots alpha = -tan r are mean-field fixed points, and picks one by
+the closed-form E(0, r); it alone decides the angle, a single level
+included.  variational_spectrum then gives the block one rotation: R's
+columns are the eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx, one real
+eigh for all levels, checked against the exact overlaps of
+polysl2.reference.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ class VariationalSolution:
     every stationary point found by the scan, in ascending order;
     residuals holds the exact slope dE(0, r)/dr at each of them, divided by
     the Hamiltonian's norm bound.  alpha_selected minimizes the v=0 energy
-    among them.  energies has one entry per block level.  ordering_ok
-    flags whether the selected-root energies came out ascending; a
-    violation indicates root misselection.
+    among them (solve_alpha decides it).  energies has one entry per block
+    level.  ordering_ok flags whether the selected-root energies came out
+    ascending; a violation indicates root misselection.
     """
 
     theta: float
@@ -245,7 +247,7 @@ def _stationarity(energy: _CoherentEnergy, params):
 
 
 def solve_alpha(block: Block, psi: StructureFunction, params) -> VariationalSolution:
-    """Locate all stationary alpha.
+    """Locate all stationary alpha and select the one of lowest E(v=0).
 
     The scan runs on GRID_POINTS angles spaced evenly in r = -atan(alpha)
     over the closed interval [-pi/2, pi/2], so it covers every alpha with
@@ -255,29 +257,28 @@ def solve_alpha(block: Block, psi: StructureFunction, params) -> VariationalSolu
     sectioning until it is ALPHA_WIDTH wide in alpha or cannot be split in
     floating point, and its midpoint is the root.  residuals holds
     dE(0, r)/dr / norm_bound at each root, which is -2|g|n F / norm_bound.
-    The energies are filled in by variational_spectrum.  A grid on which F
-    has neither a zero nor a sign change raises RuntimeError.
+    A grid on which F has neither a zero nor a sign change raises
+    RuntimeError.
+
+    The selected root minimizes the closed-form coherent energy
+    E(0, r) = diag_0 + a n s + 2 alpha c Q(s) of _stationarity, the first
+    of equal minima winning: O(d) per root, and the v=0 energy is a
+    Rayleigh quotient, so this branch is variationally controlled.  A
+    single-level block has no rotation freedom: its one root and selected
+    alpha are 0 and its residual 0, whatever g.  Otherwise g = 0 leaves the
+    phase undefined and raises ValueError.  The energies are filled in by
+    variational_spectrum.
     """
-    return _solve_alpha(block, psi, params)[0]
-
-
-def _solve_alpha(block: Block, psi: StructureFunction, params):
-    """solve_alpha's solution, with the Hamiltonian and _CoherentEnergy it built.
-
-    Both are None on a single-level block, which needs neither.
-    """
-    if params.g_mod == 0:
-        raise ValueError("variational phase undefined at g = 0")
     if block.dim == 1:
-        # no rotation freedom on a single level
-        sol = VariationalSolution(
+        return VariationalSolution(
             theta=params.g_phase,
             alpha_roots=(0.0,),
-            alpha_selected=math.nan,
+            alpha_selected=0.0,
             energies=(),
             residuals=(0.0,),
         )
-        return sol, None, None
+    if params.g_mod == 0:
+        raise ValueError("variational phase undefined at g = 0")
     tri = build_hamiltonian(block, psi, params)
     energy = _CoherentEnergy(tri)
     stationarity = _stationarity(energy, params)
@@ -316,45 +317,31 @@ def _solve_alpha(block: Block, psi: StructureFunction, params):
         )
     n = block.dim - 1
     residuals = -2.0 * params.g_mod * n * stationarity(roots) / tri.norm_bound()
-    sol = VariationalSolution(
+    c, s, bq, _ = energy.meridian(roots)
+    ground = tri.diag[0] + params.a * n * s + 2.0 * roots * c * bq
+    alpha_roots = tuple(roots.tolist())
+    return VariationalSolution(
         theta=params.g_phase,
-        alpha_roots=tuple(roots.tolist()),
-        alpha_selected=math.nan,
+        alpha_roots=alpha_roots,
+        alpha_selected=alpha_roots[int(np.argmin(ground))],
         energies=(),
         residuals=tuple(residuals.tolist()),
     )
-    return sol, tri, energy
 
 
 def variational_spectrum(
     block: Block, psi: StructureFunction, params
 ) -> VariationalSolution:
-    """Approximate block spectrum from the stationary trial states.
+    """Approximate block spectrum at the angle solve_alpha selects.
 
-    Among the stationary roots the one minimizing E(v=0) is selected, the
-    first of equal minima winning (the v=0 energy is a Rayleigh quotient,
-    so this branch is variationally controlled).  E(0, r) is the closed-form
-    coherent energy diag_0 + a n s + 2 alpha c Q(s) of _stationarity, so
-    the choice costs O(d) per root, and one rotation then evaluates all
-    levels at the selected angle.  An energy beyond the Hamiltonian's
-    norm bound (with NORM_SLACK for round-off) cannot be a Rayleigh
-    quotient and raises RuntimeError.
+    One rotation evaluates all levels there; a single level takes the
+    identity, so its energy is the diagonal entry exactly.  An energy
+    beyond the Hamiltonian's norm bound (with NORM_SLACK for round-off)
+    cannot be a Rayleigh quotient and raises RuntimeError.
     """
-    if block.dim == 1:
-        e0 = params.constant + params.a * block.l0
-        return VariationalSolution(
-            theta=params.g_phase,
-            alpha_roots=(0.0,),
-            alpha_selected=0.0,
-            energies=(e0,),
-            residuals=(0.0,),
-        )
-    sol, tri, energy = _solve_alpha(block, psi, params)
-    roots = np.array(sol.alpha_roots)
-    c, s, bq, _ = energy.meridian(roots)
-    ground = tri.diag[0] + params.a * (block.dim - 1) * s + 2.0 * roots * c * bq
-    al_sel = sol.alpha_roots[int(np.argmin(ground))]
-    energies = _level_energies(tri.diag, tri.offdiag, -math.atan(al_sel)).tolist()
+    sol = solve_alpha(block, psi, params)
+    tri = build_hamiltonian(block, psi, params)
+    energies = _level_energies(tri.diag, tri.offdiag, sol.r_selected).tolist()
     bound = tri.norm_bound()
     worst = float(np.max(np.abs(energies)))
     if not worst <= bound * (1.0 + NORM_SLACK):
@@ -363,6 +350,4 @@ def variational_spectrum(
             f"norm bound {bound:.6e}"
         )
     ordering_ok = bool(np.all(np.diff(energies) >= -1e-10 * max(worst, 1.0)))
-    return replace(
-        sol, alpha_selected=al_sel, energies=tuple(energies), ordering_ok=ordering_ok
-    )
+    return replace(sol, energies=tuple(energies), ordering_ok=ordering_ok)

@@ -478,6 +478,21 @@ def test_dynamics_without_any_weighted_block_is_a_numeric_failure(tmp_path):
     assert code == 3
 
 
+def test_sl2_block_id_names_j(tmp_path):
+    # the id reads j itself: at j = 0 no -0.0 from the lowest weight l0 = -j
+    for j, bid in ((0, "sl2_j0.0"), (3.5, "sl2_j3.5")):
+        cfg = write_config(
+            tmp_path,
+            {"model": "sl2_limit", "sl2_limit": {"j": j, "a": 0.5, "g": 0.7}},
+        )
+        out = tmp_path / f"j{j}"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        data = json.loads((out / "spectrum.json").read_text())
+        assert [b["block_id"] for b in data["blocks"]] == [bid]
+        _, rows = read_rows(out / "spectrum.csv")
+        assert {row[0] for row in rows[1:]} == {bid}
+
+
 def test_meanfield_run(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -19,3 +19,14 @@ def test_all_names_resolve():
         if gone:
             missing[name] = gone
     assert not missing
+
+
+def test_package_exports_the_union_of_module_apis():
+    modules = ("algebra", "dynamics", "reference", "solver", "three_boson", "variational")
+    union = set()
+    for name in modules:
+        module = importlib.import_module(f"polysl2.{name}")
+        union.update(module.__all__)
+        for attr in module.__all__:
+            assert getattr(polysl2, attr) is getattr(module, attr)
+    assert set(polysl2.__all__) == union

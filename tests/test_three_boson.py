@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polysl2.algebra import build_block
 from polysl2.three_boson import (
     BlockLabel,
     CoherentInput,
@@ -91,6 +92,21 @@ def test_build_model_block_dim_and_labels():
     assert block.l0 == pytest.approx(-1.0)
     # interior positivity
     assert np.all(psi.values(block.l0 + np.arange(1, 6)) > 0)
+
+
+def _scanned_block(label):
+    """The psi-scan route: the tower ends at the first rung where psi vanishes."""
+    psi, l0 = psi3_for_block(label)
+    return build_block(psi, float(l0), dmax=label.m + 2)
+
+
+def test_build_model_block_matches_the_psi_scan():
+    labels = enumerate_blocks(12)
+    labels += [BlockLabel(0, 500), BlockLabel(0, 2000), BlockLabel(7, 2000, -1)]
+    for label in labels:
+        block, psi = build_model_block(label)
+        assert block == _scanned_block(label), label.block_id
+        assert all(isinstance(r, Fraction) for r in psi.roots)
 
 
 def test_detuning_and_constants():

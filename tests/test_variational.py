@@ -1,6 +1,7 @@
 """Trial-state energy functional, stationarity roots, spectra."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,11 +285,19 @@ def test_variational_stationarity_crosscheck():
 
 
 def test_variational_single_level_block():
+    # no rotation freedom: solve_alpha's one root is 0, at any coupling, and
+    # the identity rotation leaves the diagonal entry exact
     block, psi = build_model_block(BlockLabel(0, 0))
-    params = HamiltonianParams(a=2.0, g_mod=1.0, constant=1.0)
+    params = HamiltonianParams(a=2.0, g_mod=1.0, g_phase=0.4, constant=1.0)
     sol = variational_spectrum(block, psi, params)
-    assert len(sol.energies) == 1
-    assert sol.energies[0] == pytest.approx(1.0 + 2.0 * block.l0)
+    assert sol.energies == (1.0 + 2.0 * block.l0,)
+    assert sol.alpha_selected == 0.0
+    for g_mod in (0.0, 1.0):
+        alone = solve_alpha(block, psi, replace(params, g_mod=g_mod))
+        assert alone.alpha_roots == (0.0,)
+        assert alone.alpha_selected == 0.0
+        assert alone.residuals == (0.0,)
+        assert alone.theta == 0.4
 
 
 @st.composite
@@ -438,5 +447,39 @@ def test_variational_spectrum_rotates_once_per_block(monkeypatch):
         params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
         sol = variational_spectrum(block, psi, params)
         roots += len(sol.alpha_roots)
-    assert len(calls) == 3
+    assert len(calls) == len(labels)
     assert roots > len(labels)
+
+
+def _selection_checks(block, psi, params):
+    """solve_alpha's angle is variational_spectrum's, and it is the root of
+    lowest rotated ground energy (one rotation per root as the reference)."""
+    sol = solve_alpha(block, psi, params)
+    assert sol.alpha_selected == variational_spectrum(block, psi, params).alpha_selected
+    tri = build_hamiltonian(block, psi, params)
+    ground = [
+        variational._level_energies(tri.diag, tri.offdiag, -math.atan(al))[0]
+        for al in sol.alpha_roots
+    ]
+    picked = ground[sol.alpha_roots.index(sol.alpha_selected)]
+    assert picked <= min(ground) + 1e-12 * tri.norm_bound()
+    return sol
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_blocks())
+def test_solve_alpha_selects_the_variational_angle(case):
+    _selection_checks(*case)
+
+
+def test_solve_alpha_selects_the_variational_angle_on_k0_m30():
+    label = BlockLabel(0, 30)
+    block, psi = build_model_block(label)
+    params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
+    assert len(_selection_checks(block, psi, params).alpha_roots) > 1
+
+
+def test_solve_alpha_rejects_zero_coupling_on_two_levels():
+    block, psi = build_model_block(BlockLabel(1, 1))
+    with pytest.raises(ValueError, match="g = 0"):
+        solve_alpha(block, psi, HamiltonianParams(a=1.0, g_mod=0.0))
