@@ -27,8 +27,9 @@ __all__ = [
     "su2_rotation",
 ]
 
-# relative threshold for root detection and block termination
+# a rung x lies at a root r of psi when |x - r| <= ROOT_RTOL (|x| + |r|)
 ROOT_RTOL = 1e-12
+MAX_BLOCK_DIM = 2001  # levels in one block; dense solvers hold several d x d arrays
 
 
 class BlockError(ValueError):
@@ -82,15 +83,10 @@ def falling_product(psi: StructureFunction, x, v: int):
 
 @dataclass(frozen=True)
 class Block:
-    """One irreducible tower: lowest weight l0, dimension dim.
-
-    truncated marks towers cut at dmax before a terminating zero of psi
-    was found; exactness claims do not apply to those.
-    """
+    """A whole tower between zeros of psi: lowest weight l0, dimension dim."""
 
     l0: float
     dim: int
-    truncated: bool = False
 
     @property
     def j(self) -> float:
@@ -101,37 +97,41 @@ class Block:
         return self.l0 + np.arange(self.dim, dtype=float)
 
 
-def build_block(psi, l0, dmax=1000) -> Block:
+def build_block(psi, l0, dmax=MAX_BLOCK_DIM) -> Block:
     """Construct the block generated from lowest weight l0.
 
-    l0 must be a root of psi; the dimension is the first v >= 1 with
-    psi(l0+v) below the detection threshold.  Intermediate values must be
-    strictly positive, otherwise the tower is not unitary.  If no zero is
-    found up to dmax the block is returned truncated at dmax.  The
-    threshold is ROOT_RTOL times the largest |psi(l0+v)|, v = 0..dmax, and
-    every one of these values must be finite.
+    A rung x = l0 + v is a zero of psi where psi(x) is 0 or x lies at a root
+    r, |x - r| <= ROOT_RTOL (|x| + |r|); psi's values away from the tower
+    never move this test.  l0 must be a zero, and the tower ends at the next
+    one.  The rungs between must hold finite, strictly positive psi values,
+    otherwise the tower is not unitary.  The result is a whole tower: one
+    that psi has not ended within dmax levels is a BlockError.
     """
     if dmax < 1:
         raise ValueError("dmax must be positive")
     l0 = float(l0)
-    vals = psi.values(l0 + np.arange(dmax + 1, dtype=float))
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise BlockError(f"psi(l0+{bad[0]}) = {vals[bad[0]]} is not finite")
-    tol = ROOT_RTOL * float(np.max(np.abs(vals)))
-    head = float(vals[0])
-    if abs(head) > tol:
-        raise BlockError(f"l0={l0} is not a root of psi (psi(l0)={head:.3e})")
-    # the tower ends at the first rung <= tol; below -tol it is not unitary
-    low = np.flatnonzero(vals[1:] <= tol)
-    truncated = not low.size
-    dim = dmax if truncated else int(low[0]) + 1
-    if not truncated and vals[dim] < -tol:
-        raise BlockError(
-            f"non-unitary block: psi(l0+{dim}) = {float(vals[dim]):.6g} < 0 "
-            "before termination"
-        )
-    return Block(l0=l0, dim=dim, truncated=truncated)
+    xs = l0 + np.arange(dmax + 1, dtype=float)
+    # psi may overflow past the end of the tower, where no value is used
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = psi.values(xs)
+        zero = vals == 0.0
+        for r in map(float, psi.roots):
+            zero |= np.abs(xs - r) <= ROOT_RTOL * (np.abs(xs) + abs(r))
+    if not zero[0]:
+        raise BlockError(f"l0={l0} is not a root of psi (psi(l0)={vals[0]:.3e})")
+    # the first rung that is a zero, or not a finite positive value
+    stop = np.flatnonzero(zero[1:] | ~(np.isfinite(vals[1:]) & (vals[1:] > 0.0)))
+    if not stop.size:
+        raise BlockError(f"the tower from l0={l0} does not end within {dmax} levels")
+    dim = int(stop[0]) + 1
+    if zero[dim]:
+        return Block(l0=l0, dim=dim)
+    if not np.isfinite(vals[dim]):
+        raise BlockError(f"psi(l0+{dim}) = {vals[dim]} is not finite")
+    raise BlockError(
+        f"non-unitary block: psi(l0+{dim}) = {float(vals[dim]):.6g} < 0 "
+        "before termination"
+    )
 
 
 def block_operators(block: Block, psi: StructureFunction):

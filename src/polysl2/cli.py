@@ -29,7 +29,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import (
+    MAX_BLOCK_DIM,
     ROOT_RTOL,
+    Block,
     BlockError,
     StructureFunction,
     block_operators,
@@ -72,7 +74,6 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 MAX_MEANFIELD_STEPS = 10**7  # also caps the dynamics samples
-MAX_BLOCK_DIM = 2001  # levels in one block; dense solvers hold several d x d arrays
 _DIM_NOTE = f" (a block holds at most {MAX_BLOCK_DIM} levels)"
 # the Fock cube n_i <= ncut holds blocks of up to 2 ncut + 1 levels
 MAX_NCUT = (MAX_BLOCK_DIM - 1) // 2
@@ -231,7 +232,6 @@ class CustomPsiConfig(_Coupling):
     roots: tuple = _key(_list(_real()))
     l0: float = _key(_real())
     leading: float = _key(_real(), 1.0)
-    dmax: int = _key(_int(1, MAX_BLOCK_DIM, _DIM_NOTE), 1000)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -405,10 +405,11 @@ def _write_outputs(args, name, digest, header, columns, summary, note):
     print(f"{name}: {note} -> {outdir}", file=sys.stderr)
 
 
-def _sl2_structure(j: float):
-    """psi_2(x) = (j+x)(j+1-x) as a factored structure function."""
+def _sl2_block(j: float):
+    """The spin-j block, 2j + 1 levels from l0 = -j, and psi_2(x) = (j+x)(j+1-x)."""
     jf = Fraction(j)
-    return StructureFunction(leading=Fraction(-1), roots=(-jf, jf + 1)), -jf
+    psi = StructureFunction(leading=Fraction(-1), roots=(-jf, jf + 1))
+    return Block(float(-jf), int(2 * j) + 1), psi
 
 
 def _model_tasks(cfg: Config):
@@ -416,17 +417,10 @@ def _model_tasks(cfg: Config):
     model = cfg.need("model")
     sect = cfg.need(model)
     if model == "sl2_limit":
-        psi, l0 = _sl2_structure(sect.j)
-        block = build_block(psi, float(l0), dmax=int(2 * sect.j) + 1)
-        return [(f"sl2_j{sect.j}", block, psi, sect.params())]
+        return [(f"sl2_j{sect.j}", *_sl2_block(sect.j), sect.params())]
     if model == "custom_psi":
         psi = StructureFunction(leading=sect.leading, roots=sect.roots)
-        block = build_block(psi, sect.l0, dmax=sect.dmax)
-        if block.truncated:
-            raise RuntimeError(
-                f"custom_psi block reached custom_psi.dmax = {sect.dmax} levels "
-                "before psi terminated; raise custom_psi.dmax"
-            )
+        block = build_block(psi, sect.l0)
         return [("custom", block, psi, sect.params())]
     params3 = sect.params()
     return [
@@ -649,8 +643,7 @@ def _check_oracle_equivalence():
 def _check_sl2_reduction():
     worst = 0.0
     for j in (0.5, 1.0, 2.0):
-        psi, l0 = _sl2_structure(j)
-        block = build_block(psi, float(l0))
+        block, psi = _sl2_block(j)
         for a, g in ((0.0, 1.0), (1.5, 0.7)):
             params = HamiltonianParams(a=a, g_mod=g)
             sol = variational_spectrum(block, psi, params)

@@ -130,8 +130,7 @@ def build_model_block(label: BlockLabel) -> tuple[Block, StructureFunction]:
     """Unitary block plus its exact-rational structure function, for the solver.
 
     psi(l0 + v) = v (k + v) (m + 1 - v) is positive for v = 1..m and zero at
-    v = m + 1, so the tower has label.dim = m + 1 levels and is never
-    truncated.
+    v = m + 1, so the block is the whole tower of label.dim = m + 1 levels.
     """
     psi, l0 = psi3_for_block(label)
     return Block(float(l0), label.dim), psi

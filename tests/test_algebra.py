@@ -68,7 +68,6 @@ def test_build_block_dimension_su2():
         block = build_block(sl2_psi(j), -j)
         assert block.dim == twoj + 1
         assert block.j == pytest.approx(j)
-        assert not block.truncated
 
 
 def test_build_block_rejects_non_root_start():
@@ -87,11 +86,15 @@ def test_build_block_rejects_negative_interior():
 
 
 def test_build_block_truncates_without_zero():
-    # psi(x) = x has no second zero: tower never terminates
+    # psi(x) = x has no second zero: the tower never terminates, and a block
+    # cut at dmax levels is refused rather than returned
     psi = StructureFunction(leading=1.0, roots=(0.0,))
-    block = build_block(psi, 0.0, dmax=40)
-    assert block.truncated
-    assert block.dim == 40
+    for dmax in (1, 40, 2001):
+        message = rf"^the tower from l0=0\.0 does not end within {dmax} levels$"
+        with pytest.raises(BlockError, match=message):
+            build_block(psi, 0.0, dmax=dmax)
+    # a zero on the last rung of the window still ends the tower
+    assert build_block(StructureFunction(-1.0, (0.0, 40.0)), 0.0, dmax=40).dim == 40
 
 
 def test_build_block_root_tolerance_scales():
@@ -108,21 +111,25 @@ def test_block_weights_and_labels():
 
 
 def scalar_block(psi, l0, dmax):
-    """Reference tower: (dim, truncated) or the BlockError text, rung by rung."""
+    """Reference tower: its dim or the BlockError text, rung by rung."""
     l0 = float(l0)
-    vals = [float(psi(l0 + v)) for v in range(dmax + 1)]
-    tol = ROOT_RTOL * max(abs(x) for x in vals)
-    if abs(vals[0]) > tol:
-        return f"l0={l0} is not a root of psi (psi(l0)={vals[0]:.3e})"
+    roots = [float(r) for r in psi.roots]
+
+    def at_zero(x):
+        near = (abs(x - r) <= ROOT_RTOL * (abs(x) + abs(r)) for r in roots)
+        return float(psi(x)) == 0.0 or any(near)
+
+    if not at_zero(l0):
+        return f"l0={l0} is not a root of psi (psi(l0)={float(psi(l0)):.3e})"
     for v in range(1, dmax + 1):
-        if vals[v] < -tol:
+        if at_zero(l0 + v):
+            return v
+        if float(psi(l0 + v)) < 0.0:
             return (
-                f"non-unitary block: psi(l0+{v}) = {vals[v]:.6g} < 0 "
+                f"non-unitary block: psi(l0+{v}) = {float(psi(l0 + v)):.6g} < 0 "
                 "before termination"
             )
-        if vals[v] <= tol:
-            return v, False
-    return dmax, True
+    return f"the tower from l0={l0} does not end within {dmax} levels"
 
 
 @st.composite
@@ -153,7 +160,7 @@ def test_build_block_matches_scalar_reference(case):
     except BlockError as exc:
         assert str(exc) == expect
     else:
-        assert (block.dim, block.truncated) == expect
+        assert block.dim == expect
 
 
 def rand_cubic_block(rng):
@@ -252,6 +259,21 @@ def test_su2_rotation_retains_no_memory():
     finally:
         tracemalloc.stop()
     assert kept < 1e6
+
+
+def test_build_block_end_does_not_depend_on_the_window():
+    # psi(x) = -x (x - 2) (x + 1) (x + 1.5): psi(1) = 5, psi(2) = 0.  Rungs
+    # past the end grow as x^4; 1e-12 of |psi(2001)| is about 16
+    psi = StructureFunction(leading=-1.0, roots=(0.0, 2.0, -1.0, -1.5))
+    for dmax in (2, 1000, 2001):
+        assert build_block(psi, 0.0, dmax=dmax).dim == 2
+
+
+def test_build_block_ignores_overflow_past_the_end():
+    # psi(1) = 11^100 is finite, psi(l0 + 2001) = -2001 * 1999 * 2011^100 is not
+    psi = StructureFunction(leading=-1.0, roots=(0.0, 2.0) + (-10.0,) * 100)
+    assert 2001 * 1999 * 2011**100 > float(np.finfo(float).max)
+    assert build_block(psi, 0.0).dim == 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

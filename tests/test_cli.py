@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polysl2.algebra import ROOT_RTOL
-from polysl2.cli import _CSV_ROWS, _write_csv, main
+from polysl2.algebra import ROOT_RTOL, build_block
+from polysl2.cli import _CSV_ROWS, _sl2_block, _write_csv, main
 from polysl2.solver import _lower, build_hamiltonian, sl2_reference_energies
 from polysl2.three_boson import (
     ThreeBosonParams,
@@ -320,7 +320,7 @@ def test_csv_names_the_first_non_finite_cell_in_reading_order(tmp_path):
 
 
 def test_sl2_limit_block_is_never_truncated(tmp_path):
-    # 2j + 1 = 1,021 levels: more than custom_psi's default dmax of 1,000
+    # 2j + 1 = 1,021 levels, all read from j: the block is never scanned
     j, a, g = 510, 0.5, 1.0
     cfg = write_config(
         tmp_path,
@@ -348,13 +348,61 @@ def test_truncated_custom_tower_is_a_numeric_failure(tmp_path, capsys):
         {
             "model": "custom_psi",
             "solver": "exact",
-            "custom_psi": {"roots": [0.0], "l0": 0.0, "g": 1.0, "dmax": 50},
+            "custom_psi": {"roots": [0.0], "l0": 0.0, "g": 1.0},
         },
     )
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
-    assert "custom_psi.dmax" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "numeric failure: the tower from l0=0.0 does not end within 2001 levels\n"
+    )
     assert not (out / "spectrum.csv").exists()
+
+
+def test_custom_tower_up_to_the_block_cap_is_solved(tmp_path):
+    # psi(x) = -x (x - 1001): 1,001 levels, beyond the old dmax default of 1,000
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "custom_psi",
+            "solver": "exact",
+            "custom_psi": {"roots": [0, 1001], "leading": -1, "l0": 0, "g": 0.5},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_rows(out / "spectrum.csv")
+    assert len(rows) == 1 + 1001
+    assert json.loads((out / "spectrum.json").read_text())["blocks"][0]["dim"] == 1001
+
+
+def test_custom_tower_ends_at_its_own_zero(tmp_path):
+    # psi(x) = -x (x - 2) (x + 1) (x + 1.5): psi(1) = 5 and psi(2) = 0.  At
+    # 1e-12 of |psi(2001)|, about 1.6e13, a threshold would read psi(1) as 0
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "custom_psi",
+            "solver": "exact",
+            "custom_psi": {
+                "roots": [0, 2, -1, -1.5],
+                "leading": -1,
+                "l0": 0,
+                "g": 0.5,
+            },
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_rows(out / "spectrum.csv")
+    assert len(rows) == 1 + 2
+
+
+def test_sl2_block_is_the_scanned_tower():
+    for twoj in range(2001):
+        j = twoj / 2
+        block, psi = _sl2_block(j)
+        assert block == build_block(psi, -j, dmax=twoj + 1)
 
 
 def test_verify_passes_clean(capsys):
@@ -609,8 +657,9 @@ DROP = object()
 
 @pytest.mark.parametrize(
     "base, path, value",
-    # the qmax, persist, window_periods, deficit_bound and inject_fault rows
-    # set keys the schema no longer has (test_removed_config_key_is_unknown);
+    # the dmax, qmax, persist, window_periods, deficit_bound and inject_fault
+    # rows set keys the schema no longer has (test_removed_config_key_is_unknown
+    # and test_removed_custom_key_is_unknown);
     # they keep their places so that the positional ids of the other rows
     # stay put
     [
@@ -728,6 +777,18 @@ def test_removed_config_key_is_unknown(tmp_path, capsys, key):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err == f"config error: unknown config key: {key}\n"
+    assert not out.exists()
+
+
+def test_removed_custom_key_is_unknown(tmp_path, capsys):
+    # custom_psi towers are searched up to the block cap, MAX_BLOCK_DIM
+    cfg = dict(BASE_CONFIGS["custom"])
+    cfg["custom_psi"] = dict(cfg["custom_psi"], dmax=50)
+    out = tmp_path / "out"
+    args = ["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: unknown config key: custom_psi.dmax\n"
     assert not out.exists()
 
 

@@ -3,7 +3,7 @@
 Parsing any JSON value gives a Config or raises ConfigError.  Replacing one
 leaf of the README spectrum, collapse and meanfield configs by arbitrary
 JSON gives exit 0, 2 or 3 and never an exception.  Every value that sets
-the size of a run (ncut, samples, m, dmax, and the mean-field step count
+the size of a run (ncut, samples, m, and the mean-field step count
 |tspan| / dt) is small, in the base configs and in the drawn values, so no
 example allocates much.
 """
@@ -59,7 +59,6 @@ SMALL = {
     "ncut": st.integers(-1, 4) | st.floats(-1.0, 4.0),
     "samples": st.integers(990, 1010) | st.floats(990.0, 1010.0),
     "m": st.integers(-1, 6) | st.floats(-1.0, 6.0),
-    "dmax": st.integers(-1, 20),
     # with dt >= 1e-3 and |tspan| <= 2 a trajectory has at most 2,000 steps
     "tspan": st.floats(-2.0, 2.0) | NON_FINITE,
     "dt": st.floats(1e-3, 1e3) | st.floats(max_value=0.0) | NON_FINITE,

@@ -88,7 +88,6 @@ def test_build_model_block_dim_and_labels():
     lab = BlockLabel(k=2, m=5, sign=1)
     block, psi = build_model_block(lab)
     assert block.dim == 6
-    assert not block.truncated
     assert block.l0 == pytest.approx(-1.0)
     # interior positivity
     assert np.all(psi.values(block.l0 + np.arange(1, 6)) > 0)
