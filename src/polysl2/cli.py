@@ -77,6 +77,13 @@ MAX_MEANFIELD_STEPS = 10**7  # also caps the dynamics samples
 _DIM_NOTE = f" (a block holds at most {MAX_BLOCK_DIM} levels)"
 # the Fock cube n_i <= ncut holds blocks of up to 2 ncut + 1 levels
 MAX_NCUT = (MAX_BLOCK_DIM - 1) // 2
+# up to here the three-boson rungs (k - m)/3 + v are exact floats, and the
+# float psi on them is within 4e-16 of the exact one; from k ~ 3e16 it is 0
+MAX_K = 10**15
+_K_NOTE = " (float64 holds the rungs of a three-boson tower up to there)"
+# up to here ROOT_RTOL (|x| + |r|) stays below 0.2, so no rung of a custom
+# tower is mistaken for a root one level away
+MAX_CUSTOM_L0 = 1e11
 # CSV rows formatted at a time: the text of a file is never held whole
 _CSV_ROWS = 128
 
@@ -157,6 +164,12 @@ _HALF_INTEGER = _Kind(
     and float(2 * v).is_integer(),
     float,
 )
+_CUSTOM_L0 = _Kind(
+    f"a finite number from {-MAX_CUSTOM_L0:g} to {MAX_CUSTOM_L0:g} (the root "
+    "test of a larger rung would merge neighbouring rungs)",
+    lambda v: _is_real(v) and abs(v) <= MAX_CUSTOM_L0,
+    float,
+)
 _SIGN = _Kind("1 or -1", lambda v: _is_int(v) and v in (1, -1), int)
 
 
@@ -230,13 +243,13 @@ class Sl2LimitConfig(_Coupling):
 @dataclass(frozen=True, kw_only=True)
 class CustomPsiConfig(_Coupling):
     roots: tuple = _key(_list(_real()))
-    l0: float = _key(_real())
+    l0: float = _key(_CUSTOM_L0)
     leading: float = _key(_real(), 1.0)
 
 
 @dataclass(frozen=True, kw_only=True)
 class LabelConfig:
-    k: int = _key(_int(0), 0)
+    k: int = _key(_int(0, MAX_K, _K_NOTE), 0)
     m: int = _key(_int(0, MAX_BLOCK_DIM - 1, _DIM_NOTE), 0)
     sign: int = _key(_SIGN, 1)
 
@@ -269,11 +282,18 @@ class DynamicsConfig:
 
     def __post_init__(self):
         _either("dynamics", alpha=self.alpha, fock=self.fock)
-        if self.fock and (label := fock_to_block(*self.fock)[0]).dim > MAX_BLOCK_DIM:
-            raise ConfigError(
-                f"dynamics.fock = {list(self.fock)} lies in block {label.block_id} "
-                f"of {label.dim} levels; a block holds at most {MAX_BLOCK_DIM}"
-            )
+        if self.fock:
+            label = fock_to_block(*self.fock)[0]
+            where = f"dynamics.fock = {list(self.fock)} lies in block {label.block_id}"
+            if label.dim > MAX_BLOCK_DIM:
+                raise ConfigError(
+                    f"{where} of {label.dim} levels; "
+                    f"a block holds at most {MAX_BLOCK_DIM}"
+                )
+            if label.k > MAX_K:
+                raise ConfigError(
+                    f"{where} with k = {label.k}; k is at most {MAX_K}{_K_NOTE}"
+                )
         for i, a in enumerate(self.alpha or ()):
             # the mean occupation |alpha|^2 must be a float for the tail
             # deficit and the Poisson weights
@@ -447,12 +467,14 @@ def _solve_block(task, solver: str, coupled: bool):
     entry = {"block_id": bid, "dim": d}
     exact = var = sl2 = alpha = residual = empty = np.empty(0)
     variational = solver in ("variational", "all")
+    run_exact, run_var = solver in ("exact", "all"), variational and coupled
     try:
-        if solver in ("exact", "all"):
+        if run_exact or run_var:  # one Hamiltonian serves both solvers
             tri = build_hamiltonian(block, psi, params)
+        if run_exact:
             exact = np.linalg.eigvalsh(_lower(tri), UPLO="L")  # no vectors to print
-        if variational and coupled:
-            sol = variational_spectrum(block, psi, params)
+        if run_var:
+            sol = variational_spectrum(tri)
         if solver in ("sl2_reference", "all"):
             sl2 = sl2_reference_energies(block, params)
     except (BlockError, RuntimeError, ValueError) as exc:
@@ -583,9 +605,8 @@ def cmd_meanfield(cfg: Config, digest: str, args) -> int:
             f"of block {bid}"
         )
     t0 = time.perf_counter()
-    traj = meanfield_trajectory(
-        block, psi, params, p0=mf.p0, q0=mf.q0, tspan=mf.tspan, dt=mf.dt
-    )
+    tri = build_hamiltonian(block, psi, params)
+    traj = meanfield_trajectory(tri, p0=mf.p0, q0=mf.q0, tspan=mf.tspan, dt=mf.dt)
     elapsed = time.perf_counter() - t0
     e0 = float(traj.energy[0])
     drift = float(np.max(np.abs(traj.energy - e0)))
@@ -646,7 +667,7 @@ def _check_sl2_reduction():
         block, psi = _sl2_block(j)
         for a, g in ((0.0, 1.0), (1.5, 0.7)):
             params = HamiltonianParams(a=a, g_mod=g)
-            sol = variational_spectrum(block, psi, params)
+            sol = variational_spectrum(build_hamiltonian(block, psi, params))
             exact = sl2_reference_energies(block, params)
             worst = max(worst, max(abs(x - y) for x, y in zip(sol.energies, exact)))
     return worst <= 1e-8, worst

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Block, StructureFunction
-from .solver import Spectrum, build_hamiltonian, eigensolve
+from .solver import Spectrum, TridiagonalHamiltonian, build_hamiltonian, eigensolve
 from .three_boson import (
     BlockLabel,
     CoherentInput,
@@ -495,33 +494,29 @@ class MeanFieldTrajectory:
 
 
 def meanfield_trajectory(
-    block: Block,
-    psi: StructureFunction,
-    params,
-    p0: float,
-    q0: float,
-    tspan: float,
-    dt: float,
+    tri: TridiagonalHamiltonian, p0: float, q0: float, tspan: float, dt: float
 ) -> MeanFieldTrajectory:
     """Classic 4th-order integration of dq/dt = dH/dp, dp/dt = -dH/dq.
 
-    H(p, q) and both partial derivatives come in closed form from the
-    binomial amplitudes of the su(2) coherent state, so the forces are
-    exact.  Stages with |p| > j are evaluated at p = +-j.  On the pole q is
-    undefined, the q-dependent part of dH/dp is taken as 0 there, and a
-    state on the pole stays on it while q precesses at a finite rate.  If
-    |p| leaves the chart after a step it is clamped back to the pole with
-    a warning.  Non-finite p0, q0, tspan or dt raise ValueError.
+    H(p, q) is the coherent-state energy of tri on the chart |p| <= j,
+    2j + 1 = tri.dim.  H and both partial derivatives come in closed form
+    from the binomial amplitudes of the su(2) coherent state, so the
+    forces are exact.  Stages with |p| > j are evaluated at p = +-j.  On
+    the pole q is undefined, the q-dependent part of dH/dp is taken as 0
+    there, and a state on the pole stays on it while q precesses at a
+    finite rate.  If |p| leaves the chart after a step it is clamped back
+    to the pole with a warning.  Non-finite p0, q0, tspan or dt raise
+    ValueError.
     """
     for name, val in (("p0", p0), ("q0", q0), ("tspan", tspan), ("dt", dt)):
         if not math.isfinite(val):
             raise ValueError(f"{name} must be finite")
-    j = block.j
+    energy = _CoherentEnergy(tri)
+    j = energy.j
     if abs(p0) > j:
         raise ValueError("initial |p| exceeds j")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    energy = _CoherentEnergy(build_hamiltonian(block, psi, params))
     nsteps = max(1, int(round(abs(tspan) / dt)))
     step = tspan / nsteps
     half = 0.5 * step

@@ -1,12 +1,13 @@
 """Per-block Hamiltonians, exact spectra and the su(2) reference solution.
 
 The block Hamiltonian a V0 + g V+ + g* V- + C is tridiagonal in the tower
-basis.  The phase of g is a diagonal gauge, so every spectral quantity comes
-from a real symmetric tridiagonal; a Spectrum keeps its real eigenvectors
-and the coupling phase, which only its amplitudes in the original basis
-carry.  Two independent eigenvalue routes are provided: numpy's dense
-LAPACK eigh of the tridiagonal and a Sturm-count bisection on the
-characteristic recurrence, used as cross-checking oracles.
+basis; build_hamiltonian makes a block's one TridiagonalHamiltonian, which
+every solver takes.  The phase of g is a diagonal gauge, so every spectral
+quantity comes from a real symmetric tridiagonal; a Spectrum keeps its real
+eigenvectors and the coupling phase, which only its amplitudes in the
+original basis carry.  Two independent eigenvalue routes are provided:
+numpy's dense LAPACK eigh of the tridiagonal and a Sturm-count bisection
+on the characteristic recurrence, used as cross-checking oracles.
 """
 
 from __future__ import annotations
@@ -56,14 +57,14 @@ class HamiltonianParams:
 class TridiagonalHamiltonian:
     """Real symmetric tridiagonal form of the block Hamiltonian.
 
-    diag[v] = C + a (l0 + v); offdiag[v] = |g| sqrt(psi(l0+v+1)).  g_phase
-    is the coupling phase that this real form gauges away; eigensolve hands
-    it on to the Spectrum.
+    diag[v] = C + a (l0 + v) and offdiag[v] = |g| sqrt(psi(l0+v+1)) from
+    params; params.g_phase is the coupling phase that this real form gauges
+    away, and eigensolve hands it on to the Spectrum.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
-    g_phase: float = 0.0
+    params: HamiltonianParams
 
     @property
     def dim(self) -> int:
@@ -79,7 +80,7 @@ class TridiagonalHamiltonian:
 
     def dense(self) -> np.ndarray:
         """Dense complex matrix in the original gauge."""
-        g = self.offdiag * cmath.exp(1j * self.g_phase)
+        g = self.offdiag * cmath.exp(1j * self.params.g_phase)
         h = np.diag(self.diag.astype(complex))
         return h + np.diag(g, -1) + np.diag(g.conj(), 1)
 
@@ -117,7 +118,7 @@ def build_hamiltonian(
     if np.any(vals < 0.0):
         raise BlockError("negative psi value under the ladder square root")
     off = params.g_mod * np.sqrt(vals)
-    return TridiagonalHamiltonian(diag=diag, offdiag=off, g_phase=params.g_phase)
+    return TridiagonalHamiltonian(diag=diag, offdiag=off, params=params)
 
 
 def _lower(tri: TridiagonalHamiltonian) -> np.ndarray:
@@ -133,7 +134,7 @@ def eigensolve(tri: TridiagonalHamiltonian) -> Spectrum:
         e, q = np.linalg.eigh(_lower(tri), UPLO="L")
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
-    return Spectrum(e, q, tri.g_phase)
+    return Spectrum(e, q, tri.params.g_phase)
 
 
 def _sturm_counts(tri: TridiagonalHamiltonian, xs: np.ndarray) -> np.ndarray:

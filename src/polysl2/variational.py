@@ -14,7 +14,8 @@ the closed-form E(0, r); it alone decides the angle, a single level
 included.  variational_spectrum then gives the block one rotation: R's
 columns are the eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx, one real
 eigh for all levels, checked against the exact overlaps of
-polysl2.reference.
+polysl2.reference.  Each function takes the block's one
+TridiagonalHamiltonian, and a and g come from the params it keeps.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import Block, StructureFunction, _su2_eigenbasis, su2_ladder
-from .solver import build_hamiltonian
+from .algebra import _su2_eigenbasis, su2_ladder
+from .solver import TridiagonalHamiltonian
 
 __all__ = [
     "VariationalSolution",
@@ -77,24 +78,19 @@ def _level_energies(diag: np.ndarray, off: np.ndarray, r: float) -> np.ndarray:
     return np.einsum("fv,fv->v", rot, hr)
 
 
-def energy_functional(
-    block: Block, psi: StructureFunction, params, v: int, r: float
-) -> float:
+def energy_functional(tri: TridiagonalHamiltonian, v: int, r: float) -> float:
     """Trial-state energy E(v, r) of block level v at rotation angle r.
 
     E = (R^T H R)_vv with R(r) = exp(r (Y- - Y+)) the float64 spin-j
-    rotation and H the real tridiagonal block Hamiltonian, diagonal
-    C + a(l0+v) and off-diagonal |g| sqrt(psi(l0+v+1)).  The coupling
-    phase drops out.  The hypergeometric form of E cancels heavily, so it
-    serves only as a reference (polysl2.reference).  At r = 0 the rotation
-    is the identity, so E is the diagonal entry exactly.
+    rotation and H = tri.  The coupling phase drops out.  The
+    hypergeometric form of E cancels heavily, so it serves only as a
+    reference (polysl2.reference).  At r = 0 the rotation is the identity,
+    so E is the diagonal entry exactly.
     """
-    d = block.dim
-    if not 0 <= v < d:
+    if not 0 <= v < tri.dim:
         raise ValueError("level index outside block")
     if abs(math.cos(r)) < 1e-12:
         raise ValueError("rotation angle too close to pi/2")
-    tri = build_hamiltonian(block, psi, params)
     return float(_level_energies(tri.diag, tri.offdiag, r)[v])
 
 
@@ -134,7 +130,7 @@ class _CoherentEnergy:
         n = tri.dim - 1
         self.n = n
         self.j = 0.5 * n
-        self.phase = float(tri.g_phase)
+        self.phase = float(tri.params.g_phase)
         self.diag0 = float(tri.diag[0])
         self.slope = float(tri.diag[1] - tri.diag[0]) if n else 0.0
         if n:
@@ -246,8 +242,8 @@ def _stationarity(energy: _CoherentEnergy, params):
     return stationarity
 
 
-def solve_alpha(block: Block, psi: StructureFunction, params) -> VariationalSolution:
-    """Locate all stationary alpha and select the one of lowest E(v=0).
+def solve_alpha(tri: TridiagonalHamiltonian) -> VariationalSolution:
+    """Locate all stationary alpha of tri and select the one of lowest E(v=0).
 
     The scan runs on GRID_POINTS angles spaced evenly in r = -atan(alpha)
     over the closed interval [-pi/2, pi/2], so it covers every alpha with
@@ -269,7 +265,8 @@ def solve_alpha(block: Block, psi: StructureFunction, params) -> VariationalSolu
     phase undefined and raises ValueError.  The energies are filled in by
     variational_spectrum.
     """
-    if block.dim == 1:
+    params = tri.params
+    if tri.dim == 1:
         return VariationalSolution(
             theta=params.g_phase,
             alpha_roots=(0.0,),
@@ -279,7 +276,6 @@ def solve_alpha(block: Block, psi: StructureFunction, params) -> VariationalSolu
         )
     if params.g_mod == 0:
         raise ValueError("variational phase undefined at g = 0")
-    tri = build_hamiltonian(block, psi, params)
     energy = _CoherentEnergy(tri)
     stationarity = _stationarity(energy, params)
     xs = np.tan(np.linspace(-math.pi / 2, math.pi / 2, GRID_POINTS))
@@ -315,7 +311,7 @@ def solve_alpha(block: Block, psi: StructureFunction, params) -> VariationalSolu
             "no stationary point on the scan grid; stationarity function at "
             f"alpha = -inf and +inf: {ys[0]:.6e}, {ys[-1]:.6e}"
         )
-    n = block.dim - 1
+    n = tri.dim - 1
     residuals = -2.0 * params.g_mod * n * stationarity(roots) / tri.norm_bound()
     c, s, bq, _ = energy.meridian(roots)
     ground = tri.diag[0] + params.a * n * s + 2.0 * roots * c * bq
@@ -329,18 +325,15 @@ def solve_alpha(block: Block, psi: StructureFunction, params) -> VariationalSolu
     )
 
 
-def variational_spectrum(
-    block: Block, psi: StructureFunction, params
-) -> VariationalSolution:
-    """Approximate block spectrum at the angle solve_alpha selects.
+def variational_spectrum(tri: TridiagonalHamiltonian) -> VariationalSolution:
+    """Approximate spectrum of tri at the angle solve_alpha selects.
 
     One rotation evaluates all levels there; a single level takes the
     identity, so its energy is the diagonal entry exactly.  An energy
     beyond the Hamiltonian's norm bound (with NORM_SLACK for round-off)
     cannot be a Rayleigh quotient and raises RuntimeError.
     """
-    sol = solve_alpha(block, psi, params)
-    tri = build_hamiltonian(block, psi, params)
+    sol = solve_alpha(tri)
     energies = _level_energies(tri.diag, tri.offdiag, sol.r_selected).tolist()
     bound = tri.norm_bound()
     worst = float(np.max(np.abs(energies)))

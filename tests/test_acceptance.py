@@ -55,7 +55,9 @@ def test_criterion_01_sl2_limit_reduction():
         block, psi = sl2_pair(j)
         for a in (0.0, 1.0, 3.0):
             for g in (0.5, 2.0):
-                sol = variational_spectrum(block, psi, HamiltonianParams(a=a, g_mod=g))
+                sol = variational_spectrum(
+                    build_hamiltonian(block, psi, HamiltonianParams(a=a, g_mod=g))
+                )
                 om = math.hypot(a, 2 * g)
                 ref = (np.arange(block.dim) - j) * om
                 worst = max(worst, float(np.max(np.abs(np.array(sol.energies) - ref))))
@@ -77,7 +79,7 @@ def test_criterion_02_small_dimension_exactness():
         psi = StructureFunction(leading=-w, roots=(l0, l0 + 2.0))
         block = build_block(psi, l0)
         sol = variational_spectrum(
-            block, psi, HamiltonianParams(a=a, g_mod=g, constant=cc)
+            build_hamiltonian(block, psi, HamiltonianParams(a=a, g_mod=g, constant=cc))
         )
         disc = math.sqrt(a * a + 4 * g * g * w)
         mid = cc + a * l0 + a / 2
@@ -96,7 +98,7 @@ def test_criterion_02_small_dimension_exactness():
         params = HamiltonianParams(
             a=float(rng.uniform(-2, 2)), g_mod=float(rng.uniform(0.3, 2.0))
         )
-        sol = variational_spectrum(block, psi, params)
+        sol = variational_spectrum(build_hamiltonian(block, psi, params))
         sp = eigensolve(build_hamiltonian(block, psi, params))
         scale = max(float(np.max(np.abs(sp.energies))), 1.0)
         worst3 = max(
@@ -310,12 +312,13 @@ def test_criterion_08_spacing_incommensurability():
 def test_criterion_09_meanfield_integrity():
     block, psi = build_model_block(BlockLabel(0, 4))
     params = HamiltonianParams(a=0.7, g_mod=1.0)
-    traj = meanfield_trajectory(block, psi, params, 0.8, 0.3, 20.0, 0.002)
+    tri = build_hamiltonian(block, psi, params)
+    traj = meanfield_trajectory(tri, 0.8, 0.3, 20.0, 0.002)
     assert len(traj.times) == 10001
     e = traj.energy
     drift = float(np.max(np.abs(e - e[0]))) / max(1.0, abs(e[0]))
     assert drift <= 1e-6
-    back = meanfield_trajectory(block, psi, params, traj.p[-1], traj.q[-1], -20.0, 0.002)
+    back = meanfield_trajectory(tri, traj.p[-1], traj.q[-1], -20.0, 0.002)
     assert abs(back.p[-1] - 0.8) <= 1e-6
     assert abs(back.q[-1] - 0.3) <= 1e-6
 
@@ -323,7 +326,8 @@ def test_criterion_09_meanfield_integrity():
     j, a, g = 2.0, 0.5, 1.0
     sblock, spsi = sl2_pair(j)
     straj = meanfield_trajectory(
-        sblock, spsi, HamiltonianParams(a=a, g_mod=g), 1.2, 0.4, 20.0, 0.002
+        build_hamiltonian(sblock, spsi, HamiltonianParams(a=a, g_mod=g)),
+        1.2, 0.4, 20.0, 0.002,
     )
     p = straj.p
     mid = 0.5 * (np.max(p) + np.min(p))

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from polysl2.algebra import ROOT_RTOL, build_block
 from polysl2.cli import _CSV_ROWS, _sl2_block, _write_csv, main
 from polysl2.solver import _lower, build_hamiltonian, sl2_reference_energies
 from polysl2.three_boson import (
+    BlockLabel,
     ThreeBosonParams,
     block_constants,
     build_model_block,
@@ -121,7 +124,7 @@ def test_spectrum_columns_follow_solver_and_coupling(tmp_path, solver, g):
             tri = build_hamiltonian(block, psi, params)
             exact = np.linalg.eigvalsh(_lower(tri), UPLO="L").tolist()
         if variational and g != 0:
-            sol = variational_spectrum(block, psi, params)
+            sol = variational_spectrum(build_hamiltonian(block, psi, params))
             var, alpha = list(sol.energies), sol.alpha_selected
             residual = sol.residuals[sol.alpha_roots.index(alpha)]
         if solver in ("sl2_reference", "all"):
@@ -957,6 +960,111 @@ def test_fock_block_beyond_the_cap_names_key_and_cap():
     assert str(err.value).startswith("dynamics.fock = [0, 0, 1000000000]")
     assert "1000000001 levels" in str(err.value)
     assert "at most 2001" in str(err.value)
+
+
+def test_three_boson_psi_is_exact_on_every_rung_at_the_k_cap():
+    from polysl2.cli import MAX_K
+
+    for m in (1, 2, 3, 7, 100, 2000):
+        for sign in (1, -1):
+            label = BlockLabel(MAX_K, m, sign)
+            block, psi = build_model_block(label)
+            got = psi.values(block.l0 + np.arange(1, block.dim, dtype=float))
+            exact = [psi(label.l0 + v) for v in range(1, block.dim)]
+            assert all(x > 0 for x in exact)
+            for g, x in zip(got.tolist(), exact):
+                assert abs(Fraction(g) - x) <= Fraction(4, 10**16) * x
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        (
+            "spectrum",
+            {"blocks": {"labels": [{"k": 10**15 + 1, "m": 3}]}},
+            "blocks.labels[0].k must be an integer from 0 to 1000000000000000",
+        ),
+        (
+            "dynamics",
+            {"dynamics": {"fock": [10**15 + 1, 0, 3], "samples": 1000}},
+            "dynamics.fock = [1000000000000001, 0, 3] lies in block "
+            "k1000000000000001p_m3 with k = 1000000000000001; "
+            "k is at most 1000000000000000",
+        ),
+    ],
+)
+def test_k_beyond_the_cap_is_a_config_error(tmp_path, capsys, command, cfg, key):
+    # past k ~ 3e16 the float rungs (k - m)/3 + v collapse psi to 0, and a
+    # run would print the uncoupled diagonal with exit 0
+    cfg = {"model": "three_boson", "three_boson": THREE_BOSON, **cfg}
+    out = tmp_path / "out"
+    code = main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} (")
+    assert not out.exists()
+
+
+def _custom_run(tmp_path, l0):
+    # psi(x) = -(x - l0)(x - l0 - 5): a tower of 5 levels from l0
+    cfg = {
+        "model": "custom_psi",
+        "solver": "exact",
+        "custom_psi": {"roots": [l0, l0 + 5], "leading": -1, "l0": l0, "g": 0.5},
+    }
+    out = tmp_path / "out"
+    code = main(["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    return code, out
+
+
+def test_custom_tower_at_the_l0_cap_keeps_its_levels(tmp_path):
+    code, out = _custom_run(tmp_path, 1e11)
+    assert code == 0
+    assert json.loads((out / "spectrum.json").read_text())["blocks"][0]["dim"] == 5
+
+
+def test_custom_l0_beyond_the_cap_is_a_config_error(tmp_path, capsys):
+    # at l0 = 5e11 the root test merges the rungs and the tower reads as 1 level
+    code, out = _custom_run(tmp_path, 1e11 + 1e6)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: custom_psi.l0 must be a finite number from -1e+11 to 1e+11"
+    )
+    assert not out.exists()
+
+
+def _count_builds(monkeypatch):
+    """Count build_hamiltonian calls through every polysl2 namespace holding it."""
+    from polysl2 import solver
+
+    built, original = [], solver.build_hamiltonian
+
+    def counted(block, psi, params):
+        built.append(block.dim)
+        return original(block, psi, params)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "polysl2" or name.startswith("polysl2."):
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return built
+
+
+def test_spectrum_builds_one_hamiltonian_per_block(tmp_path, monkeypatch):
+    built = _count_builds(monkeypatch)
+    cfg = dict(SPECTRUM_CFG, three_boson=dict(THREE_BOSON, g=0.7), blocks={"ncut": 2})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    dims = [b["dim"] for b in json.loads((out / "spectrum.json").read_text())["blocks"]]
+    assert max(dims) >= 2
+    assert built == dims
+
+
+def test_meanfield_builds_one_hamiltonian(tmp_path, monkeypatch):
+    built = _count_builds(monkeypatch)
+    cfg = write_config(tmp_path, BASE_CONFIGS["meanfield"])
+    assert main(["meanfield", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert built == [5]
 
 
 @pytest.mark.parametrize("ncut", [0, 1, 2, 5])

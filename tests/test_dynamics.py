@@ -647,9 +647,8 @@ def test_incommensurability_matches_double_loop(energies, qmax):
 
 def test_meanfield_zero_coupling_precession():
     block, psi = build_model_block(BlockLabel(0, 4))
-    traj = meanfield_trajectory(
-        block, psi, HamiltonianParams(a=0.9, g_mod=0.0), 0.5, 0.1, 5.0, 0.05
-    )
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.9, g_mod=0.0))
+    traj = meanfield_trajectory(tri, 0.5, 0.1, 5.0, 0.05)
     assert np.max(np.abs(traj.p - 0.5)) <= 1e-9
     dq = np.diff(traj.q)
     assert np.max(np.abs(dq - dq[0])) <= 1e-9
@@ -657,12 +656,12 @@ def test_meanfield_zero_coupling_precession():
 
 def test_meanfield_energy_drift_and_reversibility():
     block, psi = build_model_block(BlockLabel(0, 4))
-    params = HamiltonianParams(a=0.7, g_mod=1.0)
-    traj = meanfield_trajectory(block, psi, params, 0.8, 0.3, 5.0, 0.005)
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.7, g_mod=1.0))
+    traj = meanfield_trajectory(tri, 0.8, 0.3, 5.0, 0.005)
     e = traj.energy
     assert np.max(np.abs(e - e[0])) <= 1e-7 * max(1.0, abs(e[0]))
     assert not traj.clamped
-    back = meanfield_trajectory(block, psi, params, traj.p[-1], traj.q[-1], -5.0, 0.005)
+    back = meanfield_trajectory(tri, traj.p[-1], traj.q[-1], -5.0, 0.005)
     assert back.p[-1] == pytest.approx(0.8, abs=1e-7)
     assert back.q[-1] == pytest.approx(0.3, abs=1e-7)
 
@@ -671,9 +670,8 @@ def test_meanfield_pole_clamp_warns():
     psi = StructureFunction(leading=-1.0, roots=(-1.0, 2.0))
     block = build_block(psi, -1.0)
     with pytest.warns(UserWarning, match="clamped"):
-        traj = meanfield_trajectory(
-            block, psi, HamiltonianParams(a=0.3, g_mod=1.0), 0.999, 0.2, 20.0, 0.5
-        )
+        tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.3, g_mod=1.0))
+        traj = meanfield_trajectory(tri, 0.999, 0.2, 20.0, 0.5)
     assert traj.clamped
     assert np.max(np.abs(traj.p)) <= block.j + 1e-12
     for arr in (traj.p, traj.q, traj.energy):
@@ -685,20 +683,21 @@ def test_meanfield_pole_clamp_warns():
 
 def test_meanfield_input_validation():
     block, psi = build_model_block(BlockLabel(0, 2))
-    params = HamiltonianParams(a=1.0, g_mod=0.5)
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=1.0, g_mod=0.5))
     with pytest.raises(ValueError, match="exceeds j"):
-        meanfield_trajectory(block, psi, params, 1.5, 0.0, 1.0, 0.01)
+        meanfield_trajectory(tri, 1.5, 0.0, 1.0, 0.01)
     with pytest.raises(ValueError, match="dt"):
-        meanfield_trajectory(block, psi, params, 0.1, 0.0, 1.0, -0.01)
+        meanfield_trajectory(tri, 0.1, 0.0, 1.0, -0.01)
 
 
 @pytest.mark.parametrize("name", ["p0", "q0", "tspan", "dt"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_meanfield_rejects_non_finite_input(name, bad):
     block, psi = build_model_block(BlockLabel(0, 2))
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=1.0, g_mod=0.5))
     args = {"p0": 0.1, "q0": 0.0, "tspan": 1.0, "dt": 0.01, name: bad}
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        meanfield_trajectory(block, psi, HamiltonianParams(a=1.0, g_mod=0.5), **args)
+        meanfield_trajectory(tri, **args)
 
 
 def test_meanfield_single_level_block_is_constant():
@@ -707,7 +706,8 @@ def test_meanfield_single_level_block_is_constant():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         params = HamiltonianParams(a=0.8, g_mod=0.6, constant=1.5)
-        traj = meanfield_trajectory(block, psi, params, 0.0, 0.4, 2.0, 0.1)
+        tri = build_hamiltonian(block, psi, params)
+        traj = meanfield_trajectory(tri, 0.0, 0.4, 2.0, 0.1)
     assert len(traj.times) == 21
     assert np.all(traj.p == 0.0)
     assert np.all(traj.q == 0.4)
@@ -798,9 +798,10 @@ def test_meanfield_energy_returns_floats_past_the_rescale():
     label = BlockLabel(0, 600)
     block, psi = build_model_block(label)
     params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
-    energy = _CoherentEnergy(build_hamiltonian(block, psi, params))
+    tri = build_hamiltonian(block, psi, params)
+    energy = _CoherentEnergy(tri)
     assert block.dim == 601
     for p, q in ((0.0, 0.3), (0.4 * block.j, -1.0), (-0.9 * block.j, 2.0)):
         assert all(type(x) is float for x in energy(p, q))
-    traj = meanfield_trajectory(block, psi, params, 0.2 * block.j, 0.3, 0.01, 0.005)
+    traj = meanfield_trajectory(tri, 0.2 * block.j, 0.3, 0.01, 0.005)
     assert np.all(np.isfinite(traj.energy))

@@ -47,7 +47,7 @@ def test_build_hamiltonian_entries():
     assert np.allclose(tri.diag, 2.0 + 0.5 * (block.l0 + np.arange(4)))
     expect_off = 1.5 * np.sqrt([v * v * (4 - v) for v in (1, 2, 3)])
     assert np.allclose(tri.offdiag, expect_off)
-    assert tri.g_phase == 0.2
+    assert tri.params.g_phase == 0.2
 
 
 def test_build_hamiltonian_rejects_negative_psi():

@@ -61,8 +61,9 @@ def test_reg_hyp_known_values():
 def test_energy_functional_identity_rotation():
     block, psi = build_model_block(BlockLabel(0, 3))
     params = HamiltonianParams(a=0.7, g_mod=1.3, constant=2.0)
+    tri = build_hamiltonian(block, psi, params)
     for v in range(4):
-        e = energy_functional(block, psi, params, v, 0.0)
+        e = energy_functional(tri, v, 0.0)
         assert e == pytest.approx(2.0 + 0.7 * (block.l0 + v))
 
 
@@ -70,21 +71,21 @@ def test_energy_functional_two_level_sine():
     # j=1/2, a=0: E(0,r) = -sqrt(w) sin 2r and E(1,r) = +sqrt(w) sin 2r
     w = 2.7
     block, psi = two_level_block(w)
-    params = HamiltonianParams(a=0.0, g_mod=1.0)
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
     for r in (-1.0, 0.2, 0.9):
-        e0 = energy_functional(block, psi, params, 0, r)
-        e1 = energy_functional(block, psi, params, 1, r)
+        e0 = energy_functional(tri, 0, r)
+        e1 = energy_functional(tri, 1, r)
         assert e0 == pytest.approx(-math.sqrt(w) * math.sin(2 * r), abs=1e-12)
         assert e1 == pytest.approx(+math.sqrt(w) * math.sin(2 * r), abs=1e-12)
 
 
 def test_energy_functional_rejects_pole_and_bad_level():
     block, psi = build_model_block(BlockLabel(0, 2))
-    params = HamiltonianParams(a=0.0, g_mod=1.0)
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
     with pytest.raises(ValueError):
-        energy_functional(block, psi, params, 0, math.pi / 2)
+        energy_functional(tri, 0, math.pi / 2)
     with pytest.raises(ValueError):
-        energy_functional(block, psi, params, 5, 0.3)
+        energy_functional(tri, 5, 0.3)
 
 
 def test_energy_functional_equals_matrix_expectation():
@@ -93,12 +94,13 @@ def test_energy_functional_equals_matrix_expectation():
     psi = StructureFunction(leading=1.0, roots=(0.0, 5.0, 7.5))
     block = build_block(psi, 0.0)
     params = HamiltonianParams(a=1.0, g_mod=0.7, g_phase=0.9, constant=0.3)
-    h = build_hamiltonian(block, psi, params).dense()
+    tri = build_hamiltonian(block, psi, params)
+    h = tri.dense()
     for v in (0, 1, 3):
         for r in (0.6, -0.8, 1.2):
             c = gcs_overlaps(block, v, r, params.g_phase)
             e_mat = float(np.real(c.conj() @ h @ c))
-            e_fun = energy_functional(block, psi, params, v, r)
+            e_fun = energy_functional(tri, v, r)
             assert e_fun == pytest.approx(e_mat, abs=1e-10)
 
 
@@ -116,7 +118,7 @@ def test_energy_functional_large_blocks_match_exact_reference(m):
         for r in (0.4, 1.2, -0.9):
             c = gcs_overlaps(block, v, r, params.g_phase)
             e_mat = float(np.real(c.conj() @ h @ c))
-            e_fun = energy_functional(block, psi, params, v, r)
+            e_fun = energy_functional(tri, v, r)
             assert abs(e_fun - e_mat) <= 1e-9 * bound
             assert abs(e_fun) <= bound
 
@@ -158,7 +160,8 @@ def test_stationarity_rejects_zero_coupling():
 
 def test_solve_alpha_two_level_symmetric():
     block, psi = two_level_block(2.0)
-    sol = solve_alpha(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
+    sol = solve_alpha(tri)
     assert sorted(round(al, 10) for al in sol.alpha_roots) == [-1.0, 1.0]
     for res in sol.residuals:
         assert abs(res) <= 1e-10
@@ -176,7 +179,7 @@ def test_solve_alpha_residuals_meet_relative_bound():
         params = HamiltonianParams(
             a=float(rng.uniform(-2, 2)), g_mod=float(rng.uniform(0.3, 2.0))
         )
-        sol = solve_alpha(block, psi, params)
+        sol = solve_alpha(build_hamiltonian(block, psi, params))
         assert sol.alpha_roots
         for res in sol.residuals:
             assert abs(res) <= 1e-10
@@ -189,14 +192,16 @@ def test_solve_alpha_reports_empty_bracket(monkeypatch):
 
     monkeypatch.setattr(variational, "_stationarity", positive)
     block, psi = two_level_block(2.0)
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
     with pytest.raises(RuntimeError, match="no stationary point on the scan grid"):
-        solve_alpha(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
+        solve_alpha(tri)
 
 
 def test_variational_two_level_exact():
     # selected root pi/4 rotation, energies -sqrt(2), +sqrt(2)
     block, psi = two_level_block(2.0)
-    sol = variational_spectrum(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
+    sol = variational_spectrum(tri)
     assert sol.alpha_selected == pytest.approx(-1.0)
     assert sol.r_selected == pytest.approx(math.pi / 4)
     assert sol.energies[0] == pytest.approx(-math.sqrt(2), abs=1e-10)
@@ -214,7 +219,7 @@ def test_variational_d2_random_blocks_are_exact():
         cc = float(rng.uniform(-1, 1))
         block, psi = two_level_block(w, l0)
         params = HamiltonianParams(a=a, g_mod=g, constant=cc)
-        sol = variational_spectrum(block, psi, params)
+        sol = variational_spectrum(build_hamiltonian(block, psi, params))
         disc = math.sqrt(a * a + 4 * g * g * w)
         mid = cc + a * l0 + a / 2
         assert sol.energies[0] == pytest.approx(mid - disc / 2, abs=1e-8)
@@ -226,7 +231,7 @@ def test_variational_sl2_reduction_sample():
         block, psi = sl2_block(j)
         for a, g in ((0.0, 0.5), (3.0, 2.0)):
             params = HamiltonianParams(a=a, g_mod=g)
-            sol = variational_spectrum(block, psi, params)
+            sol = variational_spectrum(build_hamiltonian(block, psi, params))
             omega = math.hypot(a, 2 * g)
             for v in range(block.dim):
                 expect = a * (-j + j) + (-j + v) * omega  # l0 + j = 0 here
@@ -244,19 +249,20 @@ def test_variational_bound_on_ground_energy():
         )
         tri = build_hamiltonian(block, psi, params)
         ground = eigensolve(tri).energies[0]
-        sol = variational_spectrum(block, psi, params)
+        sol = variational_spectrum(tri)
         for al in sol.alpha_roots:
-            e0 = energy_functional(block, psi, params, 0, -math.atan(al))
+            e0 = energy_functional(tri, 0, -math.atan(al))
             assert e0 >= ground - 1e-10 * max(1.0, tri.norm_bound())
         assert sol.energies[0] >= ground - 1e-10 * max(1.0, tri.norm_bound())
 
 
 def test_variational_energies_ignore_coupling_phase():
     block, psi = build_model_block(BlockLabel(0, 4))
-    base = variational_spectrum(block, psi, HamiltonianParams(a=0.9, g_mod=1.2))
+    params = HamiltonianParams(a=0.9, g_mod=1.2)
+    base = variational_spectrum(build_hamiltonian(block, psi, params))
     for phase in (0.7, 2.9):
         other = variational_spectrum(
-            block, psi, HamiltonianParams(a=0.9, g_mod=1.2, g_phase=phase)
+            build_hamiltonian(block, psi, replace(params, g_phase=phase))
         )
         assert np.allclose(other.energies, base.energies, atol=1e-12)
         assert other.theta == phase
@@ -264,7 +270,8 @@ def test_variational_energies_ignore_coupling_phase():
 
 def test_variational_nonequidistant_beyond_d3():
     block, psi = build_model_block(BlockLabel(0, 5))
-    sol = variational_spectrum(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
+    sol = variational_spectrum(tri)
     spacings = np.diff(sol.energies)
     assert np.max(spacings) - np.min(spacings) > 1e-3 * np.max(np.abs(sol.energies))
 
@@ -273,15 +280,14 @@ def test_variational_stationarity_crosscheck():
     # numerical dE0/dr at the selected root vanishes
     for lab in (BlockLabel(0, 4), BlockLabel(3, 5, 1)):
         block, psi = build_model_block(lab)
-        params = HamiltonianParams(a=1.1, g_mod=0.9)
-        sol = variational_spectrum(block, psi, params)
+        tri = build_hamiltonian(block, psi, HamiltonianParams(a=1.1, g_mod=0.9))
+        sol = variational_spectrum(tri)
         h = 1e-6
         r = sol.r_selected
-        der = (
-            energy_functional(block, psi, params, 0, r + h)
-            - energy_functional(block, psi, params, 0, r - h)
-        ) / (2 * h)
-        assert abs(block.dim * der) <= 1e-6 * params.g_mod
+        der = (energy_functional(tri, 0, r + h) - energy_functional(tri, 0, r - h)) / (
+            2 * h
+        )
+        assert abs(block.dim * der) <= 1e-6 * tri.params.g_mod
 
 
 def test_variational_single_level_block():
@@ -289,11 +295,11 @@ def test_variational_single_level_block():
     # the identity rotation leaves the diagonal entry exact
     block, psi = build_model_block(BlockLabel(0, 0))
     params = HamiltonianParams(a=2.0, g_mod=1.0, g_phase=0.4, constant=1.0)
-    sol = variational_spectrum(block, psi, params)
+    sol = variational_spectrum(build_hamiltonian(block, psi, params))
     assert sol.energies == (1.0 + 2.0 * block.l0,)
     assert sol.alpha_selected == 0.0
     for g_mod in (0.0, 1.0):
-        alone = solve_alpha(block, psi, replace(params, g_mod=g_mod))
+        alone = solve_alpha(build_hamiltonian(block, psi, replace(params, g_mod=g_mod)))
         assert alone.alpha_roots == (0.0,)
         assert alone.alpha_selected == 0.0
         assert alone.residuals == (0.0,)
@@ -350,7 +356,7 @@ def test_solve_alpha_roots_match_termwise_scan(case):
     ys = np.array([stationarity_residual(block, psi, params, x) for x in xs])
     cells = np.nonzero(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)[0]
     try:
-        sol = solve_alpha(block, psi, params)
+        sol = solve_alpha(build_hamiltonian(block, psi, params))
     except RuntimeError:
         assert cells.size == 0 and not np.any(ys == 0.0)
         return
@@ -400,7 +406,7 @@ def _meridian_checks(block, psi, params):
     tri = build_hamiltonian(block, psi, params)
     energy = variational._CoherentEnergy(tri)
     bound = tri.norm_bound()
-    roots = np.array(solve_alpha(block, psi, params).alpha_roots)
+    roots = np.array(solve_alpha(tri).alpha_roots)
     c, s, bq, _ = energy.meridian(roots)
     ground = tri.diag[0] + params.a * (block.dim - 1) * s + 2.0 * roots * c * bq
     for al, e0 in zip(roots, ground):
@@ -445,7 +451,7 @@ def test_variational_spectrum_rotates_once_per_block(monkeypatch):
     for label in labels:
         block, psi = build_model_block(label)
         params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
-        sol = variational_spectrum(block, psi, params)
+        sol = variational_spectrum(build_hamiltonian(block, psi, params))
         roots += len(sol.alpha_roots)
     assert len(calls) == len(labels)
     assert roots > len(labels)
@@ -454,9 +460,9 @@ def test_variational_spectrum_rotates_once_per_block(monkeypatch):
 def _selection_checks(block, psi, params):
     """solve_alpha's angle is variational_spectrum's, and it is the root of
     lowest rotated ground energy (one rotation per root as the reference)."""
-    sol = solve_alpha(block, psi, params)
-    assert sol.alpha_selected == variational_spectrum(block, psi, params).alpha_selected
     tri = build_hamiltonian(block, psi, params)
+    sol = solve_alpha(tri)
+    assert sol.alpha_selected == variational_spectrum(tri).alpha_selected
     ground = [
         variational._level_energies(tri.diag, tri.offdiag, -math.atan(al))[0]
         for al in sol.alpha_roots
@@ -481,5 +487,6 @@ def test_solve_alpha_selects_the_variational_angle_on_k0_m30():
 
 def test_solve_alpha_rejects_zero_coupling_on_two_levels():
     block, psi = build_model_block(BlockLabel(1, 1))
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=1.0, g_mod=0.0))
     with pytest.raises(ValueError, match="g = 0"):
-        solve_alpha(block, psi, HamiltonianParams(a=1.0, g_mod=0.0))
+        solve_alpha(tri)
