@@ -5,7 +5,7 @@ in factored form (leading coefficient and real roots).  Finite unitary blocks
 are towers l0, l0+1, ..., l0+d-1 on which psi is positive between consecutive
 zeros; the ladder matrix elements are square roots of psi values.  Their
 su(2) images use the spin-j ladder and rotation defined here; the rotation
-is one real eigh of the rotated Jz per call, with nothing cached.
+is one eigh_tridiagonal of the rotated Jz per call, with nothing cached.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "falling_product",
     "build_block",
     "block_operators",
+    "eigh_tridiagonal",
     "holstein_primakoff",
     "su2_ladder",
     "su2_rotation",
@@ -167,20 +168,35 @@ def holstein_primakoff(block: Block, psi: StructureFunction):
     return y0, yp, yp.conj().T
 
 
+def eigh_tridiagonal(diag, off, eigvals_only=False):
+    """Ascending eigenvalues and eigenvector columns of a real tridiagonal.
+
+    diag and off are its diagonal and sub-diagonal, and eigvals_only skips
+    the vectors, as in scipy.linalg.eigh_tridiagonal.  This is the package's
+    one use of numpy's eigh and eigvalsh, which read the lower triangle
+    built dense here.  A LAPACK failure raises RuntimeError.
+    """
+    t = np.diag(np.asarray(off, dtype=float), -1)
+    np.fill_diagonal(t, diag)
+    solve = np.linalg.eigvalsh if eigvals_only else np.linalg.eigh
+    try:
+        return solve(t, UPLO="L")
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
+
+
 def _su2_eigenbasis(d: int, r: float) -> np.ndarray:
     """Columns of su2_rotation(d, r), each with the sign LAPACK gives it.
 
     Column v is the eigenvector for v - j of the tridiagonal
     T(r) = R Y0 R^T = cos 2r Y0 + sin 2r Jx.  Its eigenvalues are one apart,
-    so eigh returns the columns in order and well conditioned.  r = 0 gives
-    the identity exactly.
+    so eigh_tridiagonal returns the columns in order and well conditioned.
+    r = 0 gives the identity exactly.
     """
     if r == 0.0:
         return np.eye(d)
-    # eigh reads the lower triangle only: diagonal and sub-diagonal
-    t = np.diag(0.5 * math.sin(2 * r) * su2_ladder(d), -1)
-    np.fill_diagonal(t, (np.arange(d) - 0.5 * (d - 1)) * math.cos(2 * r))
-    return np.linalg.eigh(t, UPLO="L")[1]
+    diag = (np.arange(d) - 0.5 * (d - 1)) * math.cos(2 * r)
+    return eigh_tridiagonal(diag, 0.5 * math.sin(2 * r) * su2_ladder(d))[1]
 
 
 def su2_rotation(d: int, r: float) -> np.ndarray:

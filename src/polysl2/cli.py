@@ -14,7 +14,6 @@ out-of-range values as ConfigError, before any numerics run.
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
@@ -36,6 +35,7 @@ from .algebra import (
     StructureFunction,
     block_operators,
     build_block,
+    eigh_tridiagonal,
     su2_rotation,
 )
 from .dynamics import (
@@ -50,7 +50,6 @@ from .dynamics import (
 )
 from .solver import (
     HamiltonianParams,
-    _lower,
     amplitude_recurrence,
     build_hamiltonian,
     eigensolve,
@@ -231,8 +230,7 @@ class _Coupling:
     constant: float = _key(_real(), 0.0)
 
     def params(self) -> HamiltonianParams:
-        phase = cmath.phase(self.g) if self.g != 0 else 0.0
-        return HamiltonianParams(self.a, abs(self.g), phase, self.constant)
+        return HamiltonianParams.from_coupling(self.a, self.g, self.constant)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -472,7 +470,7 @@ def _solve_block(task, solver: str, coupled: bool):
         if run_exact or run_var:  # one Hamiltonian serves both solvers
             tri = build_hamiltonian(block, psi, params)
         if run_exact:
-            exact = np.linalg.eigvalsh(_lower(tri), UPLO="L")  # no vectors to print
+            exact = eigh_tridiagonal(tri.diag, tri.offdiag, eigvals_only=True)
         if run_var:
             sol = variational_spectrum(tri)
         if solver in ("sl2_reference", "all"):

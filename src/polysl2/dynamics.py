@@ -284,7 +284,8 @@ def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
 
     Each block is solved once and its pruned Bohr terms go to _bohr_signal
     as it is solved; the first block of largest weight is the dominant one,
-    and prune_bound is the sum of the blocks' dropped totals.
+    and prune_bound is the sum of the blocks' dropped totals.  A failure is
+    a RuntimeError prefixed "block <id>: ", as in the CLI's spectrum command.
     """
     weights = {}
     best, dominant, spectrum, pruned = -1.0, None, None, 0.0
@@ -293,13 +294,16 @@ def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
         nonlocal best, dominant, spectrum, pruned
         for label, w, c0 in projections:
             weights[label.block_id] = w
-            block, psi = build_model_block(label)
-            tri = build_hamiltonian(block, psi, block_constants(label, params))
-            spec = eigensolve(tri)
-            occ = label.m - np.arange(block.dim, dtype=float)
+            try:
+                block, psi = build_model_block(label)
+                tri = build_hamiltonian(block, psi, block_constants(label, params))
+                spec = eigensolve(tri)
+                occ = label.m - np.arange(block.dim, dtype=float)
+                constant, pos, amp, dropped = _evolve_grid(spec, c0, times, occ)
+            except (RuntimeError, ValueError) as exc:
+                raise RuntimeError(f"block {label.block_id}: {exc}") from exc
             if w > best:
                 best, dominant, spectrum = w, label, spec
-            constant, pos, amp, dropped = _evolve_grid(spec, c0, times, occ)
             pruned += dropped
             yield constant, pos, amp
 

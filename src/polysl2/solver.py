@@ -6,8 +6,8 @@ every solver takes.  The phase of g is a diagonal gauge, so every spectral
 quantity comes from a real symmetric tridiagonal; a Spectrum keeps its real
 eigenvectors and the coupling phase, which only its amplitudes in the
 original basis carry.  Two independent eigenvalue routes are provided:
-numpy's dense LAPACK eigh of the tridiagonal and a Sturm-count bisection
-on the characteristic recurrence, used as cross-checking oracles.
+algebra.eigh_tridiagonal (LAPACK) and a Sturm-count bisection on the
+characteristic recurrence, used as cross-checking oracles.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Block, BlockError, StructureFunction, su2_rotation
+from .algebra import eigh_tridiagonal
 
 __all__ = [
     "HamiltonianParams",
@@ -47,6 +48,11 @@ class HamiltonianParams:
     def __post_init__(self):
         if self.g_mod < 0:
             raise ValueError("g_mod must be nonnegative")
+
+    @classmethod
+    def from_coupling(cls, a: float, g: complex, constant: float = 0.0):
+        """Split g into modulus and phase; g = 0, a signed zero too, has phase 0."""
+        return cls(a, abs(g), cmath.phase(g) if g != 0 else 0.0, constant)
 
     @property
     def g(self) -> complex:
@@ -121,19 +127,9 @@ def build_hamiltonian(
     return TridiagonalHamiltonian(diag=diag, offdiag=off, params=params)
 
 
-def _lower(tri: TridiagonalHamiltonian) -> np.ndarray:
-    """Dense diagonal and sub-diagonal: all that LAPACK eigh with UPLO="L" reads."""
-    h = np.diag(np.asarray(tri.offdiag, dtype=float), -1)
-    np.fill_diagonal(h, tri.diag)
-    return h
-
-
 def eigensolve(tri: TridiagonalHamiltonian) -> Spectrum:
-    """Full eigendecomposition of the real tridiagonal; see Spectrum."""
-    try:
-        e, q = np.linalg.eigh(_lower(tri), UPLO="L")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
+    """Energies and vectors of the tridiagonal by eigh_tridiagonal; see Spectrum."""
+    e, q = eigh_tridiagonal(tri.diag, tri.offdiag)
     return Spectrum(e, q, tri.params.g_phase)
 
 

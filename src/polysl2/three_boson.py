@@ -118,12 +118,7 @@ def block_constants(label: BlockLabel, params: ThreeBosonParams) -> HamiltonianP
     """Detuning, coupling and additive constant of the block Hamiltonian."""
     w1, w2, w3 = params.omega1, params.omega2, params.omega3
     c = 0.5 * (label.r1 * (w1 - w2) + float(label.r2) * (w1 + w2 + 2 * w3))
-    return HamiltonianParams(
-        a=params.detuning,
-        g_mod=abs(params.g),
-        g_phase=cmath.phase(params.g) if params.g != 0 else 0.0,
-        constant=c,
-    )
+    return HamiltonianParams.from_coupling(params.detuning, params.g, c)
 
 
 def build_model_block(label: BlockLabel) -> tuple[Block, StructureFunction]:

@@ -12,8 +12,8 @@ block size.  solve_alpha scans -dH/dp along the real meridian p = j cos 2r,
 so its roots alpha = -tan r are mean-field fixed points, and picks one by
 the closed-form E(0, r); it alone decides the angle, a single level
 included.  variational_spectrum then gives the block one rotation: R's
-columns are the eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx, one real
-eigh for all levels, checked against the exact overlaps of
+columns are the eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx, one
+eigh_tridiagonal for all levels, checked against the exact overlaps of
 polysl2.reference.  Each function takes the block's one
 TridiagonalHamiltonian, and a and g come from the params it keeps.
 """

@@ -1,15 +1,18 @@
 """Structure functions, block construction, operator identities."""
 
+import ast
 import gc
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polysl2
 from polysl2.algebra import (
     ROOT_RTOL,
     Block,
@@ -17,12 +20,20 @@ from polysl2.algebra import (
     StructureFunction,
     block_operators,
     build_block,
+    eigh_tridiagonal,
     falling_product,
     holstein_primakoff,
     su2_ladder,
     su2_rotation,
 )
 from polysl2.reference import gcs_overlaps
+from polysl2.solver import build_hamiltonian
+from polysl2.three_boson import (
+    BlockLabel,
+    ThreeBosonParams,
+    block_constants,
+    build_model_block,
+)
 
 
 def sl2_psi(j):
@@ -292,3 +303,67 @@ def test_holstein_primakoff_matches_sl2_ladder():
     _, vp, _ = block_operators(block, psi)
     _, yp, _ = holstein_primakoff(block, psi)
     assert np.allclose(vp, yp, atol=1e-12)
+
+
+def _dense_lower(diag, off):
+    """The d x d matrix holding diag on its diagonal and off below it."""
+    d = len(diag)
+    h = np.zeros((d, d))
+    h[np.diag_indices(d)] = diag
+    h[np.arange(1, d), np.arange(d - 1)] = off
+    return h
+
+
+def _tridiagonals():
+    """Three-boson block Hamiltonians and rotated Jz's, as (diag, off)."""
+    params3 = ThreeBosonParams(1.0, 0.9, 2.2, complex(0.6, -0.8))
+    for d in (1, 2, 6, 41, 121, 301, 1001):
+        label = BlockLabel(0, d - 1)
+        block, psi = build_model_block(label)
+        tri = build_hamiltonian(block, psi, block_constants(label, params3))
+        yield tri.diag, tri.offdiag
+    d = 41
+    for r in (0.0, 0.3, -1.2):
+        diag = (np.arange(d) - 0.5 * (d - 1)) * math.cos(2 * r)
+        yield diag, 0.5 * math.sin(2 * r) * su2_ladder(d)
+
+
+def test_eigh_tridiagonal_gives_the_bytes_of_dense_lapack():
+    # a faster LAPACK driver behind eigh_tridiagonal must keep these bytes
+    for diag, off in _tridiagonals():
+        h = _dense_lower(diag, off)
+        values = eigh_tridiagonal(diag, off, eigvals_only=True)
+        assert values.tobytes() == np.linalg.eigvalsh(h, UPLO="L").tobytes()
+        e, q = eigh_tridiagonal(diag, off)
+        e_ref, q_ref = np.linalg.eigh(h, UPLO="L")
+        assert e.tobytes() == e_ref.tobytes()
+        assert q.tobytes() == q_ref.tobytes()
+
+
+def test_only_eigh_tridiagonal_names_numpy_eigensolvers():
+    # every LAPACK eigensolve of the package goes through one function, so a
+    # change of driver is a change to that function alone
+    uses = []
+    for path in sorted(Path(polysl2.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            uses += [
+                (path.stem, owner.get(node), name)
+                for name in names
+                if name in ("eigh", "eigvalsh")
+            ]
+    assert sorted(uses) == [
+        ("algebra", "eigh_tridiagonal", "eigh"),
+        ("algebra", "eigh_tridiagonal", "eigvalsh"),
+    ]

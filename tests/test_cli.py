@@ -14,7 +14,7 @@ import pytest
 
 from polysl2.algebra import ROOT_RTOL, build_block
 from polysl2.cli import _CSV_ROWS, _sl2_block, _write_csv, main
-from polysl2.solver import _lower, build_hamiltonian, sl2_reference_energies
+from polysl2.solver import build_hamiltonian, sl2_reference_energies
 from polysl2.three_boson import (
     BlockLabel,
     ThreeBosonParams,
@@ -122,7 +122,9 @@ def test_spectrum_columns_follow_solver_and_coupling(tmp_path, solver, g):
         alpha = residual = None
         if solver in ("exact", "all"):
             tri = build_hamiltonian(block, psi, params)
-            exact = np.linalg.eigvalsh(_lower(tri), UPLO="L").tolist()
+            lower = np.diag(tri.offdiag, -1)
+            np.fill_diagonal(lower, tri.diag)
+            exact = np.linalg.eigvalsh(lower, UPLO="L").tolist()
         if variational and g != 0:
             sol = variational_spectrum(build_hamiltonian(block, psi, params))
             var, alpha = list(sol.energies), sol.alpha_selected
@@ -880,6 +882,35 @@ def test_variational_energy_beyond_norm_bound_is_a_numeric_failure(
     assert err.startswith("numeric failure: block k0_m1: variational energy")
     assert "norm bound" in err
     assert not (out / "spectrum.csv").exists()
+
+
+FAILING_BLOCK_CFG = {
+    "model": "three_boson",
+    "three_boson": {"omega1": 1.0, "omega2": 0.9, "omega3": 2.2, "g": [0.6, -0.8]},
+    "blocks": {"labels": [{"k": 0, "m": 3}]},
+    "dynamics": {"fock": [1, 1, 2], "samples": 1000},
+}
+
+
+@pytest.mark.parametrize(
+    "command, solver",
+    [("spectrum", "exact"), ("spectrum", "variational"), ("dynamics", "all")],
+)
+def test_lapack_failure_names_its_block(tmp_path, capsys, monkeypatch, command, solver):
+    # the exact energies, the variational rotation and the dynamics
+    # eigenvectors all fail through eigh_tridiagonal, with one message
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("boom")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    cfg = write_config(tmp_path, dict(FAILING_BLOCK_CFG, solver=solver))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: block k0_m3: tridiagonal eigensolve failed: boom\n"
+    )
+    assert not out.exists()
 
 
 def test_variational_spectrum_of_a_1081_level_block(tmp_path):

@@ -33,6 +33,14 @@ def rand_params(rng, phase=True):
     )
 
 
+def test_params_from_coupling_splits_g():
+    p = HamiltonianParams.from_coupling(0.5, -2.0, constant=1.5)
+    assert (p.a, p.g_mod, p.g_phase, p.constant) == (0.5, 2.0, math.pi, 1.5)
+    # a signed zero has no phase: cmath.phase(-0.0) would be pi
+    for g in (0j, complex(-0.0, 0.0), complex(-0.0, -0.0)):
+        assert HamiltonianParams.from_coupling(1.0, g).g_phase == 0.0
+
+
 def test_params_g_property_and_validation():
     p = HamiltonianParams(a=0.0, g_mod=2.0, g_phase=math.pi / 2)
     assert p.g == pytest.approx(2j)
