@@ -24,6 +24,7 @@ __all__ = [
     "block_operators",
     "eigh_tridiagonal",
     "holstein_primakoff",
+    "su2_eigenbasis",
     "su2_ladder",
     "su2_rotation",
 ]
@@ -185,9 +186,10 @@ def eigh_tridiagonal(diag, off, eigvals_only=False):
         raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
 
 
-def _su2_eigenbasis(d: int, r: float) -> np.ndarray:
+def su2_eigenbasis(d: int, r: float) -> np.ndarray:
     """Columns of su2_rotation(d, r), each with the sign LAPACK gives it.
 
+    A form quadratic in each column, such as a trial energy, needs no more.
     Column v is the eigenvector for v - j of the tridiagonal
     T(r) = R Y0 R^T = cos 2r Y0 + sin 2r Jx.  Its eigenvalues are one apart,
     so eigh_tridiagonal returns the columns in order and well conditioned.
@@ -202,14 +204,14 @@ def _su2_eigenbasis(d: int, r: float) -> np.ndarray:
 def su2_rotation(d: int, r: float) -> np.ndarray:
     """Real spin-j rotation R(r) = exp(r (Y- - Y+)) on a d-level block.
 
-    Columns from _su2_eigenbasis, signs from two facts.  Column 0 is the
+    Columns from su2_eigenbasis, signs from two facts.  Column 0 is the
     coherent state sqrt(C(n, f)) cos^(n-f) r (-sin r)^f, n = d - 1: its
     largest entry gets that sign, read from the signs of cos r and sin r
     (their powers underflow at large d).  R commutes with A = Y- - Y+, so
     q_(v+1)^T A q_v = -su2_ladder(d)[v], at least sqrt(n) in magnitude, and
     the signs of these links fix the other columns.  R(0) = I exactly.
     """
-    u = _su2_eigenbasis(d, r)
+    u = su2_eigenbasis(d, r)
     n, f = d - 1, int(np.argmax(np.abs(u[:, 0])))
     flips = (n - f) * (math.cos(r) < 0.0) + f * (math.sin(r) > 0.0) + (u[f, 0] < 0.0)
     # q_(v+1)^T A q_v as a sum over rungs f of ladder_f times a 2 x 2 minor

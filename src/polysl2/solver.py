@@ -2,12 +2,13 @@
 
 The block Hamiltonian a V0 + g V+ + g* V- + C is tridiagonal in the tower
 basis; build_hamiltonian makes a block's one TridiagonalHamiltonian, which
-every solver takes.  The phase of g is a diagonal gauge, so every spectral
-quantity comes from a real symmetric tridiagonal; a Spectrum keeps its real
-eigenvectors and the coupling phase, which only its amplitudes in the
-original basis carry.  Two independent eigenvalue routes are provided:
-algebra.eigh_tridiagonal (LAPACK) and a Sturm-count bisection on the
-characteristic recurrence, used as cross-checking oracles.
+every solver takes, and refuses one that is not finite.  The phase of g is
+a diagonal gauge, so every spectral quantity comes from a real symmetric
+tridiagonal; a Spectrum keeps its real eigenvectors and the coupling
+phase, which only its amplitudes in the original basis carry.  Two
+independent eigenvalue routes are provided: algebra.eigh_tridiagonal
+(LAPACK) and a Sturm-count bisection on the characteristic recurrence,
+used as cross-checking oracles.
 """
 
 from __future__ import annotations
@@ -51,8 +52,13 @@ class HamiltonianParams:
 
     @classmethod
     def from_coupling(cls, a: float, g: complex, constant: float = 0.0):
-        """Split g into modulus and phase; g = 0, a signed zero too, has phase 0."""
-        return cls(a, abs(g), cmath.phase(g) if g != 0 else 0.0, constant)
+        """Split g into modulus and phase; g = 0, a signed zero too, has phase 0.
+
+        The phase is cmath.phase(g) by math.atan2, which gives 0.0 where the
+        phase underflows instead of raising OverflowError.
+        """
+        phase = math.atan2(g.imag, g.real) if g != 0 else 0.0
+        return cls(a, abs(g), phase, constant)
 
     @property
     def g(self) -> complex:
@@ -118,12 +124,27 @@ class Spectrum:
 def build_hamiltonian(
     block: Block, psi: StructureFunction, params: HamiltonianParams
 ) -> TridiagonalHamiltonian:
+    """The block's TridiagonalHamiltonian; nothing non-finite reaches a solver.
+
+    A non-finite a, |g| or C, or an entry that overflows, raises ValueError
+    naming the first of them, without a floating-point warning.
+    """
+    for name in ("a", "g_mod", "constant"):
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite Hamiltonian: {name} = {value}")
     d = block.dim
-    diag = params.constant + params.a * block.weights()
-    vals = psi.values(block.l0 + np.arange(1, d, dtype=float))
-    if np.any(vals < 0.0):
-        raise BlockError("negative psi value under the ladder square root")
-    off = params.g_mod * np.sqrt(vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = params.constant + params.a * block.weights()
+        vals = psi.values(block.l0 + np.arange(1, d, dtype=float))
+        if np.any(vals < 0.0):
+            raise BlockError("negative psi value under the ladder square root")
+        off = params.g_mod * np.sqrt(vals)
+    for name, entries in (("diag", diag), ("offdiag", off)):
+        bad = np.flatnonzero(~np.isfinite(entries))
+        if bad.size:
+            v = int(bad[0])
+            raise ValueError(f"non-finite Hamiltonian: {name}[{v}] = {entries[v]}")
     return TridiagonalHamiltonian(diag=diag, offdiag=off, params=params)
 
 

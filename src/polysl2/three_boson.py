@@ -9,7 +9,6 @@ conserved numbers read off the lowest Fock state; all fractional spectra
 from __future__ import annotations
 
 import math
-import cmath
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,7 +204,7 @@ def _mode_amplitudes(alpha: complex, nmax: int) -> np.ndarray:
         return out
     n = np.arange(nmax + 1, dtype=float)
     logmag = -0.5 * mod * mod + n * math.log(mod) - 0.5 * _log_factorials(nmax)
-    phase = n * cmath.phase(alpha)
+    phase = n * math.atan2(alpha.imag, alpha.real)  # cmath.phase raises on underflow
     mag = np.exp(logmag)
     out.real = mag * np.cos(phase)
     out.imag = mag * np.sin(phase)

@@ -11,7 +11,11 @@ Bernstein sum over the ladder rungs (_CoherentEnergy): well conditioned
 block size.  solve_alpha scans -dH/dp along the real meridian p = j cos 2r,
 so its roots alpha = -tan r are mean-field fixed points, and picks one by
 the closed-form E(0, r); it alone decides the angle, a single level
-included.  variational_spectrum then gives the block one rotation: R's
+included.  The scan reads only the off-diagonal, a and |g|, and a
+one-entry memo keyed on their bytes keeps its last result, so twin blocks
+(k, m, +) and (k, m, -), whose Hamiltonians differ by a constant on the
+diagonal and which enumerate_blocks lists one after the other, share one
+scan.  variational_spectrum then gives the block one rotation: R's
 columns are the eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx, one
 eigh_tridiagonal for all levels, checked against the exact overlaps of
 polysl2.reference.  Each function takes the block's one
@@ -20,13 +24,14 @@ TridiagonalHamiltonian, and a and g come from the params it keeps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import _su2_eigenbasis, su2_ladder
-from .solver import TridiagonalHamiltonian
+from .algebra import su2_eigenbasis, su2_ladder
+from .solver import HamiltonianParams, TridiagonalHamiltonian
 
 __all__ = [
     "VariationalSolution",
@@ -39,6 +44,11 @@ GRID_POINTS = 4001
 ALPHA_WIDTH = 1e-14  # refined roots are bracketed this tightly in alpha
 SECTIONS = 64  # subintervals per bracket and refinement pass
 NORM_SLACK = 1e-12  # round-off allowed on |E| <= norm bound
+
+# the scan grid alpha = tan r, r even over [-pi/2, pi/2], and the section points
+_GRID = np.tan(np.linspace(-math.pi / 2, math.pi / 2, GRID_POINTS))
+_FRAC = np.linspace(0.0, 1.0, SECTIONS + 1)
+_GRID.flags.writeable = _FRAC.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,7 @@ def _level_energies(diag: np.ndarray, off: np.ndarray, r: float) -> np.ndarray:
 
     E is quadratic in each column of R, so their signs are never fixed.
     """
-    rot = _su2_eigenbasis(diag.size, r)
+    rot = su2_eigenbasis(diag.size, r)
     hr = diag[:, None] * rot
     hr[:-1] += off[:, None] * rot[1:]
     hr[1:] += off[:, None] * rot[:-1]
@@ -242,6 +252,62 @@ def _stationarity(energy: _CoherentEnergy, params):
     return stationarity
 
 
+@functools.lru_cache(maxsize=1)
+def _scan(offdiag: bytes, a_g: bytes):
+    """Stationary alpha of one block, and F, c, s and Q(s) at each of them.
+
+    The key is all the scan reads: the bytes of the block's float64
+    off-diagonal and of np.float64([a, |g|]).  The scan rebuilds its inputs
+    from them, so it cannot see the diagonal, bit patterns keep -0.0 and
+    0.0 apart, and the key fixes the block size.  The one entry holds O(d)
+    bytes and read-only arrays: roots, F(roots) and the meridian's c, s and
+    Q there.  See solve_alpha for the scan itself.
+    """
+    off = np.frombuffer(offdiag)
+    params = HamiltonianParams(*np.frombuffer(a_g).tolist())
+    # zeros stand in for the diagonal, which neither F nor Q reads
+    tri = TridiagonalHamiltonian(np.zeros(off.size + 1), off, params)
+    energy = _CoherentEnergy(tri)
+    stationarity = _stationarity(energy, params)
+    xs = _GRID
+    ys = stationarity(xs)
+    exact = ys == 0.0
+    y0, y1 = ys[:-1], ys[1:]
+    brackets = np.nonzero((y0 != 0.0) & (y1 != 0.0) & ((y0 > 0.0) != (y1 > 0.0)))[0]
+    lo, hi, neg = xs[brackets], xs[brackets + 1], y0[brackets] < 0.0
+    # a bracket keeps the sign of F at its left end, so each pass keeps the
+    # first subinterval whose right end has the other sign (a zero counts
+    # as positive); a bracket leaves once it is ALPHA_WIDTH wide or stops
+    # shrinking in floating point
+    active = np.nonzero(hi - lo > ALPHA_WIDTH)[0]
+    while active.size:
+        a, b = lo[active], hi[active]
+        pts = np.minimum(a[:, None] + (b - a)[:, None] * _FRAC, b[:, None])
+        pts[:, -1] = b
+        change = np.ones((active.size, SECTIONS), dtype=bool)
+        vals = stationarity(pts[:, 1:-1].ravel())
+        change[:, :-1] = (vals < 0.0).reshape(-1, SECTIONS - 1) != neg[active, None]
+        k = np.argmax(change, axis=1)
+        rows = np.arange(active.size)
+        lo[active], hi[active] = pts[rows, k], pts[rows, k + 1]
+        width = hi[active] - lo[active]
+        active = active[(width < b - a) & (width > ALPHA_WIDTH)]
+    # roots in grid order: exact grid zeros and refined brackets interleave
+    at = np.concatenate([np.nonzero(exact)[0], brackets])
+    found = np.concatenate([xs[exact], 0.5 * (lo + hi)])
+    roots = found[np.argsort(at, kind="stable")]
+    if not roots.size:
+        raise RuntimeError(
+            "no stationary point on the scan grid; stationarity function at "
+            f"alpha = -inf and +inf: {ys[0]:.6e}, {ys[-1]:.6e}"
+        )
+    c, s, bq, _ = energy.meridian(roots)
+    scan = tuple(map(np.asarray, (roots, stationarity(roots), c, s, bq)))
+    for x in scan:  # Q is a 0-d array on two levels
+        x.flags.writeable = False
+    return scan
+
+
 def solve_alpha(tri: TridiagonalHamiltonian) -> VariationalSolution:
     """Locate all stationary alpha of tri and select the one of lowest E(v=0).
 
@@ -255,6 +321,14 @@ def solve_alpha(tri: TridiagonalHamiltonian) -> VariationalSolution:
     dE(0, r)/dr / norm_bound at each root, which is -2|g|n F / norm_bound.
     A grid on which F has neither a zero nor a sign change raises
     RuntimeError.
+
+    F reads only the off-diagonal, a and |g|, so the scan (_scan) keeps its
+    last result in a one-entry memo keyed on their bytes.  The twins
+    (k, m, +) and (k, m, -) of a three-boson model have the same
+    off-diagonal and a, and enumerate_blocks lists the minus twin right
+    after the plus twin: the second reuses the first one's scan.  The
+    diagonal and the norm bound enter only the root choice and the
+    residuals, per block.
 
     The selected root minimizes the closed-form coherent energy
     E(0, r) = diag_0 + a n s + 2 alpha c Q(s) of _stationarity, the first
@@ -276,44 +350,12 @@ def solve_alpha(tri: TridiagonalHamiltonian) -> VariationalSolution:
         )
     if params.g_mod == 0:
         raise ValueError("variational phase undefined at g = 0")
-    energy = _CoherentEnergy(tri)
-    stationarity = _stationarity(energy, params)
-    xs = np.tan(np.linspace(-math.pi / 2, math.pi / 2, GRID_POINTS))
-    ys = stationarity(xs)
-    exact = ys == 0.0
-    y0, y1 = ys[:-1], ys[1:]
-    brackets = np.nonzero((y0 != 0.0) & (y1 != 0.0) & ((y0 > 0.0) != (y1 > 0.0)))[0]
-    lo, hi, neg = xs[brackets], xs[brackets + 1], y0[brackets] < 0.0
-    # a bracket keeps the sign of F at its left end, so each pass keeps the
-    # first subinterval whose right end has the other sign (a zero counts
-    # as positive); a bracket leaves once it is ALPHA_WIDTH wide or stops
-    # shrinking in floating point
-    frac = np.linspace(0.0, 1.0, SECTIONS + 1)
-    active = np.nonzero(hi - lo > ALPHA_WIDTH)[0]
-    while active.size:
-        a, b = lo[active], hi[active]
-        pts = np.minimum(a[:, None] + (b - a)[:, None] * frac, b[:, None])
-        pts[:, -1] = b
-        change = np.ones((active.size, SECTIONS), dtype=bool)
-        vals = stationarity(pts[:, 1:-1].ravel())
-        change[:, :-1] = (vals < 0.0).reshape(-1, SECTIONS - 1) != neg[active, None]
-        k = np.argmax(change, axis=1)
-        rows = np.arange(active.size)
-        lo[active], hi[active] = pts[rows, k], pts[rows, k + 1]
-        width = hi[active] - lo[active]
-        active = active[(width < b - a) & (width > ALPHA_WIDTH)]
-    # roots in grid order: exact grid zeros and refined brackets interleave
-    at = np.concatenate([np.nonzero(exact)[0], brackets])
-    found = np.concatenate([xs[exact], 0.5 * (lo + hi)])
-    roots = found[np.argsort(at, kind="stable")]
-    if not roots.size:
-        raise RuntimeError(
-            "no stationary point on the scan grid; stationarity function at "
-            f"alpha = -inf and +inf: {ys[0]:.6e}, {ys[-1]:.6e}"
-        )
+    roots, f, c, s, bq = _scan(
+        np.asarray(tri.offdiag, dtype=np.float64).tobytes(),
+        np.float64([params.a, params.g_mod]).tobytes(),
+    )
     n = tri.dim - 1
-    residuals = -2.0 * params.g_mod * n * stationarity(roots) / tri.norm_bound()
-    c, s, bq, _ = energy.meridian(roots)
+    residuals = -2.0 * params.g_mod * n * f / tri.norm_bound()
     ground = tri.diag[0] + params.a * n * s + 2.0 * roots * c * bq
     alpha_roots = tuple(roots.tolist())
     return VariationalSolution(

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -235,7 +236,7 @@ def test_numeric_failure_exit_code(tmp_path):
                 "sl2_limit": {"j": 3, "a": 1e308, "g": 1e308},
                 "meanfield": {"p0": 0.1, "q0": 0.2, "tspan": 1.0, "dt": 0.1},
             },
-            "meanfield.csv: column energy holds nan",
+            "non-finite Hamiltonian: diag[0] = -inf",
         ),
         (
             # psi(1) is about -4e318: the block must not be cut at v = 1
@@ -1096,6 +1097,56 @@ def test_meanfield_builds_one_hamiltonian(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, BASE_CONFIGS["meanfield"])
     assert main(["meanfield", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert built == [5]
+
+
+def test_spectrum_scans_each_twin_pair_once(tmp_path, monkeypatch):
+    # the benchmark's labels at its seed 0: 82 blocks of two or more levels,
+    # 35 of them minus twins listed right after their plus twin, whose
+    # scan they reuse
+    from polysl2 import variational
+
+    built = []
+
+    class Counted(variational._CoherentEnergy):
+        def __init__(self, tri):
+            built.append(tri.dim)
+            super().__init__(tri)
+
+    monkeypatch.setattr(variational, "_CoherentEnergy", Counted)
+    variational._scan.cache_clear()
+    labels = [{"k": lab.k, "m": lab.m, "sign": lab.sign} for lab in enumerate_blocks(5)]
+    labels += [{"k": 0, "m": 30}, {"k": 0, "m": 40}]
+    cfg = dict(SPECTRUM_CFG, blocks={"labels": labels})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    dims = [b["dim"] for b in json.loads((out / "spectrum.json").read_text())["blocks"]]
+    assert (len(dims), sum(d > 1 for d in dims)) == (93, 82)
+    assert len(built) == 47
+
+
+@pytest.mark.parametrize(
+    "command, section, bid",
+    [
+        ("spectrum", {"blocks": {"labels": [{"k": 0, "m": 4}]}}, "k0_m4"),
+        ("dynamics", {"dynamics": {"fock": [1, 1, 2]}}, "k0_m3"),
+    ],
+)
+def test_non_finite_hamiltonian_is_named_before_lapack(
+    tmp_path, capsys, command, section, bid
+):
+    # omega1 + omega2 overflows to an infinite detuning a; inf - inf would
+    # put nan on the diagonal and fail inside LAPACK
+    three_boson = {"omega1": 1e308, "omega2": 1e308, "omega3": 1.0, "g": 1.0}
+    cfg = write_config(tmp_path, {"model": "three_boson", "three_boson": three_boson, **section})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"numeric failure: block {bid}: non-finite Hamiltonian: a = inf\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ncut", [0, 1, 2, 5])

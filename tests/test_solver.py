@@ -39,6 +39,8 @@ def test_params_from_coupling_splits_g():
     # a signed zero has no phase: cmath.phase(-0.0) would be pi
     for g in (0j, complex(-0.0, 0.0), complex(-0.0, -0.0)):
         assert HamiltonianParams.from_coupling(1.0, g).g_phase == 0.0
+    # a phase below the float range is 0.0, where cmath.phase raises
+    assert HamiltonianParams.from_coupling(1.0, complex(2.0, 5e-324)).g_phase == 0.0
 
 
 def test_params_g_property_and_validation():
@@ -56,6 +58,20 @@ def test_build_hamiltonian_entries():
     expect_off = 1.5 * np.sqrt([v * v * (4 - v) for v in (1, 2, 3)])
     assert np.allclose(tri.offdiag, expect_off)
     assert tri.params.g_phase == 0.2
+
+
+def test_build_hamiltonian_names_the_first_non_finite_parameter_or_entry():
+    # tower weights -1..2 and rungs sqrt(3), sqrt(8), 3; warnings are errors
+    block, psi = build_model_block(BlockLabel(0, 3))
+    for params, message in (
+        (HamiltonianParams(a=math.inf, g_mod=1.0), "a = inf"),
+        (HamiltonianParams(a=1.0, g_mod=math.inf), "g_mod = inf"),
+        (HamiltonianParams(a=1.0, g_mod=1.0, constant=math.nan), "constant = nan"),
+        (HamiltonianParams(a=1e308, g_mod=1.0), r"diag\[3\] = inf"),
+        (HamiltonianParams(a=1.0, g_mod=1e308), r"offdiag\[1\] = inf"),
+    ):
+        with pytest.raises(ValueError, match="non-finite Hamiltonian: " + message):
+            build_hamiltonian(block, psi, params)
 
 
 def test_build_hamiltonian_rejects_negative_psi():

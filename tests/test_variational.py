@@ -1,6 +1,8 @@
 """Trial-state energy functional, stationarity roots, spectra."""
 
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +193,7 @@ def test_solve_alpha_reports_empty_bracket(monkeypatch):
         return lambda alpha: np.ones(np.shape(alpha))
 
     monkeypatch.setattr(variational, "_stationarity", positive)
+    variational._scan.cache_clear()  # a memo hit would skip the patch
     block, psi = two_level_block(2.0)
     tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
     with pytest.raises(RuntimeError, match="no stationary point on the scan grid"):
@@ -490,3 +493,60 @@ def test_solve_alpha_rejects_zero_coupling_on_two_levels():
     tri = build_hamiltonian(block, psi, HamiltonianParams(a=1.0, g_mod=0.0))
     with pytest.raises(ValueError, match="g = 0"):
         solve_alpha(tri)
+
+
+def model_hamiltonian(label, params):
+    block, psi = build_model_block(label)
+    return build_hamiltonian(block, psi, block_constants(label, params))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(st.floats(0.5, 2.5), st.floats(0.5, 2.5), st.floats(0.5, 4.0)),
+    st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0, allow_infinity=False),
+    st.integers(1, 6),
+    st.integers(1, 40),
+)
+def test_minus_twin_reuses_the_plus_twins_scan_with_the_same_bytes(omegas, g, k, m):
+    # (k, m, -) after (k, m, +) hits the scan memo and gives the solution it
+    # gives with the memo empty, bit for bit
+    params = ThreeBosonParams(*omegas, g=g)
+    plus, minus = (model_hamiltonian(BlockLabel(k, m, sign), params) for sign in (1, -1))
+    variational._scan.cache_clear()
+    cold = variational_spectrum(minus)
+    variational._scan.cache_clear()
+    variational_spectrum(plus)
+    warm = variational_spectrum(minus)
+    assert variational._scan.cache_info().hits == 1
+    for field in ("alpha_roots", "residuals", "energies"):
+        got, want = (np.array(getattr(sol, field)) for sol in (warm, cold))
+        assert got.tobytes() == want.tobytes(), field
+    assert warm == cold
+
+
+def test_scan_memo_keeps_signed_zero_detunings_apart():
+    block, psi = build_model_block(BlockLabel(1, 6))
+    variational._scan.cache_clear()
+    for a in (0.0, 0.0, -0.0, -0.0, 0.0):
+        solve_alpha(build_hamiltonian(block, psi, HamiltonianParams(a=a, g_mod=0.9)))
+    info = variational._scan.cache_info()
+    assert (info.hits, info.misses) == (2, 3)
+
+
+def test_scan_memo_keeps_o_of_d_bytes():
+    # after a d = 1001 block the memo holds its key, 8 (d - 1) bytes of
+    # off-diagonal, and a few roots (12 kB in all); the 8 d^2 bytes of the
+    # rotation go
+    label = BlockLabel(0, 1000)
+    tri = model_hamiltonian(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
+    variational._scan.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        variational_spectrum(tri)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert variational._scan.cache_info().currsize == 1
+    assert kept < 24 * tri.dim
