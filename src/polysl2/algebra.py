@@ -99,7 +99,7 @@ class Block:
         return self.l0 + np.arange(self.dim, dtype=float)
 
 
-def build_block(psi, l0, dmax=MAX_BLOCK_DIM) -> Block:
+def build_block(psi, l0) -> Block:
     """Construct the block generated from lowest weight l0.
 
     A rung x = l0 + v is a zero of psi where psi(x) is 0 or x lies at a root
@@ -107,12 +107,10 @@ def build_block(psi, l0, dmax=MAX_BLOCK_DIM) -> Block:
     never move this test.  l0 must be a zero, and the tower ends at the next
     one.  The rungs between must hold finite, strictly positive psi values,
     otherwise the tower is not unitary.  The result is a whole tower: one
-    that psi has not ended within dmax levels is a BlockError.
+    that psi has not ended within MAX_BLOCK_DIM levels is a BlockError.
     """
-    if dmax < 1:
-        raise ValueError("dmax must be positive")
     l0 = float(l0)
-    xs = l0 + np.arange(dmax + 1, dtype=float)
+    xs = l0 + np.arange(MAX_BLOCK_DIM + 1, dtype=float)
     # psi may overflow past the end of the tower, where no value is used
     with np.errstate(over="ignore", invalid="ignore"):
         vals = psi.values(xs)
@@ -124,7 +122,9 @@ def build_block(psi, l0, dmax=MAX_BLOCK_DIM) -> Block:
     # the first rung that is a zero, or not a finite positive value
     stop = np.flatnonzero(zero[1:] | ~(np.isfinite(vals[1:]) & (vals[1:] > 0.0)))
     if not stop.size:
-        raise BlockError(f"the tower from l0={l0} does not end within {dmax} levels")
+        raise BlockError(
+            f"the tower from l0={l0} does not end within {MAX_BLOCK_DIM} levels"
+        )
     dim = int(stop[0]) + 1
     if zero[dim]:
         return Block(l0=l0, dim=dim)

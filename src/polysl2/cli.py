@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
@@ -31,7 +32,6 @@ from .algebra import (
     MAX_BLOCK_DIM,
     ROOT_RTOL,
     Block,
-    BlockError,
     StructureFunction,
     block_operators,
     build_block,
@@ -423,6 +423,15 @@ def _write_outputs(args, name, digest, header, columns, summary, note):
     print(f"{name}: {note} -> {outdir}", file=sys.stderr)
 
 
+@contextmanager
+def _in_block(bid: str):
+    """Prefix "block <bid>: " to a RuntimeError or ValueError raised inside."""
+    try:
+        yield
+    except (RuntimeError, ValueError) as exc:
+        raise RuntimeError(f"block {bid}: {exc}") from exc
+
+
 def _sl2_block(j: float):
     """The spin-j block, 2j + 1 levels from l0 = -j, and psi_2(x) = (j+x)(j+1-x)."""
     jf = Fraction(j)
@@ -438,7 +447,8 @@ def _model_tasks(cfg: Config):
         return [(f"sl2_j{sect.j}", *_sl2_block(sect.j), sect.params())]
     if model == "custom_psi":
         psi = StructureFunction(leading=sect.leading, roots=sect.roots)
-        block = build_block(psi, sect.l0)
+        with _in_block("custom"):
+            block = build_block(psi, sect.l0)
         return [("custom", block, psi, sect.params())]
     params3 = sect.params()
     return [
@@ -466,7 +476,7 @@ def _solve_block(task, solver: str, coupled: bool):
     exact = var = sl2 = alpha = residual = empty = np.empty(0)
     variational = solver in ("variational", "all")
     run_exact, run_var = solver in ("exact", "all"), variational and coupled
-    try:
+    with _in_block(bid):
         if run_exact or run_var:  # one Hamiltonian serves both solvers
             tri = build_hamiltonian(block, psi, params)
         if run_exact:
@@ -475,8 +485,6 @@ def _solve_block(task, solver: str, coupled: bool):
             sol = variational_spectrum(tri)
         if solver in ("sl2_reference", "all"):
             sl2 = sl2_reference_energies(block, params)
-    except (BlockError, RuntimeError, ValueError) as exc:
-        raise RuntimeError(f"block {bid}: {exc}") from exc
     if variational and not coupled:
         entry["variational_skipped"] = "g = 0 (exact solver covers it)"
     elif variational:
@@ -539,7 +547,7 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
     else:
         result = rabi_signal(CoherentInput(*dyn.alpha, dyn.ncut), params3, times)
     signal = result.signal
-    label, spec = result.dominant_label, result.dominant_spectrum
+    label, energies = result.dominant_label, result.dominant_energies
     if label is None:
         occupations = ", ".join(f"{abs(a) ** 2:.3g}" for a in dyn.alpha)
         raise RuntimeError(
@@ -552,12 +560,12 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
     elapsed = time.perf_counter() - t0
 
     try:
-        incomm = asdict(incommensurability_measure(spec.energies))
+        incomm = asdict(incommensurability_measure(energies))
     except ValueError:  # fewer than three distinct levels: no spacing ratio
         incomm = None
     gap_period = None
-    if spec.energies.size >= 2:
-        gap = float(spec.energies[1] - spec.energies[0])
+    if energies.size >= 2:
+        gap = float(energies[1] - energies[0])
         if gap > 0:
             gap_period = 2.0 * math.pi / gap
 
@@ -603,8 +611,9 @@ def cmd_meanfield(cfg: Config, digest: str, args) -> int:
             f"of block {bid}"
         )
     t0 = time.perf_counter()
-    tri = build_hamiltonian(block, psi, params)
-    traj = meanfield_trajectory(tri, p0=mf.p0, q0=mf.q0, tspan=mf.tspan, dt=mf.dt)
+    with _in_block(bid):
+        tri = build_hamiltonian(block, psi, params)
+        traj = meanfield_trajectory(tri, p0=mf.p0, q0=mf.q0, tspan=mf.tspan, dt=mf.dt)
     elapsed = time.perf_counter() - t0
     e0 = float(traj.energy[0])
     drift = float(np.max(np.abs(traj.energy - e0)))

@@ -36,7 +36,7 @@ from .three_boson import (
     fock_to_block,
     project_coherent,
 )
-from .variational import _CoherentEnergy
+from .variational import CoherentEnergy
 
 __all__ = [
     "Signal",
@@ -255,7 +255,7 @@ class RabiResult:
     deficit_ok: bool
     block_weights: dict
     dominant_label: BlockLabel | None
-    dominant_spectrum: Spectrum | None
+    dominant_energies: np.ndarray | None
     # certified bound on max_t |signal - unpruned signal| (_evolve_grid)
     prune_bound: float
 
@@ -285,13 +285,13 @@ def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
     Each block is solved once and its pruned Bohr terms go to _bohr_signal
     as it is solved; the first block of largest weight is the dominant one,
     and prune_bound is the sum of the blocks' dropped totals.  A failure is
-    a RuntimeError prefixed "block <id>: ", as in the CLI's spectrum command.
+    a RuntimeError prefixed "block <id>: ", as in the CLI's other commands.
     """
     weights = {}
-    best, dominant, spectrum, pruned = -1.0, None, None, 0.0
+    best, dominant, energies, pruned = -1.0, None, None, 0.0
 
     def terms():
-        nonlocal best, dominant, spectrum, pruned
+        nonlocal best, dominant, energies, pruned
         for label, w, c0 in projections:
             weights[label.block_id] = w
             try:
@@ -303,7 +303,7 @@ def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
             except (RuntimeError, ValueError) as exc:
                 raise RuntimeError(f"block {label.block_id}: {exc}") from exc
             if w > best:
-                best, dominant, spectrum = w, label, spec
+                best, dominant, energies = w, label, spec.energies
             pruned += dropped
             yield constant, pos, amp
 
@@ -314,7 +314,7 @@ def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
         deficit_ok=ok,
         block_weights=weights,
         dominant_label=dominant,
-        dominant_spectrum=spectrum,
+        dominant_energies=energies,
         prune_bound=pruned,
     )
 
@@ -328,10 +328,11 @@ def rabi_signal(
     (coherent_block_weights).  Only blocks of weight at least WEIGHT_FLOOR
     are projected, solved, evolved by their own spectra and summed, in
     enumerate_blocks order, which is also the key order of block_weights.
-    dominant_label and dominant_spectrum belong to the first block of
-    largest weight (None if no block is kept).  The probability lost to the
-    cube truncation is reported as tail_deficit (coherent_tail_deficit);
-    deficit_ok goes False (with a warning) when it exceeds DEFICIT_BOUND.
+    dominant_label and dominant_energies (its eigenvalues, ascending)
+    belong to the first block of largest weight (None if no block is
+    kept).  The probability lost to the cube truncation is reported as
+    tail_deficit (coherent_tail_deficit); deficit_ok goes False (with a
+    warning) when it exceeds DEFICIT_BOUND.
     prune_bound bounds, at every time, the signal's distance from the sum
     of all Bohr terms (see _evolve_grid).  times must be finite and
     uniform, else ValueError; grids of 0 or 1 samples are allowed.
@@ -515,7 +516,7 @@ def meanfield_trajectory(
     for name, val in (("p0", p0), ("q0", q0), ("tspan", tspan), ("dt", dt)):
         if not math.isfinite(val):
             raise ValueError(f"{name} must be finite")
-    energy = _CoherentEnergy(tri)
+    energy = CoherentEnergy(tri)
     j = energy.j
     if abs(p0) > j:
         raise ValueError("initial |p| exceeds j")

@@ -24,7 +24,6 @@ __all__ = [
     "ThreeBosonParams",
     "BlockLabel",
     "CoherentInput",
-    "psi3_for_block",
     "block_constants",
     "build_model_block",
     "enumerate_blocks",
@@ -97,22 +96,6 @@ class BlockLabel:
         return f"k{self.k}{tag}_m{self.m}"
 
 
-def psi3_for_block(label: BlockLabel):
-    """Cubic structure function of the block, in exact factored form.
-
-    Returns (psi, l0) with psi(x) = -(x - (R1-R2)/2)(x + (R1+R2)/2)(x - R2 - 1)
-    and l0 = (k - m)/3, both over rationals.
-    """
-    r1 = Fraction(label.r1)
-    r2 = label.r2
-    roots = (
-        (r1 - r2) / 2,
-        -(r1 + r2) / 2,
-        r2 + 1,
-    )
-    return StructureFunction(leading=Fraction(-1), roots=roots), label.l0
-
-
 def block_constants(label: BlockLabel, params: ThreeBosonParams) -> HamiltonianParams:
     """Detuning, coupling and additive constant of the block Hamiltonian."""
     w1, w2, w3 = params.omega1, params.omega2, params.omega3
@@ -123,11 +106,15 @@ def block_constants(label: BlockLabel, params: ThreeBosonParams) -> HamiltonianP
 def build_model_block(label: BlockLabel) -> tuple[Block, StructureFunction]:
     """Unitary block plus its exact-rational structure function, for the solver.
 
-    psi(l0 + v) = v (k + v) (m + 1 - v) is positive for v = 1..m and zero at
-    v = m + 1, so the block is the whole tower of label.dim = m + 1 levels.
+    psi(x) = -(x - (R1-R2)/2)(x + (R1+R2)/2)(x - R2 - 1) keeps its roots as
+    Fractions, as label.l0 = (k - m)/3 is.  psi(l0 + v) = v (k + v) (m + 1 - v)
+    is positive for v = 1..m and zero at v = m + 1, so the block is the
+    whole tower of label.dim = m + 1 levels from l0.
     """
-    psi, l0 = psi3_for_block(label)
-    return Block(float(l0), label.dim), psi
+    r1, r2 = Fraction(label.r1), label.r2
+    roots = ((r1 - r2) / 2, -(r1 + r2) / 2, r2 + 1)
+    psi = StructureFunction(leading=Fraction(-1), roots=roots)
+    return Block(float(label.l0), label.dim), psi
 
 
 def fock_to_block(n1: int, n2: int, n3: int):

@@ -6,7 +6,7 @@ E(v, r) = (R^T H R)_vv of the real tridiagonal block Hamiltonian.
 
 The rotated lowest state is an su(2) coherent state (Perelomov, 1986) whose
 energy H(p, q), shared with the mean field of polysl2.dynamics, is a
-Bernstein sum over the ladder rungs (_CoherentEnergy): well conditioned
+Bernstein sum over the ladder rungs (CoherentEnergy): well conditioned
 (Farouki & Rajan, CAGD 4, 191, 1987) and, by scaled Horner, finite at any
 block size.  solve_alpha scans -dH/dp along the real meridian p = j cos 2r,
 so its roots alpha = -tan r are mean-field fixed points, and picks one by
@@ -34,6 +34,7 @@ from .algebra import su2_eigenbasis, su2_ladder
 from .solver import HamiltonianParams, TridiagonalHamiltonian
 
 __all__ = [
+    "CoherentEnergy",
     "VariationalSolution",
     "energy_functional",
     "solve_alpha",
@@ -94,18 +95,17 @@ def energy_functional(tri: TridiagonalHamiltonian, v: int, r: float) -> float:
     E = (R^T H R)_vv with R(r) = exp(r (Y- - Y+)) the float64 spin-j
     rotation and H = tri.  The coupling phase drops out.  The
     hypergeometric form of E cancels heavily, so it serves only as a
-    reference (polysl2.reference).  At r = 0 the rotation is the identity,
-    so E is the diagonal entry exactly.
+    reference (polysl2.reference).  R(0) = I, so E is the diagonal entry
+    exactly; R(+-pi/2) reverses the levels, so E is diag[d - 1 - v] up to
+    round-off.
     """
     if not 0 <= v < tri.dim:
         raise ValueError("level index outside block")
-    if abs(math.cos(r)) < 1e-12:
-        raise ValueError("rotation angle too close to pi/2")
     return float(_level_energies(tri.diag, tri.offdiag, r)[v])
 
 
 def _horner_table(beta, dbeta):
-    """Steps of _CoherentEnergy._sums (coefficients, binomial ratios); None rescales."""
+    """Steps of CoherentEnergy._sums (coefficients, binomial ratios); None rescales."""
     n1 = len(beta) - 1
     steps = [
         (beta[v - 1], (n1 - v + 1) / v, dbeta[v - 2], (n1 - v + 1) / (v - 1))
@@ -118,7 +118,7 @@ def _horner_table(beta, dbeta):
     return beta[-1], dbeta[-1], steps, (beta[0], n1)
 
 
-class _CoherentEnergy:
+class CoherentEnergy:
     """Closed-form H(p, q) = <z(p,q)| H |z(p,q)> and its gradient on one block.
 
     The su(2) coherent state has the binomial amplitudes
@@ -227,11 +227,11 @@ class _CoherentEnergy:
         return energy, dhdp, -b * math.sin(ang)
 
 
-def _stationarity(energy: _CoherentEnergy, params):
-    """F(alpha), vectorised: the ground-state slope on the coherent meridian.
+def _slope(params, n, alpha, c, s, bq, dbq):
+    """F(alpha), the ground-state slope, from the coherent meridian there.
 
     With n = d - 1, r = -atan(alpha), s = sin^2 r, c = cos^2 r and Q, Q'
-    = dQ/ds the Bernstein sums of energy, the block's _CoherentEnergy,
+    = dQ/ds the Bernstein sums of the block's CoherentEnergy.meridian,
 
         F = (a/|g|) alpha c + ((c - s) Q + 2 s c Q') / (|g| n).
 
@@ -242,14 +242,12 @@ def _stationarity(energy: _CoherentEnergy, params):
     (1 + alpha^2)^n times a positive constant: both share their roots.
     """
     ratio = params.a / params.g_mod
-    scale = params.g_mod * energy.n
+    return ratio * alpha * c + ((c - s) * bq + 2.0 * s * c * dbq) / (params.g_mod * n)
 
-    def stationarity(alpha: np.ndarray) -> np.ndarray:
-        alpha = np.asarray(alpha, dtype=float)
-        c, s, bq, dbq = energy.meridian(alpha)
-        return ratio * alpha * c + ((c - s) * bq + 2.0 * s * c * dbq) / scale
 
-    return stationarity
+def _stationarity(energy: CoherentEnergy, params):
+    """F of _slope on the block of energy, at a float array of alpha."""
+    return lambda alpha: _slope(params, energy.n, alpha, *energy.meridian(alpha))
 
 
 @functools.lru_cache(maxsize=1)
@@ -260,14 +258,14 @@ def _scan(offdiag: bytes, a_g: bytes):
     off-diagonal and of np.float64([a, |g|]).  The scan rebuilds its inputs
     from them, so it cannot see the diagonal, bit patterns keep -0.0 and
     0.0 apart, and the key fixes the block size.  The one entry holds O(d)
-    bytes and read-only arrays: roots, F(roots) and the meridian's c, s and
-    Q there.  See solve_alpha for the scan itself.
+    bytes and read-only arrays: roots and, from one meridian pass there,
+    F, c, s and Q.  See solve_alpha for the scan itself.
     """
     off = np.frombuffer(offdiag)
     params = HamiltonianParams(*np.frombuffer(a_g).tolist())
     # zeros stand in for the diagonal, which neither F nor Q reads
     tri = TridiagonalHamiltonian(np.zeros(off.size + 1), off, params)
-    energy = _CoherentEnergy(tri)
+    energy = CoherentEnergy(tri)
     stationarity = _stationarity(energy, params)
     xs = _GRID
     ys = stationarity(xs)
@@ -301,8 +299,9 @@ def _scan(offdiag: bytes, a_g: bytes):
             "no stationary point on the scan grid; stationarity function at "
             f"alpha = -inf and +inf: {ys[0]:.6e}, {ys[-1]:.6e}"
         )
-    c, s, bq, _ = energy.meridian(roots)
-    scan = tuple(map(np.asarray, (roots, stationarity(roots), c, s, bq)))
+    c, s, bq, dbq = energy.meridian(roots)
+    f = _slope(params, energy.n, roots, c, s, bq, dbq)
+    scan = tuple(map(np.asarray, (roots, f, c, s, bq)))
     for x in scan:  # Q is a 0-d array on two levels
         x.flags.writeable = False
     return scan
@@ -313,7 +312,7 @@ def solve_alpha(tri: TridiagonalHamiltonian) -> VariationalSolution:
 
     The scan runs on GRID_POINTS angles spaced evenly in r = -atan(alpha)
     over the closed interval [-pi/2, pi/2], so it covers every alpha with
-    no root bound: the stationarity function F (see _stationarity) is a
+    no root bound: the stationarity function F (see _slope) is a
     bounded Bernstein mean there.  Grid zeros are roots; every sign change
     is refined, all brackets together as arrays, by SECTIONS-fold
     sectioning until it is ALPHA_WIDTH wide in alpha or cannot be split in
@@ -331,7 +330,7 @@ def solve_alpha(tri: TridiagonalHamiltonian) -> VariationalSolution:
     residuals, per block.
 
     The selected root minimizes the closed-form coherent energy
-    E(0, r) = diag_0 + a n s + 2 alpha c Q(s) of _stationarity, the first
+    E(0, r) = diag_0 + a n s + 2 alpha c Q(s) of _slope, the first
     of equal minima winning: O(d) per root, and the v=0 energy is a
     Rayleigh quotient, so this branch is variationally controlled.  A
     single-level block has no rotation freedom: its one root and selected

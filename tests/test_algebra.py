@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import polysl2
 from polysl2.algebra import (
+    MAX_BLOCK_DIM,
     ROOT_RTOL,
     Block,
     BlockError,
@@ -98,14 +99,14 @@ def test_build_block_rejects_negative_interior():
 
 def test_build_block_truncates_without_zero():
     # psi(x) = x has no second zero: the tower never terminates, and a block
-    # cut at dmax levels is refused rather than returned
+    # cut at MAX_BLOCK_DIM levels is refused rather than returned
     psi = StructureFunction(leading=1.0, roots=(0.0,))
-    for dmax in (1, 40, 2001):
-        message = rf"^the tower from l0=0\.0 does not end within {dmax} levels$"
-        with pytest.raises(BlockError, match=message):
-            build_block(psi, 0.0, dmax=dmax)
+    message = r"^the tower from l0=0\.0 does not end within 2001 levels$"
+    with pytest.raises(BlockError, match=message):
+        build_block(psi, 0.0)
     # a zero on the last rung of the window still ends the tower
-    assert build_block(StructureFunction(-1.0, (0.0, 40.0)), 0.0, dmax=40).dim == 40
+    last = StructureFunction(-1.0, (0.0, float(MAX_BLOCK_DIM)))
+    assert build_block(last, 0.0).dim == MAX_BLOCK_DIM == 2001
 
 
 def test_build_block_root_tolerance_scales():
@@ -121,7 +122,7 @@ def test_block_weights_and_labels():
     assert np.allclose(block.weights(), [-1.0, 0.0, 1.0])
 
 
-def scalar_block(psi, l0, dmax):
+def scalar_block(psi, l0):
     """Reference tower: its dim or the BlockError text, rung by rung."""
     l0 = float(l0)
     roots = [float(r) for r in psi.roots]
@@ -132,7 +133,7 @@ def scalar_block(psi, l0, dmax):
 
     if not at_zero(l0):
         return f"l0={l0} is not a root of psi (psi(l0)={float(psi(l0)):.3e})"
-    for v in range(1, dmax + 1):
+    for v in range(1, MAX_BLOCK_DIM + 1):
         if at_zero(l0 + v):
             return v
         if float(psi(l0 + v)) < 0.0:
@@ -140,7 +141,7 @@ def scalar_block(psi, l0, dmax):
                 f"non-unitary block: psi(l0+{v}) = {float(psi(l0 + v)):.6g} < 0 "
                 "before termination"
             )
-    return f"the tower from l0={l0} does not end within {dmax} levels"
+    return f"the tower from l0={l0} does not end within {MAX_BLOCK_DIM} levels"
 
 
 @st.composite
@@ -158,16 +159,16 @@ def towers(draw):
     # mostly a root of psi; otherwise a nearby non-root start
     l0 = float(draw(st.sampled_from(roots)))
     l0 += draw(st.sampled_from([0.0, 0.0, 0.0, 0.25, -1.5]))
-    return psi, l0, draw(st.integers(1, 40))
+    return psi, l0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(towers())
 def test_build_block_matches_scalar_reference(case):
-    psi, l0, dmax = case
-    expect = scalar_block(psi, l0, dmax)
+    psi, l0 = case
+    expect = scalar_block(psi, l0)
     try:
-        block = build_block(psi, l0, dmax=dmax)
+        block = build_block(psi, l0)
     except BlockError as exc:
         assert str(exc) == expect
     else:
@@ -274,10 +275,10 @@ def test_su2_rotation_retains_no_memory():
 
 def test_build_block_end_does_not_depend_on_the_window():
     # psi(x) = -x (x - 2) (x + 1) (x + 1.5): psi(1) = 5, psi(2) = 0.  Rungs
-    # past the end grow as x^4; 1e-12 of |psi(2001)| is about 16
+    # past the end grow as x^4; 1e-12 of |psi(2001)| is about 16, so a
+    # threshold scaled to the whole window would read psi(1) as 0
     psi = StructureFunction(leading=-1.0, roots=(0.0, 2.0, -1.0, -1.5))
-    for dmax in (2, 1000, 2001):
-        assert build_block(psi, 0.0, dmax=dmax).dim == 2
+    assert build_block(psi, 0.0).dim == 2
 
 
 def test_build_block_ignores_overflow_past_the_end():

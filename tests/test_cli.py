@@ -360,7 +360,8 @@ def test_truncated_custom_tower_is_a_numeric_failure(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        "numeric failure: the tower from l0=0.0 does not end within 2001 levels\n"
+        "numeric failure: block custom: the tower from l0=0.0 does not end "
+        "within 2001 levels\n"
     )
     assert not (out / "spectrum.csv").exists()
 
@@ -408,7 +409,7 @@ def test_sl2_block_is_the_scanned_tower():
     for twoj in range(2001):
         j = twoj / 2
         block, psi = _sl2_block(j)
-        assert block == build_block(psi, -j, dmax=twoj + 1)
+        assert block == build_block(psi, -j)
 
 
 def test_verify_passes_clean(capsys):
@@ -1107,12 +1108,12 @@ def test_spectrum_scans_each_twin_pair_once(tmp_path, monkeypatch):
 
     built = []
 
-    class Counted(variational._CoherentEnergy):
+    class Counted(variational.CoherentEnergy):
         def __init__(self, tri):
             built.append(tri.dim)
             super().__init__(tri)
 
-    monkeypatch.setattr(variational, "_CoherentEnergy", Counted)
+    monkeypatch.setattr(variational, "CoherentEnergy", Counted)
     variational._scan.cache_clear()
     labels = [{"k": lab.k, "m": lab.m, "sign": lab.sign} for lab in enumerate_blocks(5)]
     labels += [{"k": 0, "m": 30}, {"k": 0, "m": 40}]
@@ -1129,6 +1130,14 @@ def test_spectrum_scans_each_twin_pair_once(tmp_path, monkeypatch):
     [
         ("spectrum", {"blocks": {"labels": [{"k": 0, "m": 4}]}}, "k0_m4"),
         ("dynamics", {"dynamics": {"fock": [1, 1, 2]}}, "k0_m3"),
+        (
+            "meanfield",
+            {
+                "blocks": {"labels": [{"k": 0, "m": 4}]},
+                "meanfield": {"p0": 0.1, "q0": 0.2, "tspan": 1.0, "dt": 0.1},
+            },
+            "k0_m4",
+        ),
     ],
 )
 def test_non_finite_hamiltonian_is_named_before_lapack(

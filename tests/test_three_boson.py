@@ -19,7 +19,6 @@ from polysl2.three_boson import (
     enumerate_blocks,
     fock_to_block,
     project_coherent,
-    psi3_for_block,
     _mode_amplitudes,
 )
 
@@ -56,7 +55,7 @@ def test_psi3_symmetric_blocks_closed_form():
     # k=0: psi(l0+v) = v^2 (m+1-v), exactly over the rationals
     for m in (0, 1, 2, 5, 17, 50):
         lab = BlockLabel(k=0, m=m)
-        psi, l0 = psi3_for_block(lab)
+        (_, psi), l0 = build_model_block(lab), lab.l0
         for v in range(m + 2):
             val = psi(l0 + v)
             assert isinstance(val, Fraction)
@@ -72,7 +71,7 @@ def test_psi3_matches_second_quantization():
         BlockLabel(5, 7, 1),
         BlockLabel(2, 6, -1),
     ):
-        psi, l0 = psi3_for_block(lab)
+        (_, psi), l0 = build_model_block(lab), lab.l0
         for v in range(lab.m):
             expect = (lab.k + v + 1) * (v + 1) * (lab.m - v)
             assert psi(l0 + v + 1) == Fraction(expect)
@@ -80,7 +79,7 @@ def test_psi3_matches_second_quantization():
 
 def test_psi3_terminates_exactly_at_dim():
     lab = BlockLabel(k=3, m=6, sign=-1)
-    psi, l0 = psi3_for_block(lab)
+    (_, psi), l0 = build_model_block(lab), lab.l0
     assert psi(l0 + lab.dim) == 0
 
 
@@ -93,18 +92,13 @@ def test_build_model_block_dim_and_labels():
     assert np.all(psi.values(block.l0 + np.arange(1, 6)) > 0)
 
 
-def _scanned_block(label):
-    """The psi-scan route: the tower ends at the first rung where psi vanishes."""
-    psi, l0 = psi3_for_block(label)
-    return build_block(psi, float(l0), dmax=label.m + 2)
-
-
 def test_build_model_block_matches_the_psi_scan():
+    # the psi-scan route: the tower ends at the first rung where psi vanishes
     labels = enumerate_blocks(12)
     labels += [BlockLabel(0, 500), BlockLabel(0, 2000), BlockLabel(7, 2000, -1)]
     for label in labels:
         block, psi = build_model_block(label)
-        assert block == _scanned_block(label), label.block_id
+        assert block == build_block(psi, label.l0), label.block_id
         assert all(isinstance(r, Fraction) for r in psi.roots)
 
 

@@ -81,13 +81,25 @@ def test_energy_functional_two_level_sine():
         assert e1 == pytest.approx(+math.sqrt(w) * math.sin(2 * r), abs=1e-12)
 
 
-def test_energy_functional_rejects_pole_and_bad_level():
+def test_energy_functional_rejects_a_bad_level():
     block, psi = build_model_block(BlockLabel(0, 2))
     tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
-    with pytest.raises(ValueError):
-        energy_functional(tri, 0, math.pi / 2)
-    with pytest.raises(ValueError):
-        energy_functional(tri, 5, 0.3)
+    for v in (-1, 3, 5):
+        with pytest.raises(ValueError, match="level index outside block"):
+            energy_functional(tri, v, 0.3)
+
+
+@pytest.mark.parametrize("label", [BlockLabel(0, 0), BlockLabel(0, 1), BlockLabel(2, 9, 1)])
+def test_energy_functional_at_the_pole_reverses_the_levels(label):
+    # R(+-pi/2) maps level v to level d - 1 - v: E is the reversed diagonal
+    block, psi = build_model_block(label)
+    params = HamiltonianParams(a=0.7, g_mod=1.3, g_phase=0.4, constant=0.2)
+    tri = build_hamiltonian(block, psi, params)
+    d = block.dim
+    for r in (math.pi / 2, -math.pi / 2):
+        got = [energy_functional(tri, v, r) for v in range(d)]
+        err = np.max(np.abs(np.array(got) - tri.diag[::-1]))
+        assert err <= 1e-15 * tri.norm_bound()
 
 
 def test_energy_functional_equals_matrix_expectation():
@@ -198,6 +210,20 @@ def test_solve_alpha_reports_empty_bracket(monkeypatch):
     tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
     with pytest.raises(RuntimeError, match="no stationary point on the scan grid"):
         solve_alpha(tri)
+
+
+def test_scan_takes_f_at_the_roots_from_its_meridian_pass():
+    # the bytes of F at the roots are those of the stationarity function
+    params = HamiltonianParams(a=0.9, g_mod=1.2, g_phase=0.3)
+    for label in (BlockLabel(0, 1), BlockLabel(0, 6), BlockLabel(3, 40, -1)):
+        block, psi = build_model_block(label)
+        tri = build_hamiltonian(block, psi, params)
+        key = np.float64([params.a, params.g_mod]).tobytes()
+        variational._scan.cache_clear()
+        roots, f, *_ = variational._scan(tri.offdiag.tobytes(), key)
+        energy = variational.CoherentEnergy(tri)
+        expect = variational._stationarity(energy, params)(roots)
+        assert roots.size and f.tobytes() == expect.tobytes()
 
 
 def test_variational_two_level_exact():
@@ -334,7 +360,7 @@ def test_bernstein_stationarity_is_the_scaled_slope(case, alpha):
     block, psi, params = case
     tri = build_hamiltonian(block, psi, params)
     n = block.dim - 1
-    energy = variational._CoherentEnergy(tri)
+    energy = variational.CoherentEnergy(tri)
     f = float(variational._stationarity(energy, params)(np.array([alpha]))[0])
     rot = su2_rotation(block.dim, -math.atan(alpha))
     h = np.diag(tri.diag) + np.diag(tri.offdiag, 1) + np.diag(tri.offdiag, -1)
@@ -385,7 +411,7 @@ def test_stationarity_large_block_matches_log_space_sum():
         [math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k) for k in f]
     )
     alphas = np.array([-30.0, -1.41, -1.0, -0.999, 0.0, 0.5, 1.001, 1.3])
-    got = variational._stationarity(variational._CoherentEnergy(tri), params)(alphas)
+    got = variational._stationarity(variational.CoherentEnergy(tri), params)(alphas)
     for al, value in zip(alphas, got):
         r = -math.atan(al)
         s, c = math.sin(r) ** 2, math.cos(r) ** 2
@@ -407,7 +433,7 @@ def _meridian_checks(block, psi, params):
     the rotation's ground energy.
     """
     tri = build_hamiltonian(block, psi, params)
-    energy = variational._CoherentEnergy(tri)
+    energy = variational.CoherentEnergy(tri)
     bound = tri.norm_bound()
     roots = np.array(solve_alpha(tri).alpha_roots)
     c, s, bq, _ = energy.meridian(roots)
