@@ -11,7 +11,9 @@ is one eigh_tridiagonal of the rotated Jz per call, with nothing cached.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +26,8 @@ __all__ = [
     "block_operators",
     "eigh_tridiagonal",
     "holstein_primakoff",
+    "in_block",
+    "sl2_block",
     "su2_eigenbasis",
     "su2_ladder",
     "su2_rotation",
@@ -36,6 +40,15 @@ MAX_BLOCK_DIM = 2001  # levels in one block; dense solvers hold several d x d ar
 
 class BlockError(ValueError):
     """Raised when a lowest weight does not generate a valid unitary block."""
+
+
+@contextmanager
+def in_block(block_id: str):
+    """Prefix "block <block_id>: " to a RuntimeError or ValueError raised inside."""
+    try:
+        yield
+    except (RuntimeError, ValueError) as exc:
+        raise RuntimeError(f"block {block_id}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -136,6 +149,13 @@ def build_block(psi, l0) -> Block:
     )
 
 
+def sl2_block(j: float):
+    """The spin-j block, 2j + 1 levels from l0 = -j, and psi_2(x) = (j+x)(j+1-x)."""
+    jf = Fraction(j)
+    psi = StructureFunction(leading=Fraction(-1), roots=(-jf, jf + 1))
+    return Block(float(-jf), int(2 * j) + 1), psi
+
+
 def block_operators(block: Block, psi: StructureFunction):
     """Matrices of V0, V+, V- on the ordered block basis.
 
@@ -159,14 +179,12 @@ def su2_ladder(d: int) -> np.ndarray:
 def holstein_primakoff(block: Block, psi: StructureFunction):
     """su(2) images Y0, Y+, Y- of the deformed generators on the block.
 
-    Y0 shifts V0 by -(l0+j); Y+ replaces each ladder element by the spin-j
-    value sqrt((v+1)(2j-v)).  The result satisfies exact su(2) relations
+    They are V0, V+, V- of sl2_block(j) for the block's j: Y0 = diag(v - j)
+    is the block's V0 shifted by -(l0+j), and Y+ has the spin-j ladder
+    sqrt((v+1)(2j-v)).  The result satisfies exact su(2) relations
     regardless of psi.
     """
-    d = block.dim
-    y0 = np.diag(np.arange(d, dtype=float) - block.j).astype(complex)
-    yp = np.diag(su2_ladder(d), -1).astype(complex)
-    return y0, yp, yp.conj().T
+    return block_operators(*sl2_block(block.j))
 
 
 def eigh_tridiagonal(diag, off, eigvals_only=False):

@@ -19,9 +19,8 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
+import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -31,11 +30,12 @@ import numpy as np
 from .algebra import (
     MAX_BLOCK_DIM,
     ROOT_RTOL,
-    Block,
     StructureFunction,
     block_operators,
     build_block,
     eigh_tridiagonal,
+    in_block,
+    sl2_block,
     su2_rotation,
 )
 from .dynamics import (
@@ -63,6 +63,7 @@ from .three_boson import (
     ThreeBosonParams,
     block_constants,
     build_model_block,
+    cube_size,
     enumerate_blocks,
     fock_to_block,
 )
@@ -72,7 +73,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-MAX_MEANFIELD_STEPS = 10**7  # also caps the dynamics samples
+# caps the rows of a run: spectrum levels, dynamics samples, mean-field steps
+MAX_ROWS = 10**7
 _DIM_NOTE = f" (a block holds at most {MAX_BLOCK_DIM} levels)"
 # the Fock cube n_i <= ncut holds blocks of up to 2 ncut + 1 levels
 MAX_NCUT = (MAX_BLOCK_DIM - 1) // 2
@@ -267,6 +269,12 @@ class BlocksConfig:
             return enumerate_blocks(self.ncut)
         return [BlockLabel(lab.k, lab.m, lab.sign) for lab in self.labels]
 
+    def size(self) -> tuple[int, int]:
+        """(blocks, levels) selected; a cube is counted, never listed."""
+        if self.labels is None:
+            return cube_size(self.ncut)
+        return len(self.labels), sum(lab.m + 1 for lab in self.labels)
+
 
 @dataclass(frozen=True, kw_only=True)
 class DynamicsConfig:
@@ -276,7 +284,7 @@ class DynamicsConfig:
     fock: tuple | None = _key(_list(_int(0), 3), None)
     ncut: int = _key(_int(1, MAX_NCUT, _DIM_NOTE), 20)
     tmax: float = _key(_real(0.0), 100.0)
-    samples: int = _key(_int(MIN_SAMPLES, MAX_MEANFIELD_STEPS), 10001)
+    samples: int = _key(_int(MIN_SAMPLES, MAX_ROWS), 10001)
 
     def __post_init__(self):
         _either("dynamics", alpha=self.alpha, fock=self.fock)
@@ -311,10 +319,10 @@ class MeanfieldConfig:
     def __post_init__(self):
         # the integrator takes round(|tspan| / dt) RK4 steps
         steps = abs(self.tspan) / self.dt
-        if not steps <= MAX_MEANFIELD_STEPS + 0.5:
+        if not steps <= MAX_ROWS + 0.5:
             raise ConfigError(
                 f"meanfield.tspan / meanfield.dt asks for {steps:.3g} RK4 steps; "
-                f"at most {MAX_MEANFIELD_STEPS:.0e} are allowed"
+                f"at most {MAX_ROWS:.0e} are allowed"
             )
 
 
@@ -423,38 +431,21 @@ def _write_outputs(args, name, digest, header, columns, summary, note):
     print(f"{name}: {note} -> {outdir}", file=sys.stderr)
 
 
-@contextmanager
-def _in_block(bid: str):
-    """Prefix "block <bid>: " to a RuntimeError or ValueError raised inside."""
-    try:
-        yield
-    except (RuntimeError, ValueError) as exc:
-        raise RuntimeError(f"block {bid}: {exc}") from exc
-
-
-def _sl2_block(j: float):
-    """The spin-j block, 2j + 1 levels from l0 = -j, and psi_2(x) = (j+x)(j+1-x)."""
-    jf = Fraction(j)
-    psi = StructureFunction(leading=Fraction(-1), roots=(-jf, jf + 1))
-    return Block(float(-jf), int(2 * j) + 1), psi
-
-
 def _model_tasks(cfg: Config):
-    """Blocks to solve: list of (block_id, block, psi, params)."""
+    """Blocks to solve, yielded one at a time as (block_id, block, psi, params)."""
     model = cfg.need("model")
     sect = cfg.need(model)
     if model == "sl2_limit":
-        return [(f"sl2_j{sect.j}", *_sl2_block(sect.j), sect.params())]
-    if model == "custom_psi":
+        yield (f"sl2_j{sect.j}", *sl2_block(sect.j), sect.params())
+    elif model == "custom_psi":
         psi = StructureFunction(leading=sect.leading, roots=sect.roots)
-        with _in_block("custom"):
+        with in_block("custom"):
             block = build_block(psi, sect.l0)
-        return [("custom", block, psi, sect.params())]
-    params3 = sect.params()
-    return [
-        (lab.block_id, *build_model_block(lab), block_constants(lab, params3))
-        for lab in cfg.need("blocks").block_labels()
-    ]
+        yield ("custom", block, psi, sect.params())
+    else:
+        params3 = sect.params()
+        for lab in cfg.need("blocks").block_labels():
+            yield (lab.block_id, *build_model_block(lab), block_constants(lab, params3))
 
 
 _SPECTRUM_HEADER = (
@@ -476,7 +467,7 @@ def _solve_block(task, solver: str, coupled: bool):
     exact = var = sl2 = alpha = residual = empty = np.empty(0)
     variational = solver in ("variational", "all")
     run_exact, run_var = solver in ("exact", "all"), variational and coupled
-    with _in_block(bid):
+    with in_block(bid):
         if run_exact or run_var:  # one Hamiltonian serves both solvers
             tri = build_hamiltonian(block, psi, params)
         if run_exact:
@@ -514,10 +505,17 @@ def _solve_block(task, solver: str, coupled: bool):
 
 
 def cmd_spectrum(cfg: Config, digest: str, args) -> int:
-    tasks = _model_tasks(cfg)
-    coupled = cfg.need(cfg.model).g != 0  # one coupling for every block
+    model = cfg.need("model")
+    coupled = cfg.need(model).g != 0  # one coupling for every block
+    if model == "three_boson":  # the other models have exactly one block
+        rows = cfg.need("blocks").size()[1]
+        if rows > MAX_ROWS:
+            raise ConfigError(
+                f"blocks selects {rows} spectrum rows; "
+                f"at most {MAX_ROWS:.0e} are allowed"
+            )
     t0 = time.perf_counter()
-    solved = [_solve_block(t, cfg.solver, coupled) for t in tasks]
+    solved = [_solve_block(t, cfg.solver, coupled) for t in _model_tasks(cfg)]
     elapsed = time.perf_counter() - t0
     columns = [np.concatenate(col) for col in zip(*(cols for cols, _ in solved))]
     summary_blocks = [entry for _, entry in solved]
@@ -530,7 +528,7 @@ def cmd_spectrum(cfg: Config, digest: str, args) -> int:
             "root_detection_rtol": ROOT_RTOL,
         },
     }
-    note = f"{len(tasks)} block(s) in {elapsed:.2f}s"
+    note = f"{len(solved)} block(s) in {elapsed:.2f}s"
     _write_outputs(args, "spectrum", digest, _SPECTRUM_HEADER, columns, summary, note)
     return EXIT_OK
 
@@ -597,9 +595,7 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
 def cmd_meanfield(cfg: Config, digest: str, args) -> int:
     mf = cfg.need("meanfield")
     if cfg.model == "three_boson":  # the other models have exactly one block
-        blocks = cfg.need("blocks")  # a cube holds 3 n (n + 1) + 1: never list it
-        n = blocks.ncut
-        count = 3 * n * (n + 1) + 1 if blocks.labels is None else len(blocks.labels)
+        count = cfg.need("blocks").size()[0]
         if count != 1:
             raise ConfigError(
                 f"meanfield needs exactly one block; the config selects {count}"
@@ -611,7 +607,7 @@ def cmd_meanfield(cfg: Config, digest: str, args) -> int:
             f"of block {bid}"
         )
     t0 = time.perf_counter()
-    with _in_block(bid):
+    with in_block(bid):
         tri = build_hamiltonian(block, psi, params)
         traj = meanfield_trajectory(tri, p0=mf.p0, q0=mf.q0, tspan=mf.tspan, dt=mf.dt)
     elapsed = time.perf_counter() - t0
@@ -671,7 +667,7 @@ def _check_oracle_equivalence():
 def _check_sl2_reduction():
     worst = 0.0
     for j in (0.5, 1.0, 2.0):
-        block, psi = _sl2_block(j)
+        block, psi = sl2_block(j)
         for a, g in ((0.0, 1.0), (1.5, 0.7)):
             params = HamiltonianParams(a=a, g_mod=g)
             sol = variational_spectrum(build_hamiltonian(block, psi, params))
@@ -743,6 +739,11 @@ def cmd_verify(cfg: Config, digest: str, args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI prints it: "warning: <message>", no source line."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="polysl2",
@@ -761,6 +762,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         cfg, digest = _load_config(args.config)
         if args.command != "verify" and args.config is None:
@@ -772,6 +774,8 @@ def main(argv=None) -> int:
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import in_block
 from .solver import Spectrum, TridiagonalHamiltonian, build_hamiltonian, eigensolve
 from .three_boson import (
     BlockLabel,
@@ -285,7 +286,7 @@ def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
     Each block is solved once and its pruned Bohr terms go to _bohr_signal
     as it is solved; the first block of largest weight is the dominant one,
     and prune_bound is the sum of the blocks' dropped totals.  A failure is
-    a RuntimeError prefixed "block <id>: ", as in the CLI's other commands.
+    a RuntimeError prefixed "block <id>: " by algebra.in_block.
     """
     weights = {}
     best, dominant, energies, pruned = -1.0, None, None, 0.0
@@ -294,14 +295,12 @@ def _block_signals(projections, params: ThreeBosonParams, times, deficit, ok):
         nonlocal best, dominant, energies, pruned
         for label, w, c0 in projections:
             weights[label.block_id] = w
-            try:
+            with in_block(label.block_id):
                 block, psi = build_model_block(label)
                 tri = build_hamiltonian(block, psi, block_constants(label, params))
                 spec = eigensolve(tri)
                 occ = label.m - np.arange(block.dim, dtype=float)
                 constant, pos, amp, dropped = _evolve_grid(spec, c0, times, occ)
-            except (RuntimeError, ValueError) as exc:
-                raise RuntimeError(f"block {label.block_id}: {exc}") from exc
             if w > best:
                 best, dominant, energies = w, label, spec.energies
             pruned += dropped

@@ -132,6 +132,22 @@ def _binomial_weights(twoj: int):
     return weights, top / math.factorial(max(n, 0))
 
 
+def _termwise_sums(block: Block, psi: StructureFunction, params, alpha: float):
+    """Signed sum and sum of magnitudes of the stationarity terms at alpha."""
+    twoj = block.dim - 1
+    j = block.j
+    q = _rung_weights(block, psi)
+    weights, scale = _binomial_weights(twoj)
+    slope = params.a / params.g_mod * alpha
+    signed = magnitude = 0.0
+    for f in range(twoj):
+        term = alpha ** (2 * f) * weights[f]
+        rung = 4 * alpha**2 * j - (1 + alpha**2) * (2 * f + 1)
+        signed += term * (slope - rung * q[f])
+        magnitude += abs(term) * (abs(slope) + abs(rung) * q[f])
+    return signed * scale, magnitude * scale
+
+
 def stationarity_residual(
     block: Block, psi: StructureFunction, params, alpha: float
 ) -> float:
@@ -142,34 +158,12 @@ def stationarity_residual(
     """
     if params.g_mod == 0:
         raise ValueError("variational phase undefined at g = 0")
-    twoj = block.dim - 1
-    j = block.j
-    q = _rung_weights(block, psi)
-    weights, scale = _binomial_weights(twoj)
-    ratio = params.a / params.g_mod
-    acc = 0.0
-    for f in range(twoj):
-        term = alpha ** (2 * f) * weights[f]
-        brace = ratio * alpha
-        brace -= (4 * alpha**2 * j - (1 + alpha**2) * (2 * f + 1)) * q[f]
-        acc += term * brace
-    return acc * scale
+    return _termwise_sums(block, psi, params, alpha)[0]
 
 
 def _residual_scale(block: Block, psi: StructureFunction, params, alpha: float):
     """Sum of absolute term magnitudes, for relative residual bounds."""
-    twoj = block.dim - 1
-    j = block.j
-    q = _rung_weights(block, psi)
-    weights, scale = _binomial_weights(twoj)
-    ratio = abs(params.a / params.g_mod)
-    acc = 0.0
-    for f in range(twoj):
-        term = abs(alpha) ** (2 * f) * weights[f]
-        brace = ratio * abs(alpha)
-        brace += abs(4 * alpha**2 * j - (1 + alpha**2) * (2 * f + 1)) * q[f]
-        acc += term * brace
-    return acc * scale
+    return _termwise_sums(block, psi, params, alpha)[1]
 
 
 def evolve_grid_gemm(spectrum, c0, times, occ) -> np.ndarray:

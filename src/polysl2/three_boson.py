@@ -27,6 +27,7 @@ __all__ = [
     "block_constants",
     "build_model_block",
     "enumerate_blocks",
+    "cube_size",
     "fock_to_block",
     "block_fock_state",
     "project_coherent",
@@ -154,6 +155,18 @@ def enumerate_blocks(ncut: int):
                 out.append(BlockLabel(k=k, m=m, sign=1))
                 out.append(BlockLabel(k=k, m=m, sign=-1))
     return out
+
+
+def cube_size(ncut: int) -> tuple[int, int]:
+    """(blocks, levels) of enumerate_blocks(ncut), in closed form.
+
+    With n = ncut the cube holds 3 n (n + 1) + 1 towers, and their
+    dimensions m + 1 sum to (n + 1)(7 n^2 + 8 n + 3) / 3; nothing is listed.
+    """
+    if ncut < 0:
+        raise ValueError("ncut must be nonnegative")
+    n = ncut
+    return 3 * n * (n + 1) + 1, (n + 1) * (7 * n * n + 8 * n + 3) // 3
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,12 @@ from polysl2.algebra import (
     eigh_tridiagonal,
     falling_product,
     holstein_primakoff,
+    sl2_block,
     su2_ladder,
     su2_rotation,
 )
 from polysl2.reference import gcs_overlaps
-from polysl2.solver import build_hamiltonian
+from polysl2.solver import HamiltonianParams, build_hamiltonian
 from polysl2.three_boson import (
     BlockLabel,
     ThreeBosonParams,
@@ -303,7 +304,20 @@ def test_holstein_primakoff_matches_sl2_ladder():
     block = build_block(psi, -j)
     _, vp, _ = block_operators(block, psi)
     _, yp, _ = holstein_primakoff(block, psi)
-    assert np.allclose(vp, yp, atol=1e-12)
+    assert np.array_equal(vp, yp)
+
+
+def test_su2_ladder_is_the_spin_blocks_ladder():
+    # su2_ladder's closed form gives the bytes of the spin-j block's rungs
+    unit = HamiltonianParams(a=0.0, g_mod=1.0)
+    for d in range(1, 2002):
+        block, psi = sl2_block((d - 1) / 2)
+        assert block.dim == d
+        ladder = build_hamiltonian(block, psi, unit).offdiag
+        assert ladder.tobytes() == su2_ladder(d).tobytes(), d
+    for d in (1, 2, 7, 60, 401):
+        _, yp, _ = block_operators(*sl2_block((d - 1) / 2))
+        assert np.diag(yp, -1).real.tobytes() == su2_ladder(d).tobytes()
 
 
 def _dense_lower(diag, off):

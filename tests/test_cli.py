@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polysl2.algebra import ROOT_RTOL, build_block
-from polysl2.cli import _CSV_ROWS, _sl2_block, _write_csv, main
+from polysl2.algebra import ROOT_RTOL, build_block, sl2_block
+from polysl2.cli import _CSV_ROWS, _write_csv, main
 from polysl2.solver import build_hamiltonian, sl2_reference_energies
 from polysl2.three_boson import (
     BlockLabel,
@@ -408,7 +408,7 @@ def test_custom_tower_ends_at_its_own_zero(tmp_path):
 def test_sl2_block_is_the_scanned_tower():
     for twoj in range(2001):
         j = twoj / 2
-        block, psi = _sl2_block(j)
+        block, psi = sl2_block(j)
         assert block == build_block(psi, -j)
 
 
@@ -1195,6 +1195,71 @@ def test_meanfield_counts_a_large_cube_without_listing_it(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.endswith("meanfield needs exactly one block; the config selects 3003001\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ncut, rows", [(162, 10052047), (1000, 2338337001)])
+def test_spectrum_refuses_a_cube_past_the_row_cap(tmp_path, capsys, monkeypatch, ncut, rows):
+    # the rows are counted in closed form, before any block is listed or solved
+    from polysl2 import cli, three_boson
+
+    def refuse(ncut):
+        raise AssertionError("enumerate_blocks ran")
+
+    monkeypatch.setattr(cli, "enumerate_blocks", refuse)
+    monkeypatch.setattr(three_boson, "enumerate_blocks", refuse)
+    cfg = dict(SPECTRUM_CFG, blocks={"ncut": ncut})
+    out = tmp_path / "out"
+    code = main(["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: blocks selects {rows} spectrum rows; at most 1e+07 are allowed\n"
+    )
+    assert not out.exists()
+
+
+def test_spectrum_counts_the_rows_of_a_label_list(tmp_path, capsys):
+    # 4,998 towers of 2,001 levels are 10,000,998 rows, one past 4,997 of them
+    labels = [{"k": k, "m": 2000} for k in range(4998)]
+    cfg = dict(SPECTRUM_CFG, blocks={"labels": labels})
+    out = tmp_path / "out"
+    code = main(["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: blocks selects 10000998 spectrum rows")
+    assert not out.exists()
+
+
+def test_warnings_print_on_one_line(tmp_path):
+    # a tail deficit warns; stderr shows its message, no file, line or source
+    import os
+    import subprocess
+
+    import polysl2
+
+    dyn = {"alpha": [0.0, 0.0, 2.0], "ncut": 10, "samples": 1000}
+    cfg = write_config(tmp_path, dict(BASE_CONFIGS["dynamics"], dynamics=dyn))
+    src = str(Path(polysl2.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    args = ["dynamics", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "polysl2.cli", *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("warning: coherent tail deficit")
+    assert proc.stderr.splitlines()[1].startswith("dynamics: 1000 samples")
+    assert "cli.py" not in proc.stderr
+
+
+def test_main_restores_the_warning_format(tmp_path):
+    before = warnings.formatwarning
+    cfg = write_config(tmp_path, BASE_CONFIGS["meanfield"])
+    assert main(["meanfield", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert main(["spectrum"]) == 2
+    assert warnings.formatwarning is before
 
 
 def test_config_defaults():

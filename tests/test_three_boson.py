@@ -16,6 +16,7 @@ from polysl2.three_boson import (
     block_constants,
     block_fock_state,
     build_model_block,
+    cube_size,
     enumerate_blocks,
     fock_to_block,
     project_coherent,
@@ -135,6 +136,22 @@ def test_enumerate_blocks_counts():
     ids = [lab.block_id for lab in labs]
     assert ids == ["k0_m0", "k0_m1", "k0_m2", "k1p_m0", "k1m_m0", "k1p_m1", "k1m_m1"]
     assert enumerate_blocks(0) == [BlockLabel(0, 0)]
+
+
+def test_cube_size_counts_the_enumerated_blocks_and_levels():
+    for nc in range(31):
+        labs = enumerate_blocks(nc)
+        assert cube_size(nc) == (len(labs), sum(lab.dim for lab in labs))
+    with pytest.raises(ValueError):
+        cube_size(-1)
+
+
+def test_cube_size_at_the_spectrum_row_cap():
+    # ncut 161 is the largest cube within 10^7 spectrum rows
+    assert cube_size(50) == (7651, 304351)
+    assert cube_size(161) == (78247, 9867852)
+    assert cube_size(162) == (79219, 10052047)
+    assert cube_size(1000) == (3003001, 2338337001)
 
 
 def test_enumerate_blocks_partitions_cube():

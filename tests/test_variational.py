@@ -7,11 +7,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polysl2 import variational
-from polysl2.algebra import StructureFunction, build_block, su2_ladder, su2_rotation
+from polysl2.algebra import (
+    StructureFunction,
+    build_block,
+    eigh_tridiagonal,
+    su2_ladder,
+    su2_rotation,
+)
 from polysl2.reference import (
     _residual_scale,
     gcs_overlaps,
@@ -20,6 +26,7 @@ from polysl2.reference import (
 )
 from polysl2.solver import (
     HamiltonianParams,
+    _sturm_counts,
     build_hamiltonian,
     eigensolve,
 )
@@ -31,6 +38,7 @@ from polysl2.three_boson import (
 )
 from polysl2.variational import (
     GRID_POINTS,
+    NORM_SLACK,
     energy_functional,
     solve_alpha,
     variational_spectrum,
@@ -576,3 +584,29 @@ def test_scan_memo_keeps_o_of_d_bytes():
         tracemalloc.stop()
     assert variational._scan.cache_info().currsize == 1
     assert kept < 24 * tri.dim
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@example(2000, 0, 1, (1.0, 1.0, 0.0), 1.0 + 0.0j)  # the largest block accepted
+@given(
+    st.integers(300, 2000),
+    st.integers(0, 40),
+    st.sampled_from([1, -1]),
+    st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-0.2, 0.2)),
+    st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0, allow_infinity=False),
+)
+def test_large_blocks_against_the_exact_spectrum(m, k, sign, omegas, g):
+    # blocks of 301 to 2,001 levels near resonance: the variational energies
+    # lie inside the norm bound and above the exact ground level, and the
+    # Sturm oracle agrees with LAPACK between sampled consecutive levels
+    w1, w2, detuning = omegas
+    params = ThreeBosonParams(w1, w2, w1 + w2 + detuning, g)
+    tri = model_hamiltonian(BlockLabel(k, m, sign), params)
+    bound = tri.norm_bound()
+    energies = np.array(variational_spectrum(tri).energies)
+    exact = eigh_tridiagonal(tri.diag, tri.offdiag, eigvals_only=True)
+    assert np.all(np.abs(energies) <= bound * (1.0 + NORM_SLACK))
+    assert energies[0] >= exact[0] - 1e-12 * bound
+    below = np.linspace(0, tri.dim - 2, 16).astype(int)
+    mids = 0.5 * (exact[below] + exact[below + 1])
+    assert _sturm_counts(tri, mids).tolist() == (below + 1).tolist()
