@@ -67,7 +67,7 @@ from .three_boson import (
     enumerate_blocks,
     fock_to_block,
 )
-from .variational import ALPHA_WIDTH, variational_spectrum
+from .variational import ALPHA_WIDTH, variational_spectra, variational_spectrum
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -454,31 +454,61 @@ _SPECTRUM_HEADER = (
 ).split()
 
 
-def _solve_block(task, solver: str, coupled: bool):
-    """The CSV columns and the JSON summary entry of one block.
+def _solve_blocks(tasks, solver: str, coupled: bool) -> list:
+    """The CSV columns and the JSON summary entry of each block, in order.
+
+    Each block is built and solved exactly as the tasks arrive; then one
+    variational_spectra batch solves every coupled block, and the sl(2)
+    reference follows block by block.  The error raised is that of the
+    first failing block in task order, as if each block were solved in
+    full before the next was built.
+    """
+    run_exact = solver in ("exact", "all")
+    run_var = solver in ("variational", "all") and coupled
+    empty = np.empty(0)
+    built, exact_of, failure = [], {}, None
+    try:
+        for bid, block, psi, params in tasks:
+            tri, exact = None, empty
+            with in_block(bid):
+                if run_exact or run_var:  # one Hamiltonian serves both solvers
+                    tri = build_hamiltonian(block, psi, params)
+                if run_exact:  # bit-equal Hamiltonians share one solve
+                    key = tri.key()
+                    if key not in exact_of:
+                        exact_of[key] = eigh_tridiagonal(
+                            tri.diag, tri.offdiag, eigvals_only=True
+                        )
+                    exact = exact_of[key]
+            built.append((bid, block, params, tri, exact))
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        failure = exc  # raised once the blocks before it are solved
+    sols = variational_spectra([tri for *_, tri, _ in built]) if run_var else None
+    solved = []
+    for bid, block, params, tri, exact in built:
+        with in_block(bid):
+            sol = next(sols) if run_var else None
+            sl2 = empty
+            if solver in ("sl2_reference", "all"):
+                sl2 = sl2_reference_energies(block, params)
+        solved.append(_block_columns(bid, block.dim, solver, coupled, exact, sol, sl2))
+    if failure is not None:
+        raise failure
+    return solved
+
+
+def _block_columns(bid, d, solver, coupled, exact, sol, sl2):
+    """The nine CSV columns and the JSON summary entry of one solved block.
 
     The solver and whether the model's one coupling g is nonzero decide
     the columns of the whole run.  A column the run does not compute, such
     as the four variational ones at g = 0, is an empty array.
     """
-    bid, block, psi, params = task
-    d = block.dim
     entry = {"block_id": bid, "dim": d}
-    exact = var = sl2 = alpha = residual = empty = np.empty(0)
-    variational = solver in ("variational", "all")
-    run_exact, run_var = solver in ("exact", "all"), variational and coupled
-    with in_block(bid):
-        if run_exact or run_var:  # one Hamiltonian serves both solvers
-            tri = build_hamiltonian(block, psi, params)
-        if run_exact:
-            exact = eigh_tridiagonal(tri.diag, tri.offdiag, eigvals_only=True)
-        if run_var:
-            sol = variational_spectrum(tri)
-        if solver in ("sl2_reference", "all"):
-            sl2 = sl2_reference_energies(block, params)
-    if variational and not coupled:
+    var = alpha = residual = empty = np.empty(0)
+    if solver in ("variational", "all") and not coupled:
         entry["variational_skipped"] = "g = 0 (exact solver covers it)"
-    elif variational:
+    elif sol is not None:
         selected = sol.alpha_roots.index(sol.alpha_selected)
         entry.update(
             alpha_roots=list(sol.alpha_roots),
@@ -515,7 +545,7 @@ def cmd_spectrum(cfg: Config, digest: str, args) -> int:
                 f"at most {MAX_ROWS:.0e} are allowed"
             )
     t0 = time.perf_counter()
-    solved = [_solve_block(t, cfg.solver, coupled) for t in _model_tasks(cfg)]
+    solved = _solve_blocks(_model_tasks(cfg), cfg.solver, coupled)
     elapsed = time.perf_counter() - t0
     columns = [np.concatenate(col) for col in zip(*(cols for cols, _ in solved))]
     summary_blocks = [entry for _, entry in solved]

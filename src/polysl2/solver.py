@@ -82,6 +82,16 @@ class TridiagonalHamiltonian:
     def dim(self) -> int:
         return len(self.diag)
 
+    def key(self) -> bytes:
+        """Bytes that are equal exactly when two Hamiltonians are bit-equal.
+
+        diag, offdiag and the four params as float64: the block size fixes
+        where each part starts, and bit patterns keep -0.0 and 0.0 apart.
+        """
+        p = self.params
+        parts = self.diag, self.offdiag, [p.a, p.g_mod, p.g_phase, p.constant]
+        return b"".join(np.asarray(x, dtype=np.float64).tobytes() for x in parts)
+
     def norm_bound(self) -> float:
         """Infinity-norm bound, also a spectral radius bound."""
         e = np.abs(self.offdiag)

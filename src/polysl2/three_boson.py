@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -182,6 +182,15 @@ class CoherentInput:
         if self.ncut < 1:
             raise ValueError("ncut must be positive")
 
+    @cached_property
+    def _amplitudes(self) -> tuple:
+        """_mode_amplitudes of alpha1, alpha2 and alpha3 to ncut, built once."""
+        alphas = self.alpha1, self.alpha2, self.alpha3
+        amplitudes = tuple(_mode_amplitudes(a, self.ncut) for a in alphas)
+        for a in amplitudes:  # shared by every block of the input
+            a.flags.writeable = False
+        return amplitudes
+
 
 @lru_cache(maxsize=8)
 def _log_factorials(nmax: int) -> np.ndarray:
@@ -227,9 +236,8 @@ def project_coherent(inp: CoherentInput, label: BlockLabel) -> np.ndarray:
     vhi = min(d - 1, vmax_excess)
     if vhi < vlo:
         return c
-    a_excess = _mode_amplitudes(inp.alpha1 if label.sign > 0 else inp.alpha2, nc)
-    a_low = _mode_amplitudes(inp.alpha2 if label.sign > 0 else inp.alpha1, nc)
-    a_pump = _mode_amplitudes(inp.alpha3, nc)
+    a1, a2, a_pump = inp._amplitudes
+    a_excess, a_low = (a1, a2) if label.sign > 0 else (a2, a1)
     v = np.arange(vlo, vhi + 1)
     c[v] = a_excess[label.k + v] * a_low[v] * a_pump[label.m - v]
     return c
@@ -246,10 +254,7 @@ def coherent_block_weights(inp: CoherentInput, floor: float):
     and P_2.
     """
     nc = inp.ncut
-    p1, p2, p3 = (
-        np.abs(_mode_amplitudes(a, nc)) ** 2
-        for a in (inp.alpha1, inp.alpha2, inp.alpha3)
-    )
+    p1, p2, p3 = (np.abs(a) ** 2 for a in inp._amplitudes)
     out = []
     for k in range(nc + 1):
         w = np.convolve(p1[k:] * p2[: nc + 1 - k], p3)[:, None]

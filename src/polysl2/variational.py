@@ -11,33 +11,37 @@ Bernstein sum over the ladder rungs (CoherentEnergy): well conditioned
 block size.  solve_alpha scans -dH/dp along the real meridian p = j cos 2r,
 so its roots alpha = -tan r are mean-field fixed points, and picks one by
 the closed-form E(0, r); it alone decides the angle, a single level
-included.  The scan reads only the off-diagonal, a and |g|, and a
-one-entry memo keyed on their bytes keeps its last result, so twin blocks
-(k, m, +) and (k, m, -), whose Hamiltonians differ by a constant on the
-diagonal and which enumerate_blocks lists one after the other, share one
-scan.  variational_spectrum then gives the block one rotation: R's
-columns are the eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx, one
+included.  The scan reads only the off-diagonal, a and |g|, so
+variational_spectra scans a list of Hamiltonians together: the blocks of
+one size share one grid pass and one sectioning loop (_Meridians), and
+blocks with the same off-diagonal, a and |g| share one scan, such as the
+three-boson twins (k, m, +) and (k, m, -), whose Hamiltonians differ by a
+constant on the diagonal.  Each block then gets one rotation: R's columns
+are the eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx, one
 eigh_tridiagonal for all levels, checked against the exact overlaps of
-polysl2.reference.  Each function takes the block's one
-TridiagonalHamiltonian, and a and g come from the params it keeps.
+polysl2.reference; bit-equal Hamiltonians share it.  solve_alpha and
+variational_spectrum are the batch of one.  Each function takes the
+block's one TridiagonalHamiltonian, and a and g come from the params it
+keeps.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .algebra import su2_eigenbasis, su2_ladder
-from .solver import HamiltonianParams, TridiagonalHamiltonian
+from .solver import TridiagonalHamiltonian
 
 __all__ = [
     "CoherentEnergy",
     "VariationalSolution",
     "energy_functional",
     "solve_alpha",
+    "variational_spectra",
     "variational_spectrum",
 ]
 
@@ -45,6 +49,9 @@ GRID_POINTS = 4001
 ALPHA_WIDTH = 1e-14  # refined roots are bracketed this tightly in alpha
 SECTIONS = 64  # subintervals per bracket and refinement pass
 NORM_SLACK = 1e-12  # round-off allowed on |E| <= norm bound
+# block-angle cells of one grid pass: a scan group holds at most
+# _SCAN_CELLS // GRID_POINTS blocks, which bounds its working set
+_SCAN_CELLS = 2**17
 
 # the scan grid alpha = tan r, r even over [-pi/2, pi/2], and the section points
 _GRID = np.tan(np.linspace(-math.pi / 2, math.pi / 2, GRID_POINTS))
@@ -105,7 +112,12 @@ def energy_functional(tri: TridiagonalHamiltonian, v: int, r: float) -> float:
 
 
 def _horner_table(beta, dbeta):
-    """Steps of CoherentEnergy._sums (coefficients, binomial ratios); None rescales."""
+    """Steps of CoherentEnergy._sums (coefficients, binomial ratios); None rescales.
+
+    beta and dbeta are lists of floats, or arrays whose rows hold one
+    coefficient of several same-size blocks: each coefficient of the
+    table is then a vector with one entry per block.
+    """
     n1 = len(beta) - 1
     steps = [
         (beta[v - 1], (n1 - v + 1) / v, dbeta[v - 2], (n1 - v + 1) / (v - 1))
@@ -154,13 +166,14 @@ class CoherentEnergy:
     def _sums(small, big, table):
         """Bernstein sums of Q and dQ/ds, coefficients ordered by powers of small.
 
-        small and big are floats or equal-shape arrays.  Horner runs in the
-        ratio small/big <= 1, each partial sum kept times the matching power
-        of big >= 1/2.  The largest of power, |Q| (a sum of positive terms)
-        and |dQ| falls by at most about 2^-490 in 490 steps, so at each None
-        of the table all three are rescaled by the power of two that brings
-        it into [1/2, 1): nothing underflows or overflows.  Float inputs
-        give floats back.
+        small and big are floats or equal-shape arrays, and the table's
+        coefficients floats or arrays that broadcast against them (see
+        _Meridians).  Horner runs in the ratio small/big <= 1, each partial
+        sum kept times the matching power of big >= 1/2.  The largest of
+        power, |Q| (a sum of positive terms) and |dQ| falls by at most
+        about 2^-490 in 490 steps, so at each None of the table all three
+        are rescaled by the power of two that brings it into [1/2, 1):
+        nothing underflows or overflows.  Float inputs give floats back.
         """
         q, dq, steps, last = table
         power, exp2 = 1.0, None
@@ -184,23 +197,6 @@ class CoherentEnergy:
             scale = np.ldexp if np.ndim(exp2) else math.ldexp
             q, dq = scale(q, exp2), scale(dq, exp2)
         return q, dq
-
-    def meridian(self, alpha: np.ndarray):
-        """c = cos^2 r, s = sin^2 r, Q(s) and dQ/ds at r = -atan(alpha).
-
-        Each sum runs in the smaller of s and c (reversed where s > c).
-        """
-        c = 1.0 / (1.0 + alpha * alpha)
-        s = alpha * alpha * c
-        lo = s <= c
-        groups = (lo, s, c, self._fwd), (~lo, c, s, self._rev)
-        for pick, small, big, table in groups:
-            if pick.all():  # one group needs no masks
-                return (c, s, *self._sums(small, big, table))
-        bq, dbq = np.empty_like(c), np.empty_like(c)
-        for pick, small, big, table in groups:  # both groups are nonempty
-            bq[pick], dbq[pick] = self._sums(small[pick], big[pick], table)
-        return c, s, bq, dbq
 
     def __call__(self, p: float, q: float):
         """H, dH/dp and dH/dq at (p, q); |p| > j is evaluated at the pole."""
@@ -227,52 +223,102 @@ class CoherentEnergy:
         return energy, dhdp, -b * math.sin(ang)
 
 
-def _slope(params, n, alpha, c, s, bq, dbq):
-    """F(alpha), the ground-state slope, from the coherent meridian there.
+def _take(table, index):
+    """A Horner table with every coefficient vector indexed by index.
 
-    With n = d - 1, r = -atan(alpha), s = sin^2 r, c = cos^2 r and Q, Q'
-    = dQ/ds the Bernstein sums of the block's CoherentEnergy.meridian,
-
-        F = (a/|g|) alpha c + ((c - s) Q + 2 s c Q') / (|g| n).
-
-    The rotated lowest state has E(0, r) = diag_0 + a n s + 2 alpha c Q(s),
-    and F = -dE(0, r)/dr / (2|g|n) = (alpha c / |g|) (-dH/dp) at
-    p = j cos 2r, cos(q + phi) = sign alpha: its roots are mean-field fixed
-    points.  F is polysl2.reference.stationarity_residual divided by
-    (1 + alpha^2)^n times a positive constant: both share their roots.
+    The steps are taken one at a time as _sums reaches them, so the taken
+    table never exists whole.  On two levels dQ/ds is the float 0.
     """
-    ratio = params.a / params.g_mod
-    return ratio * alpha * c + ((c - s) * bq + 2.0 * s * c * dbq) / (params.g_mod * n)
+    q, dq, steps, last = table
+    steps = (
+        None if step is None else (step[0][index], step[1], step[2][index], step[3])
+        for step in steps
+    )
+    if last is not None:
+        last = last[0][index], last[1]
+    return q[index], dq[index] if np.ndim(dq) else dq, steps, last
 
 
-def _stationarity(energy: CoherentEnergy, params):
-    """F of _slope on the block of energy, at a float array of alpha."""
-    return lambda alpha: _slope(params, energy.n, alpha, *energy.meridian(alpha))
+class _Meridians:
+    """The stationarity function F of several same-size blocks.
 
-
-@functools.lru_cache(maxsize=1)
-def _scan(offdiag: bytes, a_g: bytes):
-    """Stationary alpha of one block, and F, c, s and Q(s) at each of them.
-
-    The key is all the scan reads: the bytes of the block's float64
-    off-diagonal and of np.float64([a, |g|]).  The scan rebuilds its inputs
-    from them, so it cannot see the diagonal, bit patterns keep -0.0 and
-    0.0 apart, and the key fixes the block size.  The one entry holds O(d)
-    bytes and read-only arrays: roots and, from one meridian pass there,
-    F, c, s and Q.  See solve_alpha for the scan itself.
+    The Horner tables are CoherentEnergy's, with one coefficient vector
+    (an entry per block) in place of each float.  Every point is computed
+    elementwise by the same operations, in the same order, as on one
+    block, so a block's bytes do not depend on the others.
     """
-    off = np.frombuffer(offdiag)
-    params = HamiltonianParams(*np.frombuffer(a_g).tolist())
-    # zeros stand in for the diagonal, which neither F nor Q reads
-    tri = TridiagonalHamiltonian(np.zeros(off.size + 1), off, params)
-    energy = CoherentEnergy(tri)
-    stationarity = _stationarity(energy, params)
+
+    def __init__(self, offdiag: np.ndarray, a_g: np.ndarray):
+        """offdiag: (blocks, n) float64 off-diagonals; a_g: (blocks, 2) a and |g|."""
+        n = offdiag.shape[1]
+        self.n = n
+        beta = offdiag.T * n / su2_ladder(n + 1)[:, None]
+        dbeta = (n - 1) * np.diff(beta, axis=0)
+        self._fwd = _horner_table(beta, dbeta)
+        self._rev = _horner_table(beta[::-1], dbeta[::-1])
+        self._ratio = a_g[:, 0] / a_g[:, 1]
+        self._g_mod = a_g[:, 1]
+
+    def meridian(self, alpha: np.ndarray, owner: np.ndarray | None = None):
+        """c = cos^2 r, s = sin^2 r, Q(s) and dQ/ds at r = -atan(alpha).
+
+        Without owner every block is evaluated at every alpha, a row per
+        block, and the powers of c and s and the binomial ratios are
+        shared by all rows; with it, alpha[i] is evaluated on block
+        owner[i].  Each sum runs in the smaller of s and c (reversed where
+        s > c).
+        """
+        c = 1.0 / (1.0 + alpha * alpha)
+        s = alpha * alpha * c
+        lo = s <= c
+        shape = (self._g_mod.size, alpha.size) if owner is None else alpha.shape
+        bq, dbq = np.empty(shape), np.empty(shape)
+        for pick, small, big, table in (lo, s, c, self._fwd), (~lo, c, s, self._rev):
+            if not pick.any():
+                continue
+            if owner is None:
+                rows, at = np.s_[:, None], np.s_[:, pick]
+            else:
+                rows, at = owner[pick], pick
+            taken = _take(table, rows)
+            bq[at], dbq[at] = CoherentEnergy._sums(small[pick], big[pick], taken)
+        return c, s, bq, dbq
+
+    def slope(self, alpha, owner, c, s, bq, dbq):
+        """F(alpha), the ground-state slope, from the meridian there.
+
+        With n = d - 1, r = -atan(alpha), s = sin^2 r, c = cos^2 r and Q, Q'
+        = dQ/ds the Bernstein sums of meridian,
+
+            F = (a/|g|) alpha c + ((c - s) Q + 2 s c Q') / (|g| n).
+
+        The rotated lowest state has E(0, r) = diag_0 + a n s + 2 alpha c Q(s),
+        and F = -dE(0, r)/dr / (2|g|n) = (alpha c / |g|) (-dH/dp) at
+        p = j cos 2r, cos(q + phi) = sign alpha: its roots are mean-field
+        fixed points.  F is polysl2.reference.stationarity_residual divided
+        by (1 + alpha^2)^n times a positive constant: both share their roots.
+        """
+        rows = np.s_[:, None] if owner is None else owner
+        ratio, g_mod = self._ratio[rows], self._g_mod[rows]
+        return ratio * alpha * c + ((c - s) * bq + 2.0 * s * c * dbq) / (g_mod * self.n)
+
+    def stationarity(self, alpha: np.ndarray, owner: np.ndarray | None = None):
+        """F at alpha; owner as in meridian."""
+        return self.slope(alpha, owner, *self.meridian(alpha, owner))
+
+
+def _scan(group: _Meridians) -> list:
+    """Stationary alpha of each block of group, and F, c, s and Q(s) there.
+
+    A block without one gets a RuntimeError in place of its arrays.  See
+    solve_alpha for the scan itself.
+    """
     xs = _GRID
-    ys = stationarity(xs)
+    ys = group.stationarity(xs)
     exact = ys == 0.0
-    y0, y1 = ys[:-1], ys[1:]
-    brackets = np.nonzero((y0 != 0.0) & (y1 != 0.0) & ((y0 > 0.0) != (y1 > 0.0)))[0]
-    lo, hi, neg = xs[brackets], xs[brackets + 1], y0[brackets] < 0.0
+    y0, y1 = ys[:, :-1], ys[:, 1:]
+    owner, cell = np.nonzero((y0 != 0.0) & (y1 != 0.0) & ((y0 > 0.0) != (y1 > 0.0)))
+    lo, hi, neg = xs[cell], xs[cell + 1], y0[owner, cell] < 0.0
     # a bracket keeps the sign of F at its left end, so each pass keeps the
     # first subinterval whose right end has the other sign (a zero counts
     # as positive); a bracket leaves once it is ALPHA_WIDTH wide or stops
@@ -283,61 +329,60 @@ def _scan(offdiag: bytes, a_g: bytes):
         pts = np.minimum(a[:, None] + (b - a)[:, None] * _FRAC, b[:, None])
         pts[:, -1] = b
         change = np.ones((active.size, SECTIONS), dtype=bool)
-        vals = stationarity(pts[:, 1:-1].ravel())
+        inner = np.repeat(owner[active], SECTIONS - 1)
+        vals = group.stationarity(pts[:, 1:-1].ravel(), inner)
         change[:, :-1] = (vals < 0.0).reshape(-1, SECTIONS - 1) != neg[active, None]
         k = np.argmax(change, axis=1)
         rows = np.arange(active.size)
         lo[active], hi[active] = pts[rows, k], pts[rows, k + 1]
         width = hi[active] - lo[active]
         active = active[(width < b - a) & (width > ALPHA_WIDTH)]
-    # roots in grid order: exact grid zeros and refined brackets interleave
-    at = np.concatenate([np.nonzero(exact)[0], brackets])
-    found = np.concatenate([xs[exact], 0.5 * (lo + hi)])
-    roots = found[np.argsort(at, kind="stable")]
-    if not roots.size:
-        raise RuntimeError(
-            "no stationary point on the scan grid; stationarity function at "
-            f"alpha = -inf and +inf: {ys[0]:.6e}, {ys[-1]:.6e}"
-        )
-    c, s, bq, dbq = energy.meridian(roots)
-    f = _slope(params, energy.n, roots, c, s, bq, dbq)
-    scan = tuple(map(np.asarray, (roots, f, c, s, bq)))
-    for x in scan:  # Q is a 0-d array on two levels
-        x.flags.writeable = False
-    return scan
+    # each block's roots in grid order: exact grid zeros and refined
+    # brackets interleave
+    zero_owner, zero_at = np.nonzero(exact)
+    found = np.concatenate([zero_owner, owner])
+    order = np.lexsort((np.concatenate([zero_at, cell]), found))
+    roots = np.concatenate([xs[zero_at], 0.5 * (lo + hi)])[order]
+    found = found[order]
+    c, s, bq, dbq = group.meridian(roots, found)
+    f = group.slope(roots, found, c, s, bq, dbq)
+    ends = np.cumsum(np.bincount(found, minlength=len(ys)))[:-1]
+    scans = list(zip(*(np.split(x, ends) for x in (roots, f, c, s, bq))))
+    for i, scan in enumerate(scans):
+        if not scan[0].size:
+            scans[i] = RuntimeError(
+                "no stationary point on the scan grid; stationarity function at "
+                f"alpha = -inf and +inf: {ys[i, 0]:.6e}, {ys[i, -1]:.6e}"
+            )
+    return scans
 
 
-def solve_alpha(tri: TridiagonalHamiltonian) -> VariationalSolution:
-    """Locate all stationary alpha of tri and select the one of lowest E(v=0).
+def _scan_all(keys) -> dict:
+    """The _scan result of each distinct scan key, same-size blocks together.
 
-    The scan runs on GRID_POINTS angles spaced evenly in r = -atan(alpha)
-    over the closed interval [-pi/2, pi/2], so it covers every alpha with
-    no root bound: the stationarity function F (see _slope) is a
-    bounded Bernstein mean there.  Grid zeros are roots; every sign change
-    is refined, all brackets together as arrays, by SECTIONS-fold
-    sectioning until it is ALPHA_WIDTH wide in alpha or cannot be split in
-    floating point, and its midpoint is the root.  residuals holds
-    dE(0, r)/dr / norm_bound at each root, which is -2|g|n F / norm_bound.
-    A grid on which F has neither a zero nor a sign change raises
-    RuntimeError.
-
-    F reads only the off-diagonal, a and |g|, so the scan (_scan) keeps its
-    last result in a one-entry memo keyed on their bytes.  The twins
-    (k, m, +) and (k, m, -) of a three-boson model have the same
-    off-diagonal and a, and enumerate_blocks lists the minus twin right
-    after the plus twin: the second reuses the first one's scan.  The
-    diagonal and the norm bound enter only the root choice and the
-    residuals, per block.
-
-    The selected root minimizes the closed-form coherent energy
-    E(0, r) = diag_0 + a n s + 2 alpha c Q(s) of _slope, the first
-    of equal minima winning: O(d) per root, and the v=0 energy is a
-    Rayleigh quotient, so this branch is variationally controlled.  A
-    single-level block has no rotation freedom: its one root and selected
-    alpha are 0 and its residual 0, whatever g.  Otherwise g = 0 leaves the
-    phase undefined and raises ValueError.  The energies are filled in by
-    variational_spectrum.
+    A key is all the scan reads: the bytes of a block's float64
+    off-diagonal and of np.float64([a, |g|]); bit patterns keep -0.0 and
+    0.0 apart, and the key fixes the block size.  Blocks of one size are
+    scanned in groups of at most _SCAN_CELLS // GRID_POINTS.
     """
+    by_size = {}
+    for key in keys:
+        by_size.setdefault(len(key[0]), []).append(key)
+    per_group = max(1, _SCAN_CELLS // GRID_POINTS)
+    scans = {}
+    for same in by_size.values():
+        for start in range(0, len(same), per_group):
+            group = same[start : start + per_group]
+            offdiag, a_g = (
+                np.frombuffer(b"".join(part)).reshape(len(group), -1)
+                for part in zip(*group)
+            )
+            scans.update(zip(group, _scan(_Meridians(offdiag, a_g))))
+    return scans
+
+
+def _choose(tri: TridiagonalHamiltonian, scan) -> VariationalSolution:
+    """solve_alpha of tri from its _scan result (None on one level or at g = 0)."""
     params = tri.params
     if tri.dim == 1:
         return VariationalSolution(
@@ -349,10 +394,9 @@ def solve_alpha(tri: TridiagonalHamiltonian) -> VariationalSolution:
         )
     if params.g_mod == 0:
         raise ValueError("variational phase undefined at g = 0")
-    roots, f, c, s, bq = _scan(
-        np.asarray(tri.offdiag, dtype=np.float64).tobytes(),
-        np.float64([params.a, params.g_mod]).tobytes(),
-    )
+    if isinstance(scan, RuntimeError):
+        raise scan
+    roots, f, c, s, bq = scan
     n = tri.dim - 1
     residuals = -2.0 * params.g_mod * n * f / tri.norm_bound()
     ground = tri.diag[0] + params.a * n * s + 2.0 * roots * c * bq
@@ -366,15 +410,59 @@ def solve_alpha(tri: TridiagonalHamiltonian) -> VariationalSolution:
     )
 
 
-def variational_spectrum(tri: TridiagonalHamiltonian) -> VariationalSolution:
-    """Approximate spectrum of tri at the angle solve_alpha selects.
+def _solve_alphas(tris: list) -> Iterator[VariationalSolution]:
+    """solve_alpha of each Hamiltonian, in order; every scan runs first."""
+    keys = [
+        (
+            np.asarray(tri.offdiag, dtype=np.float64).tobytes(),
+            np.float64([tri.params.a, tri.params.g_mod]).tobytes(),
+        )
+        if tri.dim > 1 and tri.params.g_mod != 0
+        else None
+        for tri in tris
+    ]
+    scans = _scan_all(dict.fromkeys(key for key in keys if key is not None))
+    for tri, key in zip(tris, keys):
+        yield _choose(tri, scans.get(key))
 
-    One rotation evaluates all levels there; a single level takes the
-    identity, so its energy is the diagonal entry exactly.  An energy
-    beyond the Hamiltonian's norm bound (with NORM_SLACK for round-off)
-    cannot be a Rayleigh quotient and raises RuntimeError.
+
+def solve_alpha(tri: TridiagonalHamiltonian) -> VariationalSolution:
+    """Locate all stationary alpha of tri and select the one of lowest E(v=0).
+
+    The scan runs on GRID_POINTS angles spaced evenly in r = -atan(alpha)
+    over the closed interval [-pi/2, pi/2], so it covers every alpha with
+    no root bound: the stationarity function F (see _Meridians.slope) is
+    a bounded Bernstein mean there.  Grid zeros are roots; every sign
+    change is refined, all brackets together as arrays, by SECTIONS-fold
+    sectioning until it is ALPHA_WIDTH wide in alpha or cannot be split in
+    floating point, and its midpoint is the root.  residuals holds
+    dE(0, r)/dr / norm_bound at each root, which is -2|g|n F / norm_bound.
+    A grid on which F has neither a zero nor a sign change raises
+    RuntimeError.
+
+    F reads only the off-diagonal, a and |g|.  This is the batch of one:
+    variational_spectra scans the blocks of one size together, one grid
+    pass and one sectioning loop for all their brackets, and blocks with
+    the same off-diagonal, a and |g| share one scan, with the same bytes.
+    The twins (k, m, +) and (k, m, -) of a three-boson model are such
+    blocks.  Nothing is kept from one call to the next.  The diagonal and
+    the norm bound enter only the root choice and the residuals, per
+    block.
+
+    The selected root minimizes the closed-form coherent energy
+    E(0, r) = diag_0 + a n s + 2 alpha c Q(s) of _Meridians.slope, the
+    first of equal minima winning: O(d) per root, and the v=0 energy is a
+    Rayleigh quotient, so this branch is variationally controlled.  A
+    single-level block has no rotation freedom: its one root and selected
+    alpha are 0 and its residual 0, whatever g.  Otherwise g = 0 leaves the
+    phase undefined and raises ValueError.  The energies are filled in by
+    variational_spectrum.
     """
-    sol = solve_alpha(tri)
+    return next(_solve_alphas([tri]))
+
+
+def _with_energies(tri: TridiagonalHamiltonian, sol: VariationalSolution):
+    """sol with the energies of all levels at its angle: one rotation."""
     energies = _level_energies(tri.diag, tri.offdiag, sol.r_selected).tolist()
     bound = tri.norm_bound()
     worst = float(np.max(np.abs(energies)))
@@ -385,3 +473,37 @@ def variational_spectrum(tri: TridiagonalHamiltonian) -> VariationalSolution:
         )
     ordering_ok = bool(np.all(np.diff(energies) >= -1e-10 * max(worst, 1.0)))
     return replace(sol, energies=tuple(energies), ordering_ok=ordering_ok)
+
+
+def variational_spectra(
+    tris: Iterable[TridiagonalHamiltonian],
+) -> Iterator[VariationalSolution]:
+    """variational_spectrum of each Hamiltonian, yielded in order.
+
+    Every scan runs before the first solution is yielded (see
+    solve_alpha); bit-equal Hamiltonians (equal TridiagonalHamiltonian.key)
+    share one solution, rotation included.  The rest of a block's work
+    runs when its turn comes, and a block that fails raises there, so the
+    error raised is that of the first failing block in order.
+    """
+    tris = list(tris)
+    keys = [tri.key() for tri in tris]
+    # equal keys are bit-equal Hamiltonians, so any one of them stands for all
+    chosen = _solve_alphas(list(dict(zip(keys, tris)).values()))
+    solved = {}
+    for key, tri in zip(keys, tris):
+        if key not in solved:
+            solved[key] = _with_energies(tri, next(chosen))
+        yield solved[key]
+
+
+def variational_spectrum(tri: TridiagonalHamiltonian) -> VariationalSolution:
+    """Approximate spectrum of tri at the angle solve_alpha selects.
+
+    One rotation evaluates all levels there; a single level takes the
+    identity, so its energy is the diagonal entry exactly.  An energy
+    beyond the Hamiltonian's norm bound (with NORM_SLACK for round-off)
+    cannot be a Rayleigh quotient and raises RuntimeError.  This is the
+    batch of one of variational_spectra.
+    """
+    return next(variational_spectra([tri]))

@@ -1100,29 +1100,126 @@ def test_meanfield_builds_one_hamiltonian(tmp_path, monkeypatch):
     assert built == [5]
 
 
-def test_spectrum_scans_each_twin_pair_once(tmp_path, monkeypatch):
-    # the benchmark's labels at its seed 0: 82 blocks of two or more levels,
-    # 35 of them minus twins listed right after their plus twin, whose
-    # scan they reuse
+def _count_scans(monkeypatch):
+    """The number of blocks of each variational scan group, as scanned."""
     from polysl2 import variational
 
-    built = []
+    rows = []
+    scan = variational._scan
 
-    class Counted(variational.CoherentEnergy):
-        def __init__(self, tri):
-            built.append(tri.dim)
-            super().__init__(tri)
+    def counted(group):
+        out = scan(group)
+        rows.append(len(out))
+        return out
 
-    monkeypatch.setattr(variational, "CoherentEnergy", Counted)
-    variational._scan.cache_clear()
+    monkeypatch.setattr(variational, "_scan", counted)
+    return rows
+
+
+def test_spectrum_scans_each_twin_pair_once(tmp_path, monkeypatch):
+    # the benchmark's labels at its seed 0: 82 blocks of two or more levels
+    # in 12 sizes, 35 of them minus twins that share their plus twin's scan
+    # wherever either is listed: in order, reversed, or all plus labels
+    # first; each block's solution is the same in every order
+    rows = _count_scans(monkeypatch)
     labels = [{"k": lab.k, "m": lab.m, "sign": lab.sign} for lab in enumerate_blocks(5)]
-    labels += [{"k": 0, "m": 30}, {"k": 0, "m": 40}]
-    cfg = dict(SPECTRUM_CFG, blocks={"labels": labels})
+    labels += [{"k": 0, "m": 30, "sign": 1}, {"k": 0, "m": 40, "sign": 1}]
+    orders = labels, labels[::-1], sorted(labels, key=lambda lab: -lab["sign"])
+    solved = []
+    for i, order in enumerate(orders):
+        rows.clear()
+        cfg = dict(SPECTRUM_CFG, blocks={"labels": order})
+        out = tmp_path / f"out{i}"
+        assert main(["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        blocks = json.loads((out / "spectrum.json").read_text())["blocks"]
+        dims = [b["dim"] for b in blocks]
+        assert (len(dims), sum(d > 1 for d in dims)) == (93, 82)
+        assert (len(rows), sum(rows)) == (12, 47)
+        solved.append({b["block_id"]: b for b in blocks})
+    assert solved[0] == solved[1] == solved[2]
+
+
+# blocks of 7, 5, 5, 3, 5, 5 and 7 levels, with no twin pair among them
+ORDER_LABELS = [
+    {"k": 0, "m": 6},
+    {"k": 0, "m": 4},
+    {"k": 1, "m": 4},
+    {"k": 0, "m": 2},
+    {"k": 2, "m": 4, "sign": -1},
+    {"k": 3, "m": 4},
+    {"k": 1, "m": 6},
+]
+NO_ROOT = (
+    "no stationary point on the scan grid; stationarity function at "
+    "alpha = -inf and +inf: 1.000000e+00, 1.000000e+00"
+)
+
+
+@pytest.mark.parametrize(
+    "no_root, bad_rotation, bad_build, expect",
+    [
+        # the size-7 group is scanned first, but its failing block comes
+        # after a failing block of the size-5 group
+        (["k1p_m6", "k2m_m4", "k3p_m4"], [], [], f"block k2m_m4: {NO_ROOT}"),
+        # an earlier block of another size fails after the scans
+        (["k2m_m4"], ["k0_m2"], [], "block k0_m2: variational energy"),
+        # a later block fails before any scan runs
+        (["k2m_m4"], [], ["k1p_m6"], f"block k2m_m4: {NO_ROOT}"),
+        # an earlier block fails before any scan runs
+        (["k2m_m4"], [], ["k0_m2"], "block k0_m2: non-finite Hamiltonian: forced"),
+    ],
+)
+def test_spectrum_names_the_first_failing_block_in_task_order(
+    tmp_path, capsys, monkeypatch, no_root, bad_rotation, bad_build, expect
+):
+    # the scans of one block size run together, after every block is
+    # built, yet the block reported is the first failing one in task order
+    from polysl2 import cli, variational
+
+    params = ThreeBosonParams(1.0, 0.9, 2.2, complex(0.6, -0.8))
+    cfg = dict(FAILING_BLOCK_CFG, solver="all", blocks={"labels": ORDER_LABELS})
+    labels = [BlockLabel(lab["k"], lab["m"], lab.get("sign", 1)) for lab in ORDER_LABELS]
+    blocks = {lab.block_id: build_model_block(lab) for lab in labels}
+    tris = {
+        lab.block_id: build_hamiltonian(*blocks[lab.block_id], block_constants(lab, params))
+        for lab in labels
+    }
+    doomed = [tris[bid].offdiag.tobytes() for bid in no_root]
+    init, stationarity = variational._Meridians.__init__, variational._Meridians.stationarity
+
+    def keep(self, offdiag, a_g):
+        init(self, offdiag, a_g)
+        self.doomed = np.array([row.tobytes() in doomed for row in offdiag])
+
+    def flat(self, alpha, owner=None):
+        ys = stationarity(self, alpha, owner)
+        if owner is None:  # the grid pass: no sign change in a doomed row
+            ys[self.doomed] = 1.0
+        return ys
+
+    level_energies = variational._level_energies
+    inflate = [tris[bid].diag.tobytes() for bid in bad_rotation]
+
+    def inflated(diag, off, r):
+        return (10.0 if diag.tobytes() in inflate else 1.0) * level_energies(diag, off, r)
+
+    build = cli.build_hamiltonian
+    refuse = [blocks[bid][0] for bid in bad_build]
+
+    def refused(block, psi, params):
+        if block in refuse:
+            raise ValueError("non-finite Hamiltonian: forced")
+        return build(block, psi, params)
+
+    monkeypatch.setattr(variational._Meridians, "__init__", keep)
+    monkeypatch.setattr(variational._Meridians, "stationarity", flat)
+    monkeypatch.setattr(variational, "_level_energies", inflated)
+    monkeypatch.setattr(cli, "build_hamiltonian", refused)
     out = tmp_path / "out"
-    assert main(["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
-    dims = [b["dim"] for b in json.loads((out / "spectrum.json").read_text())["blocks"]]
-    assert (len(dims), sum(d > 1 for d in dims)) == (93, 82)
-    assert len(built) == 47
+    assert main(["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: {expect}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from polysl2.three_boson import (
     block_constants,
     block_fock_state,
     build_model_block,
+    coherent_block_weights,
     cube_size,
     enumerate_blocks,
     fock_to_block,
@@ -219,6 +220,32 @@ def test_project_coherent_matches_dense_tensor():
             else:
                 expect = mode_amp(a1, n1) * mode_amp(a2, n2) * mode_amp(a3, n3)
             assert c[v] == pytest.approx(expect, abs=1e-14)
+
+
+def test_project_coherent_builds_the_mode_amplitudes_once(monkeypatch):
+    # one input builds each mode's amplitudes once for all of its blocks,
+    # with the bytes of a fresh build
+    from polysl2 import three_boson
+
+    calls = []
+
+    def counted(alpha, nmax):
+        calls.append(alpha)
+        return _mode_amplitudes(alpha, nmax)
+
+    monkeypatch.setattr(three_boson, "_mode_amplitudes", counted)
+    inp = CoherentInput(alpha1=0.6 + 0.2j, alpha2=-0.4, alpha3=1.3 - 0.5j, ncut=4)
+    weights = dict(coherent_block_weights(inp, 0.0))
+    fresh = [_mode_amplitudes(a, 4) for a in (inp.alpha1, inp.alpha2, inp.alpha3)]
+    for lab in enumerate_blocks(4):
+        c = project_coherent(inp, lab)
+        excess, low = (fresh[0], fresh[1]) if lab.sign > 0 else (fresh[1], fresh[0])
+        v = np.arange(max(0, lab.m - 4), min(lab.dim - 1, 4 - lab.k) + 1)
+        expect = np.zeros(lab.dim, dtype=complex)
+        expect[v] = excess[lab.k + v] * low[v] * fresh[2][lab.m - v]
+        assert c.tobytes() == expect.tobytes()
+        assert float(np.sum(np.abs(c) ** 2)) == pytest.approx(weights[lab], rel=1e-12)
+    assert calls == [inp.alpha1, inp.alpha2, inp.alpha3]
 
 
 def test_project_coherent_zero_outside_window():

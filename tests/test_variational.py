@@ -1,5 +1,6 @@
 """Trial-state energy functional, stationarity roots, spectra."""
 
+import contextlib
 import gc
 import math
 import tracemalloc
@@ -41,6 +42,7 @@ from polysl2.variational import (
     NORM_SLACK,
     energy_functional,
     solve_alpha,
+    variational_spectra,
     variational_spectrum,
 )
 
@@ -54,6 +56,28 @@ def two_level_block(w, l0=0.0):
     """psi with a single rung of squared element w."""
     psi = StructureFunction(leading=-w, roots=(l0, l0 + 2.0))
     return build_block(psi, l0), psi
+
+
+def meridians(tri):
+    """The scan's _Meridians of the one block tri."""
+    a_g = np.float64([[tri.params.a, tri.params.g_mod]])
+    return variational._Meridians(tri.offdiag[None, :], a_g)
+
+
+@contextlib.contextmanager
+def scanned_rows():
+    """The number of blocks of each _scan group, in the order scanned."""
+    rows = []
+    scan = variational._scan
+
+    def counted(group):
+        out = scan(group)
+        rows.append(len(out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variational, "_scan", counted)
+        yield rows
 
 
 def test_reg_hyp_known_values():
@@ -209,11 +233,10 @@ def test_solve_alpha_residuals_meet_relative_bound():
 
 def test_solve_alpha_reports_empty_bracket(monkeypatch):
     # a stationarity function without a zero or sign change on the grid
-    def positive(energy, params):
-        return lambda alpha: np.ones(np.shape(alpha))
+    def positive(self, alpha, owner=None):
+        return np.ones((self._g_mod.size, alpha.size) if owner is None else alpha.shape)
 
-    monkeypatch.setattr(variational, "_stationarity", positive)
-    variational._scan.cache_clear()  # a memo hit would skip the patch
+    monkeypatch.setattr(variational._Meridians, "stationarity", positive)
     block, psi = two_level_block(2.0)
     tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
     with pytest.raises(RuntimeError, match="no stationary point on the scan grid"):
@@ -226,11 +249,9 @@ def test_scan_takes_f_at_the_roots_from_its_meridian_pass():
     for label in (BlockLabel(0, 1), BlockLabel(0, 6), BlockLabel(3, 40, -1)):
         block, psi = build_model_block(label)
         tri = build_hamiltonian(block, psi, params)
-        key = np.float64([params.a, params.g_mod]).tobytes()
-        variational._scan.cache_clear()
-        roots, f, *_ = variational._scan(tri.offdiag.tobytes(), key)
-        energy = variational.CoherentEnergy(tri)
-        expect = variational._stationarity(energy, params)(roots)
+        [(roots, f, *_)] = variational._scan(meridians(tri))
+        # the grid-pass route: the block's row of every block at every alpha
+        expect = meridians(tri).stationarity(roots)[0]
         assert roots.size and f.tobytes() == expect.tobytes()
 
 
@@ -368,8 +389,7 @@ def test_bernstein_stationarity_is_the_scaled_slope(case, alpha):
     block, psi, params = case
     tri = build_hamiltonian(block, psi, params)
     n = block.dim - 1
-    energy = variational.CoherentEnergy(tri)
-    f = float(variational._stationarity(energy, params)(np.array([alpha]))[0])
+    f = float(meridians(tri).stationarity(np.array([alpha]))[0, 0])
     rot = su2_rotation(block.dim, -math.atan(alpha))
     h = np.diag(tri.diag) + np.diag(tri.offdiag, 1) + np.diag(tri.offdiag, -1)
     y = su2_ladder(block.dim)
@@ -419,7 +439,7 @@ def test_stationarity_large_block_matches_log_space_sum():
         [math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k) for k in f]
     )
     alphas = np.array([-30.0, -1.41, -1.0, -0.999, 0.0, 0.5, 1.001, 1.3])
-    got = variational._stationarity(variational.CoherentEnergy(tri), params)(alphas)
+    got = meridians(tri).stationarity(alphas)[0]
     for al, value in zip(alphas, got):
         r = -math.atan(al)
         s, c = math.sin(r) ** 2, math.cos(r) ** 2
@@ -444,7 +464,7 @@ def _meridian_checks(block, psi, params):
     energy = variational.CoherentEnergy(tri)
     bound = tri.norm_bound()
     roots = np.array(solve_alpha(tri).alpha_roots)
-    c, s, bq, _ = energy.meridian(roots)
+    c, s, [bq], _ = meridians(tri).meridian(roots)
     ground = tri.diag[0] + params.a * (block.dim - 1) * s + 2.0 * roots * c * bq
     for al, e0 in zip(roots, ground):
         r = -math.atan(al)
@@ -542,38 +562,36 @@ def model_hamiltonian(label, params):
     st.integers(1, 40),
 )
 def test_minus_twin_reuses_the_plus_twins_scan_with_the_same_bytes(omegas, g, k, m):
-    # (k, m, -) after (k, m, +) hits the scan memo and gives the solution it
-    # gives with the memo empty, bit for bit
+    # (k, m, -) and (k, m, +) share one scan in a batch and give the
+    # solutions each gives alone, bit for bit
     params = ThreeBosonParams(*omegas, g=g)
     plus, minus = (model_hamiltonian(BlockLabel(k, m, sign), params) for sign in (1, -1))
-    variational._scan.cache_clear()
-    cold = variational_spectrum(minus)
-    variational._scan.cache_clear()
-    variational_spectrum(plus)
-    warm = variational_spectrum(minus)
-    assert variational._scan.cache_info().hits == 1
-    for field in ("alpha_roots", "residuals", "energies"):
-        got, want = (np.array(getattr(sol, field)) for sol in (warm, cold))
-        assert got.tobytes() == want.tobytes(), field
-    assert warm == cold
+    with scanned_rows() as rows:
+        pair = list(variational_spectra([plus, minus]))
+    assert rows == [1]
+    for got, want in zip(pair, map(variational_spectrum, (plus, minus))):
+        for field in ("alpha_roots", "residuals", "energies"):
+            a, b = (np.array(getattr(sol, field)) for sol in (got, want))
+            assert a.tobytes() == b.tobytes(), field
+        assert got == want
 
 
-def test_scan_memo_keeps_signed_zero_detunings_apart():
+def test_scan_keys_keep_signed_zero_detunings_apart():
     block, psi = build_model_block(BlockLabel(1, 6))
-    variational._scan.cache_clear()
-    for a in (0.0, 0.0, -0.0, -0.0, 0.0):
-        solve_alpha(build_hamiltonian(block, psi, HamiltonianParams(a=a, g_mod=0.9)))
-    info = variational._scan.cache_info()
-    assert (info.hits, info.misses) == (2, 3)
+    tris = [
+        build_hamiltonian(block, psi, HamiltonianParams(a=a, g_mod=0.9))
+        for a in (0.0, 0.0, -0.0, -0.0, 0.0)
+    ]
+    with scanned_rows() as rows:
+        list(variational_spectra(tris))
+    assert rows == [2]
 
 
-def test_scan_memo_keeps_o_of_d_bytes():
-    # after a d = 1001 block the memo holds its key, 8 (d - 1) bytes of
-    # off-diagonal, and a few roots (12 kB in all); the 8 d^2 bytes of the
-    # rotation go
+def test_scan_retains_nothing_across_calls():
+    # after a d = 1001 block nothing of its scan or its rotation is kept:
+    # not even the 8 (d - 1) bytes of its off-diagonal
     label = BlockLabel(0, 1000)
     tri = model_hamiltonian(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
-    variational._scan.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -582,8 +600,83 @@ def test_scan_memo_keeps_o_of_d_bytes():
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert variational._scan.cache_info().currsize == 1
-    assert kept < 24 * tri.dim
+    assert kept < 4 * tri.dim
+
+
+@st.composite
+def any_block(draw, d):
+    """A d-level block of three kinds, with a and |g| drawn apart from it.
+
+    An sl(2) block at a = 0 has its roots at alpha = -1 and +1, where the
+    scan's sums switch direction.
+    """
+    kind = draw(st.sampled_from(["three_boson", "custom", "sl2"]))
+    if kind == "three_boson":
+        label = BlockLabel(draw(st.integers(0, 6)), d - 1, draw(st.sampled_from([1, -1])))
+        block, psi = build_model_block(label)
+    elif kind == "custom":
+        l0 = draw(st.floats(-2.0, 2.0))
+        gap = draw(st.floats(0.5, 3.0))
+        psi = StructureFunction(leading=1.0, roots=(l0, l0 + d, l0 + d + gap))
+        block = build_block(psi, l0)
+    else:
+        block, psi = sl2_block((d - 1) / 2)
+    params = HamiltonianParams(
+        a=draw(st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)),
+        g_mod=draw(st.floats(0.05, 3.0)),
+        g_phase=draw(st.floats(0.0, 6.0)),
+        constant=draw(st.floats(-1.0, 1.0)),
+    )
+    return block, psi, params
+
+
+@st.composite
+def batches(draw):
+    """Same-size blocks, one of another size, an exact duplicate and a scan twin."""
+    d = draw(st.integers(2, 12))
+    cases = draw(st.lists(any_block(d), min_size=2, max_size=5))
+    cases.append(draw(any_block(draw(st.integers(1, 12)))))
+    block, psi, params = draw(st.sampled_from(cases))
+    cases.insert(draw(st.integers(0, len(cases))), (block, psi, params))
+    # the same off-diagonal, a and |g|, another constant on the diagonal
+    block, psi, params = draw(st.sampled_from(cases))
+    twin = replace(params, constant=params.constant + 0.5)
+    cases.insert(draw(st.integers(0, len(cases))), (block, psi, twin))
+    return [build_hamiltonian(*case) for case in cases]
+
+
+def _large_batch():
+    """Three 501-level blocks: past d ~ 492 the Horner tables rescale."""
+    params = ThreeBosonParams(1.0, 0.9, 2.2, 0.8 + 0.3j)
+    labels = BlockLabel(0, 500), BlockLabel(3, 500, -1), BlockLabel(3, 500, 1)
+    return [model_hamiltonian(label, params) for label in labels]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@example(_large_batch())
+@given(batches())
+def test_a_batch_gives_each_block_its_batch_of_one_bytes(tris):
+    # scanning blocks together, sharing scans and sharing bit-equal
+    # Hamiltonians' solutions changes no byte of any block's solution,
+    # and a block that fails alone fails at its turn with the same message
+    alone = []
+    for tri in tris:
+        try:
+            alone.append(variational_spectrum(tri))
+        except RuntimeError as exc:
+            alone.append(str(exc))
+    batch = variational_spectra(tris)
+    for want in alone:
+        if isinstance(want, str):
+            with pytest.raises(RuntimeError) as info:
+                next(batch)
+            assert str(info.value) == want
+            return
+        got = next(batch)
+        for field in ("alpha_roots", "residuals", "energies", "alpha_selected"):
+            a, b = (np.array(getattr(sol, field)) for sol in (got, want))
+            assert a.tobytes() == b.tobytes(), field
+        assert (got.theta, got.ordering_ok) == (want.theta, want.ordering_ok)
 
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
