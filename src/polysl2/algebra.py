@@ -36,6 +36,9 @@ __all__ = [
 # a rung x lies at a root r of psi when |x - r| <= ROOT_RTOL (|x| + |r|)
 ROOT_RTOL = 1e-12
 MAX_BLOCK_DIM = 2001  # levels in one block; dense solvers hold several d x d arrays
+# fewest samples of a signal that dynamics.detect_collapse_revival accepts;
+# here, like MAX_BLOCK_DIM, so the config schema reads it without dynamics
+MIN_SAMPLES = 1000
 
 
 class BlockError(ValueError):

@@ -5,10 +5,11 @@ and JSON for summaries.  Runs are deterministic: identical configs produce
 byte-identical files (timings go to stderr, never into outputs), and every
 output embeds the sha256 of the config it came from.
 
-The config is parsed once into the frozen Config below.  Every section is
-a dataclass whose fields are its allowed keys, with their defaults and a
-value kind that rejects bools, strings, non-finite, non-integral and
-out-of-range values as ConfigError, before any numerics run.
+The config is parsed once into the immutable Config below.  Every section
+is a _Section whose _Key attributes are its allowed keys, with their
+defaults and a value kind that rejects bools, strings, non-finite,
+non-integral and out-of-range values as ConfigError, before any numerics
+run.  A command imports dynamics or reference only when it runs them.
 """
 
 from __future__ import annotations
@@ -20,15 +21,16 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from functools import partial
+from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .algebra import (
     MAX_BLOCK_DIM,
+    MIN_SAMPLES,
     ROOT_RTOL,
     StructureFunction,
     block_operators,
@@ -38,16 +40,6 @@ from .algebra import (
     sl2_block,
     su2_rotation,
 )
-from .dynamics import (
-    MIN_SAMPLES,
-    WEIGHT_FLOOR,
-    detect_collapse_revival,
-    evolve_block,
-    fock_signal,
-    incommensurability_measure,
-    meanfield_trajectory,
-    rabi_signal,
-)
 from .solver import (
     HamiltonianParams,
     amplitude_recurrence,
@@ -56,7 +48,6 @@ from .solver import (
     sl2_reference_energies,
     spectral_polynomial_roots,
 )
-from .reference import gcs_overlaps
 from .three_boson import (
     BlockLabel,
     CoherentInput,
@@ -174,26 +165,58 @@ _CUSTOM_L0 = _Kind(
 _SIGN = _Kind("1 or -1", lambda v: _is_int(v) and v in (1, -1), int)
 
 
-def _key(kind, default=MISSING):
-    return field(default=default, metadata={"kind": kind})
+class _Key(NamedTuple):
+    """A config key: the kind of its value, and its default (... if none)."""
+
+    kind: Callable
+    default: object = ...
 
 
-def _read(cls, raw, where: str = ""):
-    """Build section cls from a JSON object: known keys only, each checked."""
-    if type(raw) is not dict:
-        raise ConfigError(f"{where or 'top-level config'} must be a JSON object")
-    prefix = f"{where}." if where else ""
-    known = {f.name: f for f in fields(cls)}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown config key: {prefix}{key}")
-    values = {}
-    for name, f in known.items():
-        if name in raw:
-            values[name] = f.metadata["kind"](raw[name], prefix + name)
-        elif f.default is MISSING:
-            raise ConfigError(f"{prefix}{name} is required")
-    return cls(**values)
+class _Section(SimpleNamespace):
+    """A config section: the _Key attributes of its class, its bases' first,
+    are its keys (the table _keys).  It is built from keywords, passes
+    _check and is immutable; repr and == are SimpleNamespace's over them."""
+
+    _keys: dict = {}
+
+    def __init_subclass__(cls):
+        own = {name: v for name, v in vars(cls).items() if isinstance(v, _Key)}
+        cls._keys = {**cls._keys, **own}
+
+    def __init__(self, **values):
+        super().__init__(**{n: values.get(n, k.default) for n, k in self._keys.items()})
+        self._check()
+
+    def _check(self) -> None:
+        """ConfigError unless the keys fit together."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r}: a config is immutable")
+
+    __delattr__ = __setattr__
+
+    @classmethod
+    def _read(cls, raw, where: str = ""):
+        """The section of a JSON object: known keys only, each checked."""
+        if type(raw) is not dict:
+            raise ConfigError(f"{where or 'top-level config'} must be a JSON object")
+        prefix = f"{where}." if where else ""
+        for key in raw:
+            if key not in cls._keys:
+                raise ConfigError(f"unknown config key: {prefix}{key}")
+        values = {}
+        for name, key in cls._keys.items():
+            if name in raw:
+                values[name] = key.kind(raw[name], prefix + name)
+            elif key.default is ...:
+                raise ConfigError(f"{prefix}{name} is required")
+        return cls(**values)
+
+    @classmethod
+    def _read_list(cls, raw, where: str):
+        if type(raw) is not list:
+            raise ConfigError(f"{where} must be a list of objects")
+        return tuple(cls._read(x, f"{where}[{i}]") for i, x in enumerate(raw))
 
 
 def _either(section: str, **keys) -> None:
@@ -205,63 +228,48 @@ def _either(section: str, **keys) -> None:
         raise ConfigError(f"{section} section sets both '{a}' and '{b}'; give one")
 
 
-def _sections(cls):
-    def read(raw, where):
-        if type(raw) is not list:
-            raise ConfigError(f"{where} must be a list of objects")
-        return tuple(_read(cls, x, f"{where}[{i}]") for i, x in enumerate(raw))
-
-    return read
-
-
-@dataclass(frozen=True, kw_only=True)
-class ThreeBosonConfig:
-    omega1: float = _key(_real())
-    omega2: float = _key(_real())
-    omega3: float = _key(_real())
-    g: complex = _key(_COMPLEX)
+class ThreeBosonConfig(_Section):
+    omega1: float = _Key(_real())
+    omega2: float = _Key(_real())
+    omega3: float = _Key(_real())
+    g: complex = _Key(_COMPLEX)
 
     def params(self) -> ThreeBosonParams:
         return ThreeBosonParams(self.omega1, self.omega2, self.omega3, self.g)
 
 
-@dataclass(frozen=True, kw_only=True)
-class _Coupling:
-    a: float = _key(_real(), 0.0)
-    g: complex = _key(_COMPLEX, 0j)
-    constant: float = _key(_real(), 0.0)
+class _Coupling(_Section):
+    a: float = _Key(_real(), 0.0)
+    g: complex = _Key(_COMPLEX, 0j)
+    constant: float = _Key(_real(), 0.0)
 
     def params(self) -> HamiltonianParams:
         return HamiltonianParams.from_coupling(self.a, self.g, self.constant)
 
 
-@dataclass(frozen=True, kw_only=True)
 class Sl2LimitConfig(_Coupling):
-    j: float = _key(_HALF_INTEGER)
+    j: float = _Key(_HALF_INTEGER)
 
 
-@dataclass(frozen=True, kw_only=True)
 class CustomPsiConfig(_Coupling):
-    roots: tuple = _key(_list(_real()))
-    l0: float = _key(_CUSTOM_L0)
-    leading: float = _key(_real(), 1.0)
+    roots: tuple = _Key(_list(_real()))
+    l0: float = _Key(_CUSTOM_L0)
+    leading: float = _Key(_real(), 1.0)
 
 
-@dataclass(frozen=True, kw_only=True)
-class LabelConfig:
-    k: int = _key(_int(0, MAX_K, _K_NOTE), 0)
-    m: int = _key(_int(0, MAX_BLOCK_DIM - 1, _DIM_NOTE), 0)
-    sign: int = _key(_SIGN, 1)
+class LabelConfig(_Section):
+    k: int = _Key(_int(0, MAX_K, _K_NOTE), 0)
+    m: int = _Key(_int(0, MAX_BLOCK_DIM - 1, _DIM_NOTE), 0)
+    sign: int = _Key(_SIGN, 1)
 
 
-@dataclass(frozen=True, kw_only=True)
-class BlocksConfig:
+class BlocksConfig(_Section):
     """Explicit labels, or every block of the Fock cube n_i <= ncut."""
 
-    ncut: int | None = _key(_int(0, MAX_NCUT, _DIM_NOTE), None)
-    labels: tuple | None = _key(_sections(LabelConfig), None)
+    ncut: int | None = _Key(_int(0, MAX_NCUT, _DIM_NOTE), None)
+    labels: tuple | None = _Key(LabelConfig._read_list, None)
 
-    def __post_init__(self):
+    def _check(self):
         _either("blocks", labels=self.labels, ncut=self.ncut)
 
     def block_labels(self) -> list:
@@ -276,17 +284,16 @@ class BlocksConfig:
         return len(self.labels), sum(lab.m + 1 for lab in self.labels)
 
 
-@dataclass(frozen=True, kw_only=True)
-class DynamicsConfig:
+class DynamicsConfig(_Section):
     """A coherent input (alpha, ncut) or a Fock input."""
 
-    alpha: tuple | None = _key(_list(_COMPLEX, 3), None)
-    fock: tuple | None = _key(_list(_int(0), 3), None)
-    ncut: int = _key(_int(1, MAX_NCUT, _DIM_NOTE), 20)
-    tmax: float = _key(_real(0.0), 100.0)
-    samples: int = _key(_int(MIN_SAMPLES, MAX_ROWS), 10001)
+    alpha: tuple | None = _Key(_list(_COMPLEX, 3), None)
+    fock: tuple | None = _Key(_list(_int(0), 3), None)
+    ncut: int = _Key(_int(1, MAX_NCUT, _DIM_NOTE), 20)
+    tmax: float = _Key(_real(0.0), 100.0)
+    samples: int = _Key(_int(MIN_SAMPLES, MAX_ROWS), 10001)
 
-    def __post_init__(self):
+    def _check(self):
         _either("dynamics", alpha=self.alpha, fock=self.fock)
         if self.fock:
             label = fock_to_block(*self.fock)[0]
@@ -309,14 +316,13 @@ class DynamicsConfig:
                 )
 
 
-@dataclass(frozen=True, kw_only=True)
-class MeanfieldConfig:
-    p0: float = _key(_real())
-    q0: float = _key(_real())
-    tspan: float = _key(_real())
-    dt: float = _key(_real(0.0, above=True))
+class MeanfieldConfig(_Section):
+    p0: float = _Key(_real())
+    q0: float = _Key(_real())
+    tspan: float = _Key(_real())
+    dt: float = _Key(_real(0.0, above=True))
 
-    def __post_init__(self):
+    def _check(self):
         # the integrator takes round(|tspan| / dt) RK4 steps
         steps = abs(self.tspan) / self.dt
         if not steps <= MAX_ROWS + 0.5:
@@ -326,16 +332,15 @@ class MeanfieldConfig:
             )
 
 
-@dataclass(frozen=True, kw_only=True)
-class Config:
-    model: str | None = _key(_one_of("three_boson", "sl2_limit", "custom_psi"), None)
-    solver: str = _key(_one_of("exact", "variational", "sl2_reference", "all"), "all")
-    three_boson: ThreeBosonConfig | None = _key(partial(_read, ThreeBosonConfig), None)
-    custom_psi: CustomPsiConfig | None = _key(partial(_read, CustomPsiConfig), None)
-    sl2_limit: Sl2LimitConfig | None = _key(partial(_read, Sl2LimitConfig), None)
-    blocks: BlocksConfig | None = _key(partial(_read, BlocksConfig), None)
-    dynamics: DynamicsConfig | None = _key(partial(_read, DynamicsConfig), None)
-    meanfield: MeanfieldConfig | None = _key(partial(_read, MeanfieldConfig), None)
+class Config(_Section):
+    model: str | None = _Key(_one_of("three_boson", "sl2_limit", "custom_psi"), None)
+    solver: str = _Key(_one_of("exact", "variational", "sl2_reference", "all"), "all")
+    three_boson: ThreeBosonConfig | None = _Key(ThreeBosonConfig._read, None)
+    custom_psi: CustomPsiConfig | None = _Key(CustomPsiConfig._read, None)
+    sl2_limit: Sl2LimitConfig | None = _Key(Sl2LimitConfig._read, None)
+    blocks: BlocksConfig | None = _Key(BlocksConfig._read, None)
+    dynamics: DynamicsConfig | None = _Key(DynamicsConfig._read, None)
+    meanfield: MeanfieldConfig | None = _Key(MeanfieldConfig._read, None)
 
     def need(self, key: str):
         """The value of a top-level key that this command cannot do without."""
@@ -347,7 +352,7 @@ class Config:
 
 def parse_config(obj) -> Config:
     """Validate a decoded JSON document; anything malformed is a ConfigError."""
-    return _read(Config, obj)
+    return Config._read(obj)
 
 
 def _load_config(path):
@@ -564,6 +569,8 @@ def cmd_spectrum(cfg: Config, digest: str, args) -> int:
 
 
 def cmd_dynamics(cfg: Config, digest: str, args) -> int:
+    from .dynamics import WEIGHT_FLOOR, detect_collapse_revival, fock_signal
+    from .dynamics import incommensurability_measure, rabi_signal
     if cfg.model != "three_boson":
         raise ConfigError("dynamics requires model = three_boson")
     params3 = cfg.need("three_boson").params()
@@ -623,6 +630,7 @@ def cmd_dynamics(cfg: Config, digest: str, args) -> int:
 
 
 def cmd_meanfield(cfg: Config, digest: str, args) -> int:
+    from .dynamics import meanfield_trajectory
     mf = cfg.need("meanfield")
     if cfg.model == "three_boson":  # the other models have exactly one block
         count = cfg.need("blocks").size()[0]
@@ -707,6 +715,7 @@ def _check_sl2_reduction():
 
 
 def _check_unitarity():
+    from .dynamics import evolve_block
     lab = BlockLabel(0, 7)
     block, psi = build_model_block(lab)
     params = HamiltonianParams(a=0.3, g_mod=1.1, g_phase=0.4)
@@ -737,6 +746,7 @@ def _check_recurrence():
 
 def _check_rotation():
     """su2_rotation columns against the exact rational overlaps."""
+    from .reference import gcs_overlaps
     block, _ = build_model_block(BlockLabel(0, 9))
     worst = 0.0
     for r in (0.3, 1.0, -0.7):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import in_block
+from .algebra import MIN_SAMPLES, in_block
 from .solver import Spectrum, TridiagonalHamiltonian, build_hamiltonian, eigensolve
 from .three_boson import (
     BlockLabel,
@@ -67,8 +67,6 @@ REVIVAL_FRAC = 0.5
 # for PERSIST consecutive window positions
 WINDOW_PERIODS = 5.0
 PERSIST = 5
-# fewest samples of a signal that collapse detection accepts
-MIN_SAMPLES = 1000
 # half-width, in fine-grid points, of the Gaussian kernel that spreads the
 # Bohr terms of the Rabi signal: at 12 a Fock run's n3(0) is 1.6e-12 off
 _KERNEL_W = 16

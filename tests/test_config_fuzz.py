@@ -14,7 +14,6 @@ import json
 import math
 import tempfile
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -33,7 +32,7 @@ SECTIONS = (
     cli.DynamicsConfig,
     cli.MeanfieldConfig,
 )
-KEYS = sorted({f.name for cls in SECTIONS for f in fields(cls)})
+KEYS = sorted({name for cls in SECTIONS for name in cls._keys})
 
 SCALARS = (
     st.none()
