@@ -501,10 +501,10 @@ def meanfield_trajectory(
     """Classic 4th-order integration of dq/dt = dH/dp, dp/dt = -dH/dq.
 
     H(p, q) is the coherent-state energy of tri on the chart |p| <= j,
-    2j + 1 = tri.dim.  H and both partial derivatives come in closed form
-    from the binomial amplitudes of the su(2) coherent state, so the
-    forces are exact.  Stages with |p| > j are evaluated at p = +-j.  On
-    the pole q is undefined, the q-dependent part of dH/dp is taken as 0
+    2j + 1 = tri.dim, with exact partial derivatives: each stage is one
+    call of the float evaluator CoherentEnergy builds once, and no step
+    calls numpy.  Stages with |p| > j are evaluated at p = +-j.  On the
+    pole q is undefined, the q-dependent part of dH/dp is taken as 0
     there, and a state on the pole stays on it while q precesses at a
     finite rate.  If |p| leaves the chart after a step it is clamped back
     to the pole with a warning.  Non-finite p0, q0, tspan or dt raise
@@ -514,29 +514,28 @@ def meanfield_trajectory(
         if not math.isfinite(val):
             raise ValueError(f"{name} must be finite")
     energy = CoherentEnergy(tri)
-    j = energy.j
+    j, evaluate = energy.j, energy.evaluate
     if abs(p0) > j:
         raise ValueError("initial |p| exceeds j")
     if dt <= 0:
         raise ValueError("dt must be positive")
     nsteps = max(1, int(round(abs(tspan) / dt)))
     step = tspan / nsteps
-    half = 0.5 * step
+    half, sixth = 0.5 * step, step / 6.0
     clamped = False
 
     p, q = float(p0), float(q0)
-    e, dhdp, dhdq = energy(p, q)
-    ps, qs, es = np.empty((3, nsteps + 1))
-    ps[0], qs[0], es[0] = p, q, e
-    for i in range(1, nsteps + 1):
+    e, dhdp, dhdq = evaluate(p, q)
+    ps, qs, es = [p], [q], [e]  # floats: no garbage-collected object per step
+    for _ in range(nsteps):
         k1p, k1q = -dhdq, dhdp
-        _, dhdp, dhdq = energy(p + half * k1p, q + half * k1q)
+        _, dhdp, dhdq = evaluate(p + half * k1p, q + half * k1q)
         k2p, k2q = -dhdq, dhdp
-        _, dhdp, dhdq = energy(p + half * k2p, q + half * k2q)
+        _, dhdp, dhdq = evaluate(p + half * k2p, q + half * k2q)
         k3p, k3q = -dhdq, dhdp
-        _, dhdp, dhdq = energy(p + step * k3p, q + step * k3q)
-        p += step / 6.0 * (k1p + 2 * k2p + 2 * k3p - dhdq)
-        q += step / 6.0 * (k1q + 2 * k2q + 2 * k3q + dhdp)
+        _, dhdp, dhdq = evaluate(p + step * k3p, q + step * k3q)
+        p += sixth * (k1p + 2.0 * k2p + 2.0 * k3p - dhdq)
+        q += sixth * (k1q + 2.0 * k2q + 2.0 * k3q + dhdp)
         if abs(p) > j:
             p = math.copysign(j, p)
             if not clamped:
@@ -545,7 +544,10 @@ def meanfield_trajectory(
                     stacklevel=2,
                 )
             clamped = True
-        e, dhdp, dhdq = energy(p, q)
-        ps[i], qs[i], es[i] = p, q, e
+        e, dhdp, dhdq = evaluate(p, q)
+        ps.append(p)
+        qs.append(q)
+        es.append(e)
+    ps, qs, es = np.array((ps, qs, es))
     times = np.arange(nsteps + 1) * step
     return MeanFieldTrajectory(times=times, p=ps, q=qs, energy=es, clamped=clamped)

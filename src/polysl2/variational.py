@@ -112,7 +112,7 @@ def energy_functional(tri: TridiagonalHamiltonian, v: int, r: float) -> float:
 
 
 def _horner_table(beta, dbeta):
-    """Steps of CoherentEnergy._sums (coefficients, binomial ratios); None rescales.
+    """Steps of _sums (coefficients, binomial ratios), in chunks of up to 490.
 
     beta and dbeta are lists of floats, or arrays whose rows hold one
     coefficient of several same-size blocks: each coefficient of the
@@ -123,11 +123,10 @@ def _horner_table(beta, dbeta):
         (beta[v - 1], (n1 - v + 1) / v, dbeta[v - 2], (n1 - v + 1) / (v - 1))
         for v in range(n1, 1, -1)
     ]
-    for at in range(490 * ((len(steps) - 1) // 490), 0, -490):
-        steps.insert(at, None)
+    chunks = [steps[at : at + 490] for at in range(0, len(steps) or 1, 490)]
     if n1 == 0:
-        return beta[0], 0.0, steps, None
-    return beta[-1], dbeta[-1], steps, (beta[0], n1)
+        return beta[0], 0.0, chunks, None
+    return beta[-1], dbeta[-1], chunks, (beta[0], n1)
 
 
 class CoherentEnergy:
@@ -145,98 +144,114 @@ class CoherentEnergy:
     with beta_v = offdiag_v n / sqrt((n - v)(v + 1)) and phi the coupling
     phase.  The diagonal is linear in v, so A is exact.  Q and dQ/ds are
     Bernstein sums evaluated together in one scaled Horner pass: O(d) per
-    evaluation, finite at any block size.
+    evaluation, finite at any block size.  evaluate is built once per block,
+    a closure over floats and both Horner tables, and __call__ runs it.  It
+    is the only float path: its pass is that of _sums, the same float
+    operations in the same order, so both give the same bytes.
     """
 
     def __init__(self, tri):
         n = tri.dim - 1
-        self.n = n
         self.j = 0.5 * n
-        self.phase = float(tri.params.g_phase)
-        self.diag0 = float(tri.diag[0])
-        self.slope = float(tri.diag[1] - tri.diag[0]) if n else 0.0
-        if n:
-            beta = tri.offdiag * n / su2_ladder(n + 1)
-            dbeta = (n - 1) * np.diff(beta)
-            beta, dbeta = beta.tolist(), dbeta.tolist()
-            self._fwd = _horner_table(beta, dbeta)
-            self._rev = _horner_table(beta[::-1], dbeta[::-1])
+        diag0 = float(tri.diag[0])
+        if not n:
+            self.evaluate = lambda p, q: (diag0, 0.0, 0.0)
+            return
+        slope = float(tri.diag[1] - tri.diag[0])
+        j, phase, rise = self.j, float(tri.params.g_phase), slope * n
+        beta = tri.offdiag * n / su2_ladder(n + 1)
+        dbeta = (n - 1) * np.diff(beta)
+        beta, dbeta = beta.tolist(), dbeta.tolist()
+        fwd, rev = (
+            (q0, dq0, chunks[0], chunks[1:], last or (None, None))
+            for q0, dq0, chunks, last in (
+                _horner_table(beta, dbeta),
+                _horner_table(beta[::-1], dbeta[::-1]),
+            )
+        )
+        sqrt, cos, sin, frexp, ldexp = (
+            math.sqrt, math.cos, math.sin, math.frexp, math.ldexp
+        )
 
-    @staticmethod
-    def _sums(small, big, table):
-        """Bernstein sums of Q and dQ/ds, coefficients ordered by powers of small.
+        def evaluate(p, q):
+            x = p / j  # min(1, max(-1, x)) by comparisons: NaN gives -1
+            x = x if -1.0 < x < 1.0 else 1.0 if x >= 1.0 else -1.0
+            s, c = 0.5 - 0.5 * x, 0.5 + 0.5 * x
+            if s <= c:
+                small, big, (bq, dbq, first, rest, (lb, lrb)) = s, c, fwd
+            else:
+                small, big, (bq, dbq, first, rest, (lb, lrb)) = c, s, rev
+            power, exp2 = 1.0, 0
+            for b, rb, db, rdb in first:  # the whole table below 492 levels
+                power *= big
+                bq = power * b + small * rb * bq
+                dbq = power * db + small * rdb * dbq
+            if rest:  # a loop skipped costs less than an empty one
+                for chunk in rest:
+                    # as in _sums, where np.maximum keeps a NaN and frexp
+                    # gives it the exponent 0, a NaN skips the rescale
+                    if bq == bq and dbq == dbq:
+                        e = frexp(max(power, abs(bq), abs(dbq)))[1]
+                        power, bq, dbq = ldexp(power, -e), ldexp(bq, -e), ldexp(dbq, -e)
+                        exp2 += e
+                    for b, rb, db, rdb in chunk:
+                        power *= big
+                        bq = power * b + small * rb * bq
+                        dbq = power * db + small * rdb * dbq
+            if lb is not None:  # Q has one more term than dQ
+                bq = power * big * lb + small * lrb * bq
+            if exp2:
+                bq, dbq = ldexp(bq, exp2), ldexp(dbq, exp2)
+            root = sqrt(s * c)
+            twice = 2.0 * root
+            # dB/ds; the sqrt(c s) derivative diverges on the pole, where q is
+            # undefined, and is taken as 0 there
+            db = twice * dbq
+            if root > 0.0:
+                db += (c - s) / root * bq
+            ang = q + phase
+            cos_a = cos(ang)
+            b = twice * bq
+            return diag0 + rise * s + b * cos_a, -slope - db * cos_a / n, -b * sin(ang)
 
-        small and big are floats or equal-shape arrays, and the table's
-        coefficients floats or arrays that broadcast against them (see
-        _Meridians).  Horner runs in the ratio small/big <= 1, each partial
-        sum kept times the matching power of big >= 1/2.  The largest of
-        power, |Q| (a sum of positive terms) and |dQ| falls by at most
-        about 2^-490 in 490 steps, so at each None of the table all three
-        are rescaled by the power of two that brings it into [1/2, 1):
-        nothing underflows or overflows.  Float inputs give floats back.
-        """
-        q, dq, steps, last = table
-        power, exp2 = 1.0, None
-        for step in steps:
-            if step is None:
-                top = np.maximum(np.maximum(power, np.abs(q)), np.abs(dq))
-                e = np.frexp(top)[1]
-                power, q, dq = (np.ldexp(x, -e) for x in (power, q, dq))
-                if not np.ndim(e):  # numpy scalars are slower than floats
-                    power, q, dq, e = float(power), float(q), float(dq), int(e)
-                exp2 = e if exp2 is None else exp2 + e
-                continue
-            b, rb, db, rdb = step
-            power *= big
-            q = power * b + small * rb * q
-            dq = power * db + small * rdb * dq
-        if last is not None:  # Q has one more term than dQ
-            b, rb = last
-            q = power * big * b + small * rb * q
-        if exp2 is not None:
-            scale = np.ldexp if np.ndim(exp2) else math.ldexp
-            q, dq = scale(q, exp2), scale(dq, exp2)
-        return q, dq
+        self.evaluate = evaluate
 
     def __call__(self, p: float, q: float):
-        """H, dH/dp and dH/dq at (p, q); |p| > j is evaluated at the pole."""
-        if self.n == 0:
-            return self.diag0, 0.0, 0.0
-        x = min(1.0, max(-1.0, p / self.j))
-        s = 0.5 - 0.5 * x
-        c = 0.5 + 0.5 * x
-        if s <= c:
-            bq, dbq = self._sums(s, c, self._fwd)
-        else:
-            bq, dbq = self._sums(c, s, self._rev)
-        root = math.sqrt(s * c)
-        # dB/ds; the sqrt(c s) derivative diverges on the pole, where q is
-        # undefined, and is taken as 0 there
-        db = 2.0 * root * dbq
-        if root > 0.0:
-            db += (c - s) / root * bq
-        ang = q + self.phase
-        cos_a = math.cos(ang)
-        b = 2.0 * root * bq
-        energy = self.diag0 + self.slope * self.n * s + b * cos_a
-        dhdp = -self.slope - db * cos_a / self.n
-        return energy, dhdp, -b * math.sin(ang)
+        """H, dH/dp, dH/dq at (p, q); |p| > j is taken at the pole, p = NaN at -j."""
+        return self.evaluate(p, q)
 
 
-def _take(table, index):
-    """A Horner table with every coefficient vector indexed by index.
+def _sums(small, big, table, rows):
+    """Bernstein sums of Q and dQ/ds, coefficients ordered by powers of small.
 
-    The steps are taken one at a time as _sums reaches them, so the taken
-    table never exists whole.  On two levels dQ/ds is the float 0.
+    The array path of _Meridians: small and big are equal-shape arrays,
+    and each coefficient vector of the table is indexed by rows as the
+    pass reaches it, so the indexed table never exists whole; on two
+    levels dQ/ds is the float 0.  Horner runs in the ratio small/big <= 1,
+    each partial sum kept times the matching power of big >= 1/2.  The
+    largest of power, |Q| (a sum of positive terms) and |dQ| falls by at
+    most about 2^-490 in 490 steps, so before each later chunk of the
+    table all three are rescaled by the power of two that brings it into
+    [1/2, 1): nothing underflows or overflows.
     """
-    q, dq, steps, last = table
-    steps = (
-        None if step is None else (step[0][index], step[1], step[2][index], step[3])
-        for step in steps
-    )
-    if last is not None:
-        last = last[0][index], last[1]
-    return q[index], dq[index] if np.ndim(dq) else dq, steps, last
+    q, dq, chunks, last = table
+    q, dq = q[rows], dq[rows] if np.ndim(dq) else dq
+    power, exp2 = 1.0, None
+    for k, chunk in enumerate(chunks):
+        if k:
+            top = np.maximum(np.maximum(power, np.abs(q)), np.abs(dq))
+            e = np.frexp(top)[1]
+            power, q, dq = (np.ldexp(x, -e) for x in (power, q, dq))
+            exp2 = e if exp2 is None else exp2 + e
+        for b, rb, db, rdb in chunk:
+            power *= big
+            q = power * b[rows] + small * rb * q
+            dq = power * db[rows] + small * rdb * dq
+    if last is not None:  # Q has one more term than dQ
+        q = power * big * last[0][rows] + small * last[1] * q
+    if exp2 is not None:
+        q, dq = np.ldexp(q, exp2), np.ldexp(dq, exp2)
+    return q, dq
 
 
 class _Meridians:
@@ -280,8 +295,7 @@ class _Meridians:
                 rows, at = np.s_[:, None], np.s_[:, pick]
             else:
                 rows, at = owner[pick], pick
-            taken = _take(table, rows)
-            bq[at], dbq[at] = CoherentEnergy._sums(small[pick], big[pick], taken)
+            bq[at], dbq[at] = _sums(small[pick], big[pick], table, rows)
         return c, s, bq, dbq
 
     def slope(self, alpha, owner, c, s, bq, dbq):

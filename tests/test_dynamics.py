@@ -1,6 +1,9 @@
 """Time evolution, envelope detection, spacing ratios, mean field."""
 
+import gc
 import math
+import os
+import sys
 import warnings
 from dataclasses import replace
 
@@ -791,8 +794,9 @@ def test_meanfield_closed_form_large_block_matches_log_space_sum():
 
 
 def test_meanfield_energy_returns_floats_past_the_rescale():
-    # from d ~ 492 up, _sums rescales its Horner table: the scalar path must
-    # still hand back Python floats, so later RK4 steps avoid numpy scalars
+    # from d = 492 up, the Horner pass rescales by math.frexp and math.ldexp:
+    # the evaluator must still hand back Python floats, so later RK4 steps
+    # never compute on numpy scalars
     label = BlockLabel(0, 600)
     block, psi = build_model_block(label)
     params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
@@ -803,3 +807,98 @@ def test_meanfield_energy_returns_floats_past_the_rescale():
         assert all(type(x) is float for x in energy(p, q))
     traj = meanfield_trajectory(tri, 0.2 * block.j, 0.3, 0.01, 0.005)
     assert np.all(np.isfinite(traj.energy))
+
+
+def _meanfield_model(m):
+    label = BlockLabel(0, m)
+    block, psi = build_model_block(label)
+    params = block_constants(label, ThreeBosonParams(1.0, 0.9, 2.2, 0.8 + 0.3j))
+    return block, build_hamiltonian(block, psi, params)
+
+
+def _bits(values):
+    return np.float64(values).tobytes()
+
+
+@pytest.mark.parametrize("m", [4, 600])
+def test_coherent_energy_off_the_chart_and_at_nan(m):
+    # |p| > j and p = +-inf are evaluated on the pole of their sign, and
+    # p = NaN at p = -j, as by the clamp min(1, max(-1, p / j)); on the poles
+    # B(s) = 0, so H is the diagonal's end and dH/dp its slope
+    block, tri = _meanfield_model(m)
+    energy, j = CoherentEnergy(tri), block.j
+    diag0, slope = float(tri.diag[0]), float(tri.diag[1] - tri.diag[0])
+    for q in (0.0, 0.7, -2.5):
+        north, south = energy(j, q), energy(-j, q)
+        assert north[:2] == (diag0, -slope)
+        assert south[:2] == (diag0 + slope * m, -slope)
+        for p, pole in (
+            (1.5 * j, north),
+            (math.inf, north),
+            (-1.5 * j, south),
+            (-math.inf, south),
+            (math.nan, south),
+        ):
+            got = energy(p, q)
+            assert all(type(x) is float for x in got)
+            assert _bits(got) == _bits(pole)
+
+
+def _numpy_calls(run):
+    """The calls into numpy that sys.setprofile reports while run() runs.
+
+    These are calls of Python functions in numpy's source and of numpy's
+    builtins (functions and array methods).  A ufunc call raises no profile
+    event on CPython; values that went through one come back as numpy
+    scalars, which test_meanfield_energy_returns_floats_past_the_rescale
+    excludes.
+    """
+    root = os.path.dirname(np.__file__)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += frame.f_code.co_filename.startswith(root)
+        elif event == "c_call":
+            module = getattr(arg, "__module__", None)
+            module = module or type(getattr(arg, "__self__", None)).__module__
+            count += module.startswith("numpy")
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("m", [4, 600])
+def test_meanfield_steps_make_no_numpy_call(m):
+    # the cost of a step stays that of Python floats: 10 and 1,000 steps
+    # call numpy equally often, below and past the rescale at d = 492
+    block, tri = _meanfield_model(m)
+    counts = [
+        _numpy_calls(
+            lambda: meanfield_trajectory(tri, 0.2 * block.j, 0.3, steps * 1e-4, 1e-4)
+        )
+        for steps in (10, 1000)
+    ]
+    assert counts[0] == counts[1] > 0
+
+
+def test_meanfield_steps_leave_no_garbage_collected_object():
+    # p, q and E are kept as floats, which the garbage collector does not
+    # track: 1,000 steps start no more collections than 10 do
+    block, tri = _meanfield_model(4)
+    counts = []
+    for steps in (10, 1000):
+        events = []
+        gc.collect()
+        gc.callbacks.append(lambda phase, info: events.append(phase))
+        try:
+            meanfield_trajectory(tri, 0.8, 0.3, steps * 1e-3, 1e-3)
+        finally:
+            gc.callbacks.pop()
+        counts.append(events.count("start"))
+    assert counts[0] == counts[1]

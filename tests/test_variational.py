@@ -27,6 +27,7 @@ from polysl2.reference import (
 )
 from polysl2.solver import (
     HamiltonianParams,
+    TridiagonalHamiltonian,
     _sturm_counts,
     build_hamiltonian,
     eigensolve,
@@ -703,3 +704,99 @@ def test_large_blocks_against_the_exact_spectrum(m, k, sign, omegas, g):
     below = np.linspace(0, tri.dim - 2, 16).astype(int)
     mids = 0.5 * (exact[below] + exact[below + 1])
     assert _sturm_counts(tri, mids).tolist() == (below + 1).tolist()
+
+
+def _horner_case(d, custom=False, l0=0.3, gap=1.5, k=2, sign=-1):
+    """A d-level Hamiltonian: a three-boson block, or a cubic custom psi's."""
+    if not custom:
+        params = ThreeBosonParams(1.0, 0.9, 2.2, 0.8 + 0.3j)
+        return model_hamiltonian(BlockLabel(k, d - 1, sign), params)
+    psi = StructureFunction(leading=1.0, roots=(l0, l0 + d, l0 + d + gap))
+    params = HamiltonianParams(a=-0.4, g_mod=1.3, g_phase=0.9, constant=0.2)
+    return build_hamiltonian(build_block(psi, l0), psi, params)
+
+
+@st.composite
+def horner_cases(draw):
+    """A block of 2 to 2,001 levels, three-boson or of a cubic custom psi."""
+    d = draw(st.integers(2, 2001))
+    if draw(st.booleans()):
+        l0, gap = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.5, 3.0))
+        return _horner_case(d, custom=True, l0=l0, gap=gap)
+    k, sign = draw(st.integers(0, 6)), draw(st.sampled_from([1, -1]))
+    return _horner_case(d, k=k, sign=sign)
+
+
+def _float_path(tri, p, q):
+    """CoherentEnergy(tri)(p, q) as first written: Q and dQ/ds by _sums.
+
+    The clamp is min(1, max(-1, p / j)), the pass is the scan's (_Meridians)
+    on 1-element arrays, and the closed form takes the same float
+    operations as CoherentEnergy, in the same order.
+    """
+    n = tri.dim - 1
+    x = min(1.0, max(-1.0, p / (0.5 * n)))
+    s, c = 0.5 - 0.5 * x, 0.5 + 0.5 * x
+    group = meridians(tri)
+    small, big, table = (s, c, group._fwd) if s <= c else (c, s, group._rev)
+    sums = variational._sums(np.array([small]), np.array([big]), table, 0)
+    bq, dbq = (float(np.ravel(v)[0]) for v in sums)
+    root = math.sqrt(s * c)
+    db = 2.0 * root * dbq
+    if root > 0.0:
+        db += (c - s) / root * bq
+    ang = q + float(tri.params.g_phase)
+    cos_a = math.cos(ang)
+    b = 2.0 * root * bq
+    slope = float(tri.diag[1] - tri.diag[0])
+    energy = float(tri.diag[0]) + slope * n * s + b * cos_a
+    return energy, -slope - db * cos_a / n, -b * math.sin(ang)
+
+
+def _bits(values):
+    return np.float64(values).tobytes()
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@example(_horner_case(2), [])
+@example(_horner_case(4, custom=True), [0.1, -0.9])
+@example(_horner_case(5), [0.3, -0.7])  # the mean-field workload's size
+@example(_horner_case(491), [0.999])  # the last size without a rescale
+@example(_horner_case(492, custom=True), [-0.3])
+@example(_horner_case(493), [-0.999])
+@example(_horner_case(982, custom=True), [0.7])  # two rescales
+@example(_horner_case(2001, k=0, sign=1), [0.2])  # the largest block accepted
+@given(horner_cases(), st.lists(st.floats(-1.0, 1.0), max_size=3))
+def test_the_float_evaluator_gives_the_bytes_of_the_array_pass(tri, xs):
+    # the mean field's float pass (CoherentEnergy) and the scan's array pass
+    # (_sums) are two Horner loops over one table, and give the same bytes
+    # in both branches (s <= c and s > c), on both poles and at the equator
+    # x = p/j = 0, where B = 2 sqrt(s c) Q is Q itself; at q = -phi there,
+    # cos(q + phi) = 1 exactly.  Off the chart and at p = NaN, the clamp is
+    # min(1, max(-1, p / j))
+    energy, j = variational.CoherentEnergy(tri), 0.5 * (tri.dim - 1)
+    assert _bits(energy(0.0, -tri.params.g_phase)) == _bits(
+        _float_path(tri, 0.0, -tri.params.g_phase)
+    )
+    off_chart = [1.5, -1.5, math.inf, -math.inf, math.nan]
+    points = [-1.0, 1.0, *off_chart, *np.linspace(-0.9, 0.9, 7).tolist(), *xs]
+    for k, x in enumerate(points):
+        q = 0.3 * k - 2.0
+        assert _bits(energy(x * j, q)) == _bits(_float_path(tri, x * j, q))
+
+
+def test_a_nan_in_dq_skips_the_rescale_as_in_the_array_pass():
+    # np.maximum keeps a NaN and frexp gives it the exponent 0, so the array
+    # pass does not rescale past a NaN dQ/ds; the float pass must not either,
+    # or H, finite here, would get other bytes at d = 2001.  Off-diagonal
+    # entries of alternating sign make dbeta overflow to +-inf, and inf - inf
+    # is the NaN
+    n = 2000
+    off = 2e304 * (-1.0) ** np.arange(n)
+    params = HamiltonianParams(a=0.0, g_mod=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tri = TridiagonalHamiltonian(np.zeros(n + 1), off, params)
+        got = variational.CoherentEnergy(tri)(0.0, 0.0)
+        want = _float_path(tri, 0.0, 0.0)
+    assert math.isfinite(got[0]) and math.isnan(got[1])
+    assert _bits(got) == _bits(want)
