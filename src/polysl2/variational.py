@@ -1,33 +1,26 @@
 """Smooth su(2)-coherent-state approximation of block spectra.
 
-The trial state is a basis state rotated by the spin-j rotation
-R(r) = exp(r (Y- - Y+)); its energy is the diagonal entry
-E(v, r) = (R^T H R)_vv of the real tridiagonal block Hamiltonian.
-
+The trial state is a basis state rotated by R(r) = exp(r (Y- - Y+)); its
+energy is E(v, r) = (R^T H R)_vv of the real tridiagonal block Hamiltonian.
 The rotated lowest state is an su(2) coherent state (Perelomov, 1986) whose
 energy H(p, q), shared with the mean field of polysl2.dynamics, is a
 Bernstein sum over the ladder rungs (CoherentEnergy): well conditioned
 (Farouki & Rajan, CAGD 4, 191, 1987) and, by scaled Horner, finite at any
-block size.  solve_alpha scans -dH/dp along the real meridian p = j cos 2r,
-so its roots alpha = -tan r are mean-field fixed points, and picks one by
-the closed-form E(0, r); it alone decides the angle, a single level
-included.  The scan reads only the off-diagonal, a and |g|, so
-variational_spectra scans a list of Hamiltonians together: the blocks of
-one size share one grid pass and one sectioning loop (_Meridians), and
-blocks with the same off-diagonal, a and |g| share one scan, such as the
-three-boson twins (k, m, +) and (k, m, -), whose Hamiltonians differ by a
-constant on the diagonal.  Each block then gets one rotation: R's columns
-are the eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx, one
-eigh_tridiagonal for all levels, checked against the exact overlaps of
-polysl2.reference; bit-equal Hamiltonians share it.  solve_alpha and
-variational_spectrum are the batch of one.  Each function takes the
-block's one TridiagonalHamiltonian, and a and g come from the params it
-keeps.
+block size.  solve_alpha finds every root alpha = -tan r of -dH/dp on the
+meridian p = j cos 2r, their count certified, so every mean-field fixed
+point there, and picks one by the closed-form E(0, r).  In
+variational_spectra blocks with the same off-diagonal, a and |g|, such as
+the three-boson twins (k, m, +) and (k, m, -), share one scan, and blocks
+of one size at one angle one rotation: R's columns are the eigenvectors of
+T(r) = cos 2r Y0 + sin 2r Jx, one eigh_tridiagonal for all levels, checked
+against polysl2.reference.  Each function takes the block's one
+TridiagonalHamiltonian; a and g come from the params it keeps.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -37,26 +30,16 @@ from .algebra import su2_eigenbasis, su2_ladder
 from .solver import TridiagonalHamiltonian
 
 __all__ = [
-    "CoherentEnergy",
-    "VariationalSolution",
-    "energy_functional",
-    "solve_alpha",
-    "variational_spectra",
-    "variational_spectrum",
+    "CoherentEnergy", "VariationalSolution", "energy_functional",
+    "solve_alpha", "variational_spectra", "variational_spectrum",
 ]
 
-GRID_POINTS = 4001
 ALPHA_WIDTH = 1e-14  # refined roots are bracketed this tightly in alpha
-SECTIONS = 64  # subintervals per bracket and refinement pass
 NORM_SLACK = 1e-12  # round-off allowed on |E| <= norm bound
-# block-angle cells of one grid pass: a scan group holds at most
-# _SCAN_CELLS // GRID_POINTS blocks, which bounds its working set
-_SCAN_CELLS = 2**17
-
-# the scan grid alpha = tan r, r even over [-pi/2, pi/2], and the section points
-_GRID = np.tan(np.linspace(-math.pi / 2, math.pi / 2, GRID_POINTS))
-_FRAC = np.linspace(0.0, 1.0, SECTIONS + 1)
-_GRID.flags.writeable = _FRAC.flags.writeable = False
+_POLE = math.tan(math.pi / 2)  # alpha at r = -pi/2, s = 1: the float pole
+_NARROW = 2.0**-40  # an uncertified piece this narrow in s refuses the block
+_CELLS = 2**18  # products per chunk of the Bernstein square: its working set
+_OVERFLOW = "the coherent-state sum overflows the float range"
 
 
 @dataclass(frozen=True)
@@ -64,12 +47,10 @@ class VariationalSolution:
     """Stationary points and per-level energies for one block.
 
     theta is the coupling phase (fixed, not searched).  alpha_roots holds
-    every stationary point found by the scan, in ascending order;
-    residuals holds the exact slope dE(0, r)/dr at each of them, divided by
-    the Hamiltonian's norm bound.  alpha_selected minimizes the v=0 energy
-    among them (solve_alpha decides it).  energies has one entry per block
-    level.  ordering_ok flags whether the selected-root energies came out
-    ascending; a violation indicates root misselection.
+    every stationary point, ascending; residuals the slope dE(0, r)/dr at
+    each, over the norm bound.  alpha_selected minimizes the v=0 energy
+    among them.  energies has one entry per level; ordering_ok flags whether
+    they came out ascending (a violation indicates root misselection).
     """
 
     theta: float
@@ -84,12 +65,9 @@ class VariationalSolution:
         return -math.atan(self.alpha_selected)
 
 
-def _level_energies(diag: np.ndarray, off: np.ndarray, r: float) -> np.ndarray:
-    """E(v, r) = (R^T H R)_vv for every level v of the tridiagonal H.
-
-    E is quadratic in each column of R, so their signs are never fixed.
-    """
-    rot = su2_eigenbasis(diag.size, r)
+def _level_energies(diag: np.ndarray, off: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """E(v, r) = (R^T H R)_vv for every level v, rot = su2_eigenbasis(d, r):
+    E is quadratic in each column of R, so their signs are never fixed."""
     hr = diag[:, None] * rot
     hr[:-1] += off[:, None] * rot[1:]
     hr[1:] += off[:, None] * rot[:-1]
@@ -99,25 +77,18 @@ def _level_energies(diag: np.ndarray, off: np.ndarray, r: float) -> np.ndarray:
 def energy_functional(tri: TridiagonalHamiltonian, v: int, r: float) -> float:
     """Trial-state energy E(v, r) of block level v at rotation angle r.
 
-    E = (R^T H R)_vv with R(r) = exp(r (Y- - Y+)) the float64 spin-j
-    rotation and H = tri.  The coupling phase drops out.  The
-    hypergeometric form of E cancels heavily, so it serves only as a
-    reference (polysl2.reference).  R(0) = I, so E is the diagonal entry
-    exactly; R(+-pi/2) reverses the levels, so E is diag[d - 1 - v] up to
-    round-off.
+    R(r) = exp(r (Y- - Y+)) is the float64 spin-j rotation; the coupling
+    phase drops out.  The hypergeometric form of E cancels heavily, so it is
+    only a reference (polysl2.reference).  R(0) = I, so E is the diagonal
+    entry exactly; R(+-pi/2) reverses the levels, up to round-off.
     """
     if not 0 <= v < tri.dim:
         raise ValueError("level index outside block")
-    return float(_level_energies(tri.diag, tri.offdiag, r)[v])
+    return float(_level_energies(tri.diag, tri.offdiag, su2_eigenbasis(tri.dim, r))[v])
 
 
 def _horner_table(beta, dbeta):
-    """Steps of _sums (coefficients, binomial ratios), in chunks of up to 490.
-
-    beta and dbeta are lists of floats, or arrays whose rows hold one
-    coefficient of several same-size blocks: each coefficient of the
-    table is then a vector with one entry per block.
-    """
+    """Steps (coefficients, binomial ratios) of _horner, in chunks of 490."""
     n1 = len(beta) - 1
     steps = [
         (beta[v - 1], (n1 - v + 1) / v, dbeta[v - 2], (n1 - v + 1) / (v - 1))
@@ -142,12 +113,10 @@ class CoherentEnergy:
         Q(s) = sum_v beta_v C(n-1, v) s^v c^(n-1-v),
 
     with beta_v = offdiag_v n / sqrt((n - v)(v + 1)) and phi the coupling
-    phase.  The diagonal is linear in v, so A is exact.  Q and dQ/ds are
-    Bernstein sums evaluated together in one scaled Horner pass: O(d) per
-    evaluation, finite at any block size.  evaluate is built once per block,
-    a closure over floats and both Horner tables, and __call__ runs it.  It
-    is the only float path: its pass is that of _sums, the same float
-    operations in the same order, so both give the same bytes.
+    phase; A is exact.  Q and dQ/ds come from one scaled Horner pass, O(d)
+    and finite at any block size (_horner runs it for the scan); a sum past
+    the float range raises RuntimeError.  evaluate, built once per block, is
+    a closure over floats and both Horner tables, and __call__ runs it.
     """
 
     def __init__(self, tri):
@@ -188,8 +157,8 @@ class CoherentEnergy:
                 dbq = power * db + small * rdb * dbq
             if rest:  # a loop skipped costs less than an empty one
                 for chunk in rest:
-                    # as in _sums, where np.maximum keeps a NaN and frexp
-                    # gives it the exponent 0, a NaN skips the rescale
+                    # a NaN skips the rescale, as in the tests' reference
+                    # array pass, where frexp gives it the exponent 0
                     if bq == bq and dbq == dbq:
                         e = frexp(max(power, abs(bq), abs(dbq)))[1]
                         power, bq, dbq = ldexp(power, -e), ldexp(bq, -e), ldexp(dbq, -e)
@@ -201,7 +170,7 @@ class CoherentEnergy:
             if lb is not None:  # Q has one more term than dQ
                 bq = power * big * lb + small * lrb * bq
             if exp2:
-                bq, dbq = ldexp(bq, exp2), ldexp(dbq, exp2)
+                bq, dbq = _unscale(bq, dbq, exp2)
             root = sqrt(s * c)
             twice = 2.0 * root
             # dB/ds; the sqrt(c s) derivative diverges on the pole, where q is
@@ -221,263 +190,281 @@ class CoherentEnergy:
         return self.evaluate(p, q)
 
 
-def _sums(small, big, table, rows):
-    """Bernstein sums of Q and dQ/ds, coefficients ordered by powers of small.
+def _unscale(q, dq, exp2):
+    """q 2^exp2 and dq 2^exp2; a sum beyond the float range raises RuntimeError."""
+    try:
+        return math.ldexp(q, exp2), math.ldexp(dq, exp2)
+    except OverflowError:
+        raise RuntimeError(_OVERFLOW) from None
 
-    The array path of _Meridians: small and big are equal-shape arrays,
-    and each coefficient vector of the table is indexed by rows as the
-    pass reaches it, so the indexed table never exists whole; on two
-    levels dQ/ds is the float 0.  Horner runs in the ratio small/big <= 1,
-    each partial sum kept times the matching power of big >= 1/2.  The
-    largest of power, |Q| (a sum of positive terms) and |dQ| falls by at
-    most about 2^-490 in 490 steps, so before each later chunk of the
-    table all three are rescaled by the power of two that brings it into
-    [1/2, 1): nothing underflows or overflows.
-    """
+
+def _horner(table, small, big):
+    """Both sums of a _horner_table at small <= big: CoherentEnergy's pass."""
     q, dq, chunks, last = table
-    q, dq = q[rows], dq[rows] if np.ndim(dq) else dq
-    power, exp2 = 1.0, None
+    power, exp2 = 1.0, 0
     for k, chunk in enumerate(chunks):
-        if k:
-            top = np.maximum(np.maximum(power, np.abs(q)), np.abs(dq))
-            e = np.frexp(top)[1]
-            power, q, dq = (np.ldexp(x, -e) for x in (power, q, dq))
-            exp2 = e if exp2 is None else exp2 + e
+        if k:  # rescale by a power of two before each chunk after the first
+            e = math.frexp(max(power, abs(q), abs(dq)))[1]
+            power, q, dq = math.ldexp(power, -e), math.ldexp(q, -e), math.ldexp(dq, -e)
+            exp2 += e
         for b, rb, db, rdb in chunk:
             power *= big
-            q = power * b[rows] + small * rb * q
-            dq = power * db[rows] + small * rdb * dq
-    if last is not None:  # Q has one more term than dQ
-        q = power * big * last[0][rows] + small * last[1] * q
-    if exp2 is not None:
-        q, dq = np.ldexp(q, exp2), np.ldexp(dq, exp2)
-    return q, dq
+            q = power * b + small * rb * q
+            dq = power * db + small * rdb * dq
+    if last is not None:
+        q = power * big * last[0] + small * last[1] * q
+    return _unscale(q, dq, exp2) if exp2 else (q, dq)
 
 
-class _Meridians:
-    """The stationarity function F of several same-size blocks.
+def _square(g: np.ndarray) -> np.ndarray:
+    """Bernstein coefficients (degree 2n) of G^2 from those of G (degree n).
 
-    The Horner tables are CoherentEnergy's, with one coefficient vector
-    (an entry per block) in place of each float.  Every point is computed
-    elementwise by the same operations, in the same order, as on one
-    block, so a block's bytes do not depend on the others.
+    Terms i and j weigh C(n, i) C(n, j) / C(2n, i + j) <= 1, the exp of
+    log-binomials, in range at any n; rows are summed _CELLS at a time.
+    """
+    n = g.size - 1
+    lf = np.zeros(2 * n + 1)  # log k!
+    np.cumsum(np.log(np.arange(1.0, 2 * n + 1)), out=lf[1:])
+    lc, lc2 = lf[n] - lf[: n + 1] - lf[n::-1], lf[-1] - lf - lf[::-1]
+    out = np.zeros(2 * n + 1)
+    rows = max(1, _CELLS // (n + 1))
+    for i0 in range(0, n + 1, rows):
+        i = np.arange(i0, min(i0 + rows, n + 1))
+        k = i[:, None] + np.arange(n + 1)
+        terms = np.outer(g[i], g) * np.exp(lc[i, None] + lc - lc2[k])
+        out += np.bincount(k.ravel(), terms.ravel(), minlength=2 * n + 1)
+    return out
+
+
+def _variations(b: np.ndarray) -> int:
+    """Sign changes of the nonzero Bernstein coefficients b: at least the
+    roots in the open interval, by an even number (Descartes)."""
+    neg = b[b != 0.0] < 0.0
+    return int(np.count_nonzero(neg[1:] != neg[:-1]))
+
+
+def _split(b: np.ndarray, t: float):
+    """Bernstein coefficients on [0, t] and [t, 1]: de Casteljau in O(b) memory."""
+    left, right = [b[0]], [b[-1]]
+    for _ in range(b.size - 1):
+        b = b[:-1] + t * (b[1:] - b[:-1])
+        left.append(b[0])
+        right.append(b[-1])
+    return np.array(left), np.array(right[::-1])
+
+
+def _refine(slope, lo: float, f_lo: float, hi: float) -> float:
+    """The root of F between alpha = lo, where F = f_lo, and hi (other sign).
+
+    Newton steps in alpha, each shrinking the bracket; one that leaves it
+    or is not half the move before gives way to halving the angle atan
+    alpha.  A step under ALPHA_WIDTH / 2 goes a quarter of ALPHA_WIDTH (or
+    two ulps) further, past the root, to close the bracket from both sides.
+    """
+    neg, last = f_lo < 0.0, math.inf
+    x = math.tan(0.5 * (math.atan(lo) + math.atan(hi)))
+    while True:
+        f, df = slope(x)
+        if f == 0.0:
+            return x
+        lo, hi = (x, hi) if (f < 0.0) == neg else (lo, x)
+        if abs(hi - lo) <= ALPHA_WIDTH:
+            break
+        step = -f / df if df else math.inf
+        if abs(step) < 0.5 * ALPHA_WIDTH:
+            step += math.copysign(max(0.25 * ALPHA_WIDTH, 2 * math.ulp(x)), step)
+        y = x + step
+        if not min(lo, hi) < y < max(lo, hi) or abs(step) > 0.5 * last:
+            y = math.tan(0.5 * (math.atan(lo) + math.atan(hi)))
+            if not min(lo, hi) < y < max(lo, hi):
+                break  # no float inside: the bracket stops shrinking
+        last, x = abs(y - x), y
+    return 0.5 * (lo + hi)
+
+
+class _Stationarity:
+    """The stationarity function F of one scan key, on Python floats.
+
+    With n = d - 1, r = -atan(alpha), s = sin^2 r, c = cos^2 r, theta = 2r,
+    F = (a/|g|) alpha c + G(s) = -kappa sin theta + G(s), kappa = a/(2|g|),
+    G = ((c - s) Q + 2 s c Q') / (|g| n) of degree n, with Q, Q' = dQ/ds
+    those of CoherentEnergy: F = -dE(0, r)/dr / (2|g|n) = (alpha c / |g|)
+    (-dH/dp) at p = j cos 2r, with E(0, r) = diag_0 + a n s + 2 alpha c Q(s),
+    and F is polysl2.reference.stationarity_residual / (1 + alpha^2)^n
+    times a positive constant.
     """
 
-    def __init__(self, offdiag: np.ndarray, a_g: np.ndarray):
-        """offdiag: (blocks, n) float64 off-diagonals; a_g: (blocks, 2) a and |g|."""
-        n = offdiag.shape[1]
-        self.n = n
-        beta = offdiag.T * n / su2_ladder(n + 1)[:, None]
-        dbeta = (n - 1) * np.diff(beta, axis=0)
-        self._fwd = _horner_table(beta, dbeta)
-        self._rev = _horner_table(beta[::-1], dbeta[::-1])
-        self._ratio = a_g[:, 0] / a_g[:, 1]
-        self._g_mod = a_g[:, 1]
+    def __init__(self, offdiag: np.ndarray, a: float, g_mod: float):
+        n = self.n = offdiag.size
+        beta = offdiag * n / su2_ladder(n + 1)
+        k = np.arange(n + 1.0)
+        up, down = np.zeros(n + 1), np.zeros(n + 1)  # beta_k and beta_(k-1)
+        up[:-1] = down[1:] = beta
+        self.g = (2 * k + 1) * (n - k) * up - (2 * (n - k) + 1) * k * down
+        self.g /= n * n * g_mod
+        dg, self.ratio = n * np.diff(self.g), a / g_mod
+        if not (np.isfinite(dg).all() and math.isfinite(self.ratio)):
+            raise RuntimeError(_OVERFLOW)
+        gl, dgl, bl, zeros = self.g.tolist(), dg.tolist(), beta.tolist(), [0.0] * n
+        self._g = _horner_table(gl, dgl), _horner_table(gl[::-1], dgl[::-1])
+        self._q = _horner_table(bl, zeros), _horner_table(bl[::-1], zeros)
 
-    def meridian(self, alpha: np.ndarray, owner: np.ndarray | None = None):
-        """c = cos^2 r, s = sin^2 r, Q(s) and dQ/ds at r = -atan(alpha).
-
-        Without owner every block is evaluated at every alpha, a row per
-        block, and the powers of c and s and the binomial ratios are
-        shared by all rows; with it, alpha[i] is evaluated on block
-        owner[i].  Each sum runs in the smaller of s and c (reversed where
-        s > c).
-        """
+    def meridian(self, alpha: float, sums="_g"):
+        """G(s), G'(s) (or Q(s), 0 with sums "_q"), c, s; in the smaller of s, c."""
         c = 1.0 / (1.0 + alpha * alpha)
         s = alpha * alpha * c
-        lo = s <= c
-        shape = (self._g_mod.size, alpha.size) if owner is None else alpha.shape
-        bq, dbq = np.empty(shape), np.empty(shape)
-        for pick, small, big, table in (lo, s, c, self._fwd), (~lo, c, s, self._rev):
-            if not pick.any():
-                continue
-            if owner is None:
-                rows, at = np.s_[:, None], np.s_[:, pick]
-            else:
-                rows, at = owner[pick], pick
-            bq[at], dbq[at] = _sums(small[pick], big[pick], table, rows)
-        return c, s, bq, dbq
+        fwd, rev = getattr(self, sums)
+        return (*(_horner(fwd, s, c) if s <= c else _horner(rev, c, s)), c, s)
 
-    def slope(self, alpha, owner, c, s, bq, dbq):
-        """F(alpha), the ground-state slope, from the meridian there.
+    def slope(self, alpha: float):
+        """F and dF/dalpha = c (2 kappa (c - s) + 2 alpha c G'(s)) at alpha."""
+        gs, dgs, c, s = self.meridian(alpha)
+        f = self.ratio * alpha * c + gs
+        if not -math.inf < f < math.inf:
+            raise RuntimeError(_OVERFLOW)
+        return f, c * (self.ratio * (c - s) + 2.0 * alpha * c * dgs)
 
-        With n = d - 1, r = -atan(alpha), s = sin^2 r, c = cos^2 r and Q, Q'
-        = dQ/ds the Bernstein sums of meridian,
-
-            F = (a/|g|) alpha c + ((c - s) Q + 2 s c Q') / (|g| n).
-
-        The rotated lowest state has E(0, r) = diag_0 + a n s + 2 alpha c Q(s),
-        and F = -dE(0, r)/dr / (2|g|n) = (alpha c / |g|) (-dH/dp) at
-        p = j cos 2r, cos(q + phi) = sign alpha: its roots are mean-field
-        fixed points.  F is polysl2.reference.stationarity_residual divided
-        by (1 + alpha^2)^n times a positive constant: both share their roots.
-        """
-        rows = np.s_[:, None] if owner is None else owner
-        ratio, g_mod = self._ratio[rows], self._g_mod[rows]
-        return ratio * alpha * c + ((c - s) * bq + 2.0 * s * c * dbq) / (g_mod * self.n)
-
-    def stationarity(self, alpha: np.ndarray, owner: np.ndarray | None = None):
-        """F at alpha; owner as in meridian."""
-        return self.slope(alpha, owner, *self.meridian(alpha, owner))
+    def poly(self) -> np.ndarray:
+        """Bernstein coefficients of G at a = 0, else of P (see solve_alpha)."""
+        if self.ratio == 0.0:
+            return self.g
+        top = max(float(np.max(np.abs(self.g))), abs(0.5 * self.ratio))  # scale
+        kappa, m = 0.5 * self.ratio / top, 2 * self.n
+        j = np.arange(m + 1.0)
+        return _square(self.g / top) - 4 * kappa * kappa * j * (m - j) / (m * (m - 1))
 
 
-def _scan(group: _Meridians) -> list:
-    """Stationary alpha of each block of group, and F, c, s and Q(s) there.
-
-    A block without one gets a RuntimeError in place of its arrays.  See
-    solve_alpha for the scan itself.
-    """
-    xs = _GRID
-    ys = group.stationarity(xs)
-    exact = ys == 0.0
-    y0, y1 = ys[:, :-1], ys[:, 1:]
-    owner, cell = np.nonzero((y0 != 0.0) & (y1 != 0.0) & ((y0 > 0.0) != (y1 > 0.0)))
-    lo, hi, neg = xs[cell], xs[cell + 1], y0[owner, cell] < 0.0
-    # a bracket keeps the sign of F at its left end, so each pass keeps the
-    # first subinterval whose right end has the other sign (a zero counts
-    # as positive); a bracket leaves once it is ALPHA_WIDTH wide or stops
-    # shrinking in floating point
-    active = np.nonzero(hi - lo > ALPHA_WIDTH)[0]
-    while active.size:
-        a, b = lo[active], hi[active]
-        pts = np.minimum(a[:, None] + (b - a)[:, None] * _FRAC, b[:, None])
-        pts[:, -1] = b
-        change = np.ones((active.size, SECTIONS), dtype=bool)
-        inner = np.repeat(owner[active], SECTIONS - 1)
-        vals = group.stationarity(pts[:, 1:-1].ravel(), inner)
-        change[:, :-1] = (vals < 0.0).reshape(-1, SECTIONS - 1) != neg[active, None]
-        k = np.argmax(change, axis=1)
-        rows = np.arange(active.size)
-        lo[active], hi[active] = pts[rows, k], pts[rows, k + 1]
-        width = hi[active] - lo[active]
-        active = active[(width < b - a) & (width > ALPHA_WIDTH)]
-    # each block's roots in grid order: exact grid zeros and refined
-    # brackets interleave
-    zero_owner, zero_at = np.nonzero(exact)
-    found = np.concatenate([zero_owner, owner])
-    order = np.lexsort((np.concatenate([zero_at, cell]), found))
-    roots = np.concatenate([xs[zero_at], 0.5 * (lo + hi)])[order]
-    found = found[order]
-    c, s, bq, dbq = group.meridian(roots, found)
-    f = group.slope(roots, found, c, s, bq, dbq)
-    ends = np.cumsum(np.bincount(found, minlength=len(ys)))[:-1]
-    scans = list(zip(*(np.split(x, ends) for x in (roots, f, c, s, bq))))
-    for i, scan in enumerate(scans):
-        if not scan[0].size:
-            scans[i] = RuntimeError(
-                "no stationary point on the scan grid; stationarity function at "
-                f"alpha = -inf and +inf: {ys[i, 0]:.6e}, {ys[i, -1]:.6e}"
+def _scan(offdiag: np.ndarray, a: float, g_mod: float):
+    """Every stationary alpha of one scan key, and F, c, s and Q(s) there."""
+    stat = _Stationarity(offdiag, a, g_mod)
+    ratio, poly = stat.ratio, stat.poly()
+    mirror = ratio == 0.0  # F is even in alpha: each root of G gives +-alpha
+    if not poly.any():
+        raise RuntimeError("the stationarity function vanishes identically")
+    # ends[s]: alpha >= 0 at s, F(alpha) and F(-alpha).  An exact zero of P at
+    # s = 0 or 1 is a root (alpha = 0 or the pole), where F counts as 0, so
+    # that no bracket ends on it
+    ends = {0.0: (0.0, 0.0, 0.0), 1.0: (_POLE, 0.0, 0.0)}
+    ends = {s: ends[s] for s, p in ((0.0, poly[0]), (1.0, poly[-1])) if p == 0.0}
+    roots = [alpha for alpha, *_ in ends.values()]
+    brackets, todo = [], [(0.0, 1.0, poly)]
+    while todo:
+        u, v, b = todo.pop()
+        bound = _variations(b)
+        if not bound:
+            continue
+        for s in u, v:
+            if s not in ends:
+                alpha = math.sqrt(s / (1.0 - s)) if s < 1.0 else _POLE
+                gs, _, c, _ = stat.meridian(alpha)
+                ends[s] = alpha, gs + ratio * alpha * c, gs - ratio * alpha * c
+        (au, *fu), (av, *fv) = ends[u], ends[v]
+        found = [
+            (sign * au, f0, sign * av)
+            for sign, f0, f1 in zip((1.0, -1.0), fu, fv)
+            if f0 < 0.0 < f1 or f1 < 0.0 < f0
+        ][: 2 - mirror]
+        if len(found) == bound:
+            brackets += found
+            continue
+        for t in (0.5, 0.4375, 0.5625):  # a split on a root of P moves
+            left, right = _split(b, t)
+            if left[-1] != 0.0:
+                break
+        if v - u < _NARROW or left[-1] == 0.0:
+            raise RuntimeError(
+                f"stationary points not certified: the Bernstein bound stays "
+                f"at {bound} where the stationarity function brackets {len(found)}"
             )
-    return scans
+        todo += [(u + t * (v - u), v, right), (u, u + t * (v - u), left)]
+    for lo, f_lo, hi in brackets:
+        x = _refine(stat.slope, lo, f_lo, hi)
+        roots += (-x, x) if mirror else (x,)
+    if not roots:
+        raise RuntimeError("no stationary point found")
+    scan = []
+    for x in sorted(roots):
+        gs, _, c, s = stat.meridian(x)
+        scan.append((x, ratio * x * c + gs, c, s, stat.meridian(x, "_q")[0]))
+    return tuple(np.array(col) for col in zip(*scan))
 
 
-def _scan_all(keys) -> dict:
-    """The _scan result of each distinct scan key, same-size blocks together.
-
-    A key is all the scan reads: the bytes of a block's float64
-    off-diagonal and of np.float64([a, |g|]); bit patterns keep -0.0 and
-    0.0 apart, and the key fixes the block size.  Blocks of one size are
-    scanned in groups of at most _SCAN_CELLS // GRID_POINTS.
-    """
-    by_size = {}
-    for key in keys:
-        by_size.setdefault(len(key[0]), []).append(key)
-    per_group = max(1, _SCAN_CELLS // GRID_POINTS)
-    scans = {}
-    for same in by_size.values():
-        for start in range(0, len(same), per_group):
-            group = same[start : start + per_group]
-            offdiag, a_g = (
-                np.frombuffer(b"".join(part)).reshape(len(group), -1)
-                for part in zip(*group)
-            )
-            scans.update(zip(group, _scan(_Meridians(offdiag, a_g))))
-    return scans
-
-
-def _choose(tri: TridiagonalHamiltonian, scan) -> VariationalSolution:
-    """solve_alpha of tri from its _scan result (None on one level or at g = 0)."""
+def _choose(tri: TridiagonalHamiltonian, scan):
+    """solve_alpha of tri from its _scan result (None on one level or at g = 0),
+    or the error it raises."""
     params = tri.params
     if tri.dim == 1:
-        return VariationalSolution(
-            theta=params.g_phase,
-            alpha_roots=(0.0,),
-            alpha_selected=0.0,
-            energies=(),
-            residuals=(0.0,),
-        )
+        return VariationalSolution(params.g_phase, (0.0,), 0.0, (), (0.0,))
     if params.g_mod == 0:
-        raise ValueError("variational phase undefined at g = 0")
+        return ValueError("variational phase undefined at g = 0")
     if isinstance(scan, RuntimeError):
-        raise scan
+        return scan
     roots, f, c, s, bq = scan
     n = tri.dim - 1
     residuals = -2.0 * params.g_mod * n * f / tri.norm_bound()
     ground = tri.diag[0] + params.a * n * s + 2.0 * roots * c * bq
-    alpha_roots = tuple(roots.tolist())
-    return VariationalSolution(
-        theta=params.g_phase,
-        alpha_roots=alpha_roots,
-        alpha_selected=alpha_roots[int(np.argmin(ground))],
-        energies=(),
-        residuals=tuple(residuals.tolist()),
-    )
+    alpha_roots, residuals = tuple(roots.tolist()), tuple(residuals.tolist())
+    selected = alpha_roots[int(np.argmin(ground))]
+    return VariationalSolution(params.g_phase, alpha_roots, selected, (), residuals)
 
 
-def _solve_alphas(tris: list) -> Iterator[VariationalSolution]:
-    """solve_alpha of each Hamiltonian, in order; every scan runs first."""
+def _solve_alphas(tris: list) -> list:
+    """_choose of each Hamiltonian; every scan runs first, one per key: all it
+    reads, the bytes of the float64 off-diagonal and of np.float64([a, |g|])
+    (bit patterns keep -0.0 and 0.0 apart)."""
     keys = [
-        (
-            np.asarray(tri.offdiag, dtype=np.float64).tobytes(),
-            np.float64([tri.params.a, tri.params.g_mod]).tobytes(),
-        )
-        if tri.dim > 1 and tri.params.g_mod != 0
+        (np.float64(tri.offdiag).tobytes(), np.float64([p.a, p.g_mod]).tobytes())
+        if tri.dim > 1 and p.g_mod != 0
         else None
-        for tri in tris
+        for tri, p in ((tri, tri.params) for tri in tris)
     ]
-    scans = _scan_all(dict.fromkeys(key for key in keys if key is not None))
-    for tri, key in zip(tris, keys):
-        yield _choose(tri, scans.get(key))
+    scans = {}
+    for key in dict.fromkeys(key for key in keys if key is not None):
+        try:
+            scans[key] = _scan(np.frombuffer(key[0]), *np.frombuffer(key[1]).tolist())
+        except RuntimeError as exc:
+            scans[key] = exc
+    return [_choose(tri, scans.get(key)) for tri, key in zip(tris, keys)]
 
 
 def solve_alpha(tri: TridiagonalHamiltonian) -> VariationalSolution:
     """Locate all stationary alpha of tri and select the one of lowest E(v=0).
 
-    The scan runs on GRID_POINTS angles spaced evenly in r = -atan(alpha)
-    over the closed interval [-pi/2, pi/2], so it covers every alpha with
-    no root bound: the stationarity function F (see _Meridians.slope) is
-    a bounded Bernstein mean there.  Grid zeros are roots; every sign
-    change is refined, all brackets together as arrays, by SECTIONS-fold
-    sectioning until it is ALPHA_WIDTH wide in alpha or cannot be split in
-    floating point, and its midpoint is the root.  residuals holds
-    dE(0, r)/dr / norm_bound at each root, which is -2|g|n F / norm_bound.
-    A grid on which F has neither a zero nor a sign change raises
-    RuntimeError.
+    On s = sin^2 r, F = -kappa sin theta + G(s) (see _Stationarity) with
+    sin theta = +-2 sqrt(s (1 - s)), so its roots are those in [0, 1] of
+    P(s) = G^2 - 4 kappa^2 s (1 - s), each on the half-circle (sign of
+    alpha) where F changes sign; at a = 0, those of G, each a pair +-alpha.
+    The sign changes of P's Bernstein coefficients bound its roots in an
+    interval (Descartes; Lane & Riesenfeld, BIT 21, 112, 1981).  De
+    Casteljau halving splits [0, 1] until on each piece the bound equals the
+    number of half-circles on which F changes sign between its ends, so each
+    root is found and bracketed alone; a piece still uncertified when
+    _NARROW wide refuses the block with RuntimeError, as do sums past the
+    float range.  Exact zeros of P at s = 0 and 1 are the roots alpha = 0
+    and the pole tan(pi/2).  Each bracket is refined (_refine) until it is
+    ALPHA_WIDTH wide in alpha or cannot shrink in floating point, and its
+    midpoint is the root.  residuals holds dE(0, r)/dr / norm_bound at each
+    root, which is -2|g|n F / norm_bound.
 
-    F reads only the off-diagonal, a and |g|.  This is the batch of one:
-    variational_spectra scans the blocks of one size together, one grid
-    pass and one sectioning loop for all their brackets, and blocks with
-    the same off-diagonal, a and |g| share one scan, with the same bytes.
-    The twins (k, m, +) and (k, m, -) of a three-boson model are such
-    blocks.  Nothing is kept from one call to the next.  The diagonal and
-    the norm bound enter only the root choice and the residuals, per
-    block.
-
-    The selected root minimizes the closed-form coherent energy
-    E(0, r) = diag_0 + a n s + 2 alpha c Q(s) of _Meridians.slope, the
-    first of equal minima winning: O(d) per root, and the v=0 energy is a
-    Rayleigh quotient, so this branch is variationally controlled.  A
-    single-level block has no rotation freedom: its one root and selected
-    alpha are 0 and its residual 0, whatever g.  Otherwise g = 0 leaves the
-    phase undefined and raises ValueError.  The energies are filled in by
-    variational_spectrum.
+    F reads only the off-diagonal, a and |g|: in variational_spectra, blocks
+    with the same three share one scan, with the same bytes, and nothing is
+    kept from one call to the next.  The selected root minimizes the
+    closed-form E(0, r) = diag_0 + a n s + 2 alpha c Q(s), the first of equal
+    minima winning: O(d) per root, and the v=0 energy is a Rayleigh
+    quotient, so this branch is variationally controlled.  A single-level
+    block has no rotation freedom: its one root and selected alpha are 0 and
+    its residual 0, whatever g.  Otherwise g = 0 leaves the phase undefined
+    and raises ValueError.  The energies are filled in by variational_spectrum.
     """
-    return next(_solve_alphas([tri]))
+    [sol] = _solve_alphas([tri])
+    if isinstance(sol, Exception):
+        raise sol
+    return sol
 
 
-def _with_energies(tri: TridiagonalHamiltonian, sol: VariationalSolution):
-    """sol with the energies of all levels at its angle: one rotation."""
-    energies = _level_energies(tri.diag, tri.offdiag, sol.r_selected).tolist()
+def _with_energies(tri: TridiagonalHamiltonian, sol: VariationalSolution, rot):
+    """sol with the energies of all levels at its angle, rotated by rot."""
+    energies = _level_energies(tri.diag, tri.offdiag, rot).tolist()
     bound = tri.norm_bound()
     worst = float(np.max(np.abs(energies)))
     if not worst <= bound * (1.0 + NORM_SLACK):
@@ -494,30 +481,43 @@ def variational_spectra(
 ) -> Iterator[VariationalSolution]:
     """variational_spectrum of each Hamiltonian, yielded in order.
 
-    Every scan runs before the first solution is yielded (see
-    solve_alpha); bit-equal Hamiltonians (equal TridiagonalHamiltonian.key)
-    share one solution, rotation included.  The rest of a block's work
-    runs when its turn comes, and a block that fails raises there, so the
-    error raised is that of the first failing block in order.
+    Every scan runs before the first solution is yielded (see solve_alpha);
+    bit-equal Hamiltonians (equal TridiagonalHamiltonian.key) share one
+    solution, and blocks of one size at one angle (bytes of r), such as the
+    twins, one su2_eigenbasis, kept until the last of them; each forms its
+    energies from its own diagonal.  The rest of a block's work runs at its
+    turn, where a failing block raises: the error is the first in order.
     """
     tris = list(tris)
     keys = [tri.key() for tri in tris]
     # equal keys are bit-equal Hamiltonians, so any one of them stands for all
-    chosen = _solve_alphas(list(dict(zip(keys, tris)).values()))
-    solved = {}
+    first = dict(zip(keys, tris))
+    chosen = dict(zip(first, _solve_alphas(list(first.values()))))
+    angle = {  # the rotation of each block: its size and the bytes of r
+        key: (first[key].dim, sol.r_selected.hex())
+        for key, sol in chosen.items()
+        if isinstance(sol, VariationalSolution)
+    }
+    uses, rotations, solved = Counter(angle.values()), {}, {}
     for key, tri in zip(keys, tris):
         if key not in solved:
-            solved[key] = _with_energies(tri, next(chosen))
+            sol, at = chosen[key], angle.get(key)
+            if isinstance(sol, Exception):
+                raise sol
+            if at not in rotations:
+                rotations[at] = su2_eigenbasis(tri.dim, sol.r_selected)
+            uses[at] -= 1
+            rot = rotations[at] if uses[at] else rotations.pop(at)
+            solved[key] = _with_energies(tri, sol, rot)
         yield solved[key]
 
 
 def variational_spectrum(tri: TridiagonalHamiltonian) -> VariationalSolution:
     """Approximate spectrum of tri at the angle solve_alpha selects.
 
-    One rotation evaluates all levels there; a single level takes the
-    identity, so its energy is the diagonal entry exactly.  An energy
-    beyond the Hamiltonian's norm bound (with NORM_SLACK for round-off)
-    cannot be a Rayleigh quotient and raises RuntimeError.  This is the
-    batch of one of variational_spectra.
+    One rotation evaluates all levels there (a single level: the identity).
+    An energy beyond the norm bound (with NORM_SLACK for round-off) is no
+    Rayleigh quotient and raises RuntimeError.  The batch of one of
+    variational_spectra.
     """
     return next(variational_spectra([tri]))

@@ -1101,16 +1101,15 @@ def test_meanfield_builds_one_hamiltonian(tmp_path, monkeypatch):
 
 
 def _count_scans(monkeypatch):
-    """The number of blocks of each variational scan group, as scanned."""
+    """The off-diagonal sizes of the variational scans, one per scan key."""
     from polysl2 import variational
 
     rows = []
     scan = variational._scan
 
-    def counted(group):
-        out = scan(group)
-        rows.append(len(out))
-        return out
+    def counted(offdiag, a, g_mod):
+        rows.append(offdiag.size)
+        return scan(offdiag, a, g_mod)
 
     monkeypatch.setattr(variational, "_scan", counted)
     return rows
@@ -1134,7 +1133,7 @@ def test_spectrum_scans_each_twin_pair_once(tmp_path, monkeypatch):
         blocks = json.loads((out / "spectrum.json").read_text())["blocks"]
         dims = [b["dim"] for b in blocks]
         assert (len(dims), sum(d > 1 for d in dims)) == (93, 82)
-        assert (len(rows), sum(rows)) == (12, 47)
+        assert (len(set(rows)), len(rows)) == (12, 47)
         solved.append({b["block_id"]: b for b in blocks})
     assert solved[0] == solved[1] == solved[2]
 
@@ -1150,16 +1149,16 @@ ORDER_LABELS = [
     {"k": 1, "m": 6},
 ]
 NO_ROOT = (
-    "no stationary point on the scan grid; stationarity function at "
-    "alpha = -inf and +inf: 1.000000e+00, 1.000000e+00"
+    "stationary points not certified: the Bernstein bound stays at 3 "
+    "where the stationarity function brackets 1"
 )
 
 
 @pytest.mark.parametrize(
     "no_root, bad_rotation, bad_build, expect",
     [
-        # the size-7 group is scanned first, but its failing block comes
-        # after a failing block of the size-5 group
+        # the size-7 blocks are scanned first, but their failing block comes
+        # after a failing block of size 5
         (["k1p_m6", "k2m_m4", "k3p_m4"], [], [], f"block k2m_m4: {NO_ROOT}"),
         # an earlier block of another size fails after the scans
         (["k2m_m4"], ["k0_m2"], [], "block k0_m2: variational energy"),
@@ -1172,8 +1171,8 @@ NO_ROOT = (
 def test_spectrum_names_the_first_failing_block_in_task_order(
     tmp_path, capsys, monkeypatch, no_root, bad_rotation, bad_build, expect
 ):
-    # the scans of one block size run together, after every block is
-    # built, yet the block reported is the first failing one in task order
+    # the scans run together, after every block is built, yet the block
+    # reported is the first failing one in task order
     from polysl2 import cli, variational
 
     params = ThreeBosonParams(1.0, 0.9, 2.2, complex(0.6, -0.8))
@@ -1185,17 +1184,12 @@ def test_spectrum_names_the_first_failing_block_in_task_order(
         for lab in labels
     }
     doomed = [tris[bid].offdiag.tobytes() for bid in no_root]
-    init, stationarity = variational._Meridians.__init__, variational._Meridians.stationarity
+    scan = variational._scan
 
-    def keep(self, offdiag, a_g):
-        init(self, offdiag, a_g)
-        self.doomed = np.array([row.tobytes() in doomed for row in offdiag])
-
-    def flat(self, alpha, owner=None):
-        ys = stationarity(self, alpha, owner)
-        if owner is None:  # the grid pass: no sign change in a doomed row
-            ys[self.doomed] = 1.0
-        return ys
+    def uncertified(offdiag, a, g_mod):
+        if offdiag.tobytes() in doomed:
+            raise RuntimeError(NO_ROOT)
+        return scan(offdiag, a, g_mod)
 
     level_energies = variational._level_energies
     inflate = [tris[bid].diag.tobytes() for bid in bad_rotation]
@@ -1211,14 +1205,44 @@ def test_spectrum_names_the_first_failing_block_in_task_order(
             raise ValueError("non-finite Hamiltonian: forced")
         return build(block, psi, params)
 
-    monkeypatch.setattr(variational._Meridians, "__init__", keep)
-    monkeypatch.setattr(variational._Meridians, "stationarity", flat)
+    monkeypatch.setattr(variational, "_scan", uncertified)
     monkeypatch.setattr(variational, "_level_energies", inflated)
     monkeypatch.setattr(cli, "build_hamiltonian", refused)
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"numeric failure: {expect}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_spectrum_refuses_a_block_whose_roots_are_not_certified(
+    tmp_path, capsys, monkeypatch
+):
+    # this custom block has four stationary points; the Bernstein bound of
+    # the whole meridian counts six, where F changes sign on its two
+    # half-circles only twice, so isolating them takes a subdivision, which
+    # a width limit of 2 in s refuses.  The block is named, no root printed
+    from polysl2 import variational
+
+    monkeypatch.setattr(variational, "_NARROW", 2.0)
+    cfg = {
+        "model": "custom_psi",
+        "solver": "variational",
+        "custom_psi": {
+            "leading": -1.0,
+            "roots": [0.0, 6.0, 2.2, 2.8],
+            "l0": 0.0,
+            "a": 0.931,
+            "g": 1.0,
+        },
+    }
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "numeric failure: block custom: stationary points not certified: the "
+        "Bernstein bound stays at 6 where the stationarity function brackets 2\n"
+    )
     assert not out.exists()
 
 

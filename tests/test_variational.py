@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polysl2 import variational
@@ -16,6 +16,7 @@ from polysl2.algebra import (
     StructureFunction,
     build_block,
     eigh_tridiagonal,
+    in_block,
     su2_ladder,
     su2_rotation,
 )
@@ -39,7 +40,6 @@ from polysl2.three_boson import (
     build_model_block,
 )
 from polysl2.variational import (
-    GRID_POINTS,
     NORM_SLACK,
     energy_functional,
     solve_alpha,
@@ -59,26 +59,29 @@ def two_level_block(w, l0=0.0):
     return build_block(psi, l0), psi
 
 
-def meridians(tri):
-    """The scan's _Meridians of the one block tri."""
-    a_g = np.float64([[tri.params.a, tri.params.g_mod]])
-    return variational._Meridians(tri.offdiag[None, :], a_g)
+def stationarity(tri):
+    """The scan's stationarity function F of the one block tri."""
+    return variational._Stationarity(tri.offdiag, tri.params.a, tri.params.g_mod)
+
+
+def scan(tri):
+    """The scan of tri: its roots, and F, c, s and Q(s) at each."""
+    return variational._scan(tri.offdiag, tri.params.a, tri.params.g_mod)
 
 
 @contextlib.contextmanager
-def scanned_rows():
-    """The number of blocks of each _scan group, in the order scanned."""
-    rows = []
-    scan = variational._scan
+def scans_run():
+    """The number of scans run, one per scan key."""
+    runs = []
+    run = variational._scan
 
-    def counted(group):
-        out = scan(group)
-        rows.append(len(out))
-        return out
+    def counted(*key):
+        runs.append(key)
+        return run(*key)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(variational, "_scan", counted)
-        yield rows
+        yield runs
 
 
 def test_reg_hyp_known_values():
@@ -232,28 +235,24 @@ def test_solve_alpha_residuals_meet_relative_bound():
             assert abs(res) <= 1e-10
 
 
-def test_solve_alpha_reports_empty_bracket(monkeypatch):
-    # a stationarity function without a zero or sign change on the grid
-    def positive(self, alpha, owner=None):
-        return np.ones((self._g_mod.size, alpha.size) if owner is None else alpha.shape)
-
-    monkeypatch.setattr(variational._Meridians, "stationarity", positive)
-    block, psi = two_level_block(2.0)
-    tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=1.0))
-    with pytest.raises(RuntimeError, match="no stationary point on the scan grid"):
+def test_solve_alpha_refuses_a_stationarity_function_that_vanishes():
+    # a zero off-diagonal at a = 0 makes every angle stationary: no root list
+    # can be certified, so the block is refused
+    params = HamiltonianParams(a=0.0, g_mod=1.0)
+    tri = TridiagonalHamiltonian(np.arange(3.0), np.zeros(2), params)
+    with pytest.raises(RuntimeError, match="vanishes identically"):
         solve_alpha(tri)
 
 
-def test_scan_takes_f_at_the_roots_from_its_meridian_pass():
+def test_scan_takes_f_at_the_roots_from_the_stationarity_function():
     # the bytes of F at the roots are those of the stationarity function
     params = HamiltonianParams(a=0.9, g_mod=1.2, g_phase=0.3)
     for label in (BlockLabel(0, 1), BlockLabel(0, 6), BlockLabel(3, 40, -1)):
         block, psi = build_model_block(label)
         tri = build_hamiltonian(block, psi, params)
-        [(roots, f, *_)] = variational._scan(meridians(tri))
-        # the grid-pass route: the block's row of every block at every alpha
-        expect = meridians(tri).stationarity(roots)[0]
-        assert roots.size and f.tobytes() == expect.tobytes()
+        roots, f, *_ = scan(tri)
+        expect = [stationarity(tri).slope(al)[0] for al in roots.tolist()]
+        assert roots.size and f.tobytes() == np.float64(expect).tobytes()
 
 
 def test_variational_two_level_exact():
@@ -390,7 +389,7 @@ def test_bernstein_stationarity_is_the_scaled_slope(case, alpha):
     block, psi, params = case
     tri = build_hamiltonian(block, psi, params)
     n = block.dim - 1
-    f = float(meridians(tri).stationarity(np.array([alpha]))[0, 0])
+    f = stationarity(tri).slope(alpha)[0]
     rot = su2_rotation(block.dim, -math.atan(alpha))
     h = np.diag(tri.diag) + np.diag(tri.offdiag, 1) + np.diag(tri.offdiag, -1)
     y = su2_ladder(block.dim)
@@ -406,23 +405,17 @@ def test_bernstein_stationarity_is_the_scaled_slope(case, alpha):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(small_blocks())
 def test_solve_alpha_roots_match_termwise_scan(case):
-    # the production scan angles inside |alpha| <= 50, evaluated termwise,
-    # bracket the same roots there
+    # on 4,001 angles spaced evenly in r (the grid the scan once ran on),
+    # inside |alpha| <= 50, the termwise residual changes sign across a cell
+    # exactly when the cell holds an odd number of roots
     block, psi, params = case
-    grid = np.tan(np.linspace(-math.pi / 2, math.pi / 2, GRID_POINTS))
+    grid = np.tan(np.linspace(-math.pi / 2, math.pi / 2, 4001))
     xs = grid[np.abs(grid) <= 50.0]
     ys = np.array([stationarity_residual(block, psi, params, x) for x in xs])
-    cells = np.nonzero(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)[0]
-    try:
-        sol = solve_alpha(build_hamiltonian(block, psi, params))
-    except RuntimeError:
-        assert cells.size == 0 and not np.any(ys == 0.0)
-        return
-    roots = np.array([al for al in sol.alpha_roots if xs[0] <= al <= xs[-1]])
-    expect = np.sort(np.concatenate([xs[ys == 0.0], xs[cells]]))
-    assert roots.size == expect.size
-    for root, i in zip(roots, np.searchsorted(xs, expect)):
-        assert xs[i] <= root <= xs[min(i + 1, xs.size - 1)]
+    assert np.all(ys != 0.0)
+    roots = solve_alpha(build_hamiltonian(block, psi, params)).alpha_roots
+    held = np.bincount(np.searchsorted(xs, roots), minlength=xs.size + 1)[1:-1]
+    assert ((held % 2 == 1) == ((ys[:-1] < 0.0) != (ys[1:] < 0.0))).all()
 
 
 def test_stationarity_large_block_matches_log_space_sum():
@@ -439,8 +432,8 @@ def test_stationarity_large_block_matches_log_space_sum():
     log_binom = np.array(
         [math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k) for k in f]
     )
-    alphas = np.array([-30.0, -1.41, -1.0, -0.999, 0.0, 0.5, 1.001, 1.3])
-    got = meridians(tri).stationarity(alphas)[0]
+    alphas = [-30.0, -1.41, -1.0, -0.999, 0.0, 0.5, 1.001, 1.3]
+    got = [stationarity(tri).slope(al)[0] for al in alphas]
     for al, value in zip(alphas, got):
         r = -math.atan(al)
         s, c = math.sin(r) ** 2, math.cos(r) ** 2
@@ -464,8 +457,8 @@ def _meridian_checks(block, psi, params):
     tri = build_hamiltonian(block, psi, params)
     energy = variational.CoherentEnergy(tri)
     bound = tri.norm_bound()
-    roots = np.array(solve_alpha(tri).alpha_roots)
-    c, s, [bq], _ = meridians(tri).meridian(roots)
+    roots, _, c, s, bq = scan(tri)
+    assert roots.tolist() == list(solve_alpha(tri).alpha_roots)
     ground = tri.diag[0] + params.a * (block.dim - 1) * s + 2.0 * roots * c * bq
     for al, e0 in zip(roots, ground):
         r = -math.atan(al)
@@ -473,7 +466,7 @@ def _meridian_checks(block, psi, params):
         e, dhdp, dhdq = energy(block.j * math.cos(2 * r), q)
         assert abs(dhdq) <= 1e-12 * bound
         assert abs(dhdp) <= 1e-10 * bound / block.j
-        level = variational._level_energies(tri.diag, tri.offdiag, r)[0]
+        level = energy_functional(tri, 0, r)
         assert abs(e0 - level) <= 1e-12 * bound
         assert abs(e - level) <= 1e-12 * bound
 
@@ -493,26 +486,52 @@ def test_large_block_roots_are_meanfield_fixed_points(m):
     _meridian_checks(block, psi, params)
 
 
+@contextlib.contextmanager
+def rotations_made():
+    """The (d, r) of each su2_eigenbasis the variational module asks for."""
+    made = []
+    eigenbasis = variational.su2_eigenbasis
+
+    def counted(d, r):
+        made.append((d, r))
+        return eigenbasis(d, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variational, "su2_eigenbasis", counted)
+        yield made
+
+
 def test_variational_spectrum_rotates_once_per_block(monkeypatch):
     # the root is chosen by the closed-form E(0, r), so every block of two or
-    # more levels takes one rotation, however many roots it has
+    # more levels takes one rotation, however many roots it has; in a batch
+    # the twins (k, m, +) and (k, m, -), at one angle, share one rotation,
+    # and each forms its own energies from it
     calls = []
     level_energies = variational._level_energies
 
-    def counted(diag, off, r):
-        calls.append(r)
-        return level_energies(diag, off, r)
+    def counted(diag, off, rot):
+        calls.append(rot)
+        return level_energies(diag, off, rot)
 
     monkeypatch.setattr(variational, "_level_energies", counted)
     labels = [BlockLabel(0, 0), BlockLabel(0, 4), BlockLabel(2, 5, -1), BlockLabel(0, 30)]
     roots = 0
-    for label in labels:
-        block, psi = build_model_block(label)
-        params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
-        sol = variational_spectrum(build_hamiltonian(block, psi, params))
-        roots += len(sol.alpha_roots)
-    assert len(calls) == len(labels)
+    with rotations_made() as made:
+        for label in labels:
+            block, psi = build_model_block(label)
+            params = block_constants(label, ThreeBosonParams(1.0, 1.0, 2.0, 1.0))
+            sol = variational_spectrum(build_hamiltonian(block, psi, params))
+            roots += len(sol.alpha_roots)
+    assert len(calls) == len(made) == len(labels)
     assert roots > len(labels)
+    params = ThreeBosonParams(1.0, 0.9, 2.2, 0.8 + 0.3j)
+    pairs = [(1, 4), (2, 4), (3, 9)]
+    tris = [model_hamiltonian(BlockLabel(k, m, s), params) for k, m in pairs for s in (1, -1)]
+    calls.clear()
+    with rotations_made() as made:
+        sols = list(variational_spectra(tris[::2] + tris[1::2]))  # twins far apart
+    assert len(calls) == len(tris) and len(made) == len(pairs)
+    assert sorted(made) == sorted({(len(sol.energies), sol.r_selected) for sol in sols})
 
 
 def _selection_checks(block, psi, params):
@@ -521,10 +540,7 @@ def _selection_checks(block, psi, params):
     tri = build_hamiltonian(block, psi, params)
     sol = solve_alpha(tri)
     assert sol.alpha_selected == variational_spectrum(tri).alpha_selected
-    ground = [
-        variational._level_energies(tri.diag, tri.offdiag, -math.atan(al))[0]
-        for al in sol.alpha_roots
-    ]
+    ground = [energy_functional(tri, 0, -math.atan(al)) for al in sol.alpha_roots]
     picked = ground[sol.alpha_roots.index(sol.alpha_selected)]
     assert picked <= min(ground) + 1e-12 * tri.norm_bound()
     return sol
@@ -567,9 +583,9 @@ def test_minus_twin_reuses_the_plus_twins_scan_with_the_same_bytes(omegas, g, k,
     # solutions each gives alone, bit for bit
     params = ThreeBosonParams(*omegas, g=g)
     plus, minus = (model_hamiltonian(BlockLabel(k, m, sign), params) for sign in (1, -1))
-    with scanned_rows() as rows:
+    with scans_run() as runs:
         pair = list(variational_spectra([plus, minus]))
-    assert rows == [1]
+    assert len(runs) == 1
     for got, want in zip(pair, map(variational_spectrum, (plus, minus))):
         for field in ("alpha_roots", "residuals", "energies"):
             a, b = (np.array(getattr(sol, field)) for sol in (got, want))
@@ -583,9 +599,9 @@ def test_scan_keys_keep_signed_zero_detunings_apart():
         build_hamiltonian(block, psi, HamiltonianParams(a=a, g_mod=0.9))
         for a in (0.0, 0.0, -0.0, -0.0, 0.0)
     ]
-    with scanned_rows() as rows:
+    with scans_run() as runs:
         list(variational_spectra(tris))
-    assert rows == [2]
+    assert len(runs) == 2
 
 
 def test_scan_retains_nothing_across_calls():
@@ -657,7 +673,7 @@ def _large_batch():
 @example(_large_batch())
 @given(batches())
 def test_a_batch_gives_each_block_its_batch_of_one_bytes(tris):
-    # scanning blocks together, sharing scans and sharing bit-equal
+    # scanning blocks together, sharing scans, rotations and bit-equal
     # Hamiltonians' solutions changes no byte of any block's solution,
     # and a block that fails alone fails at its turn with the same message
     alone = []
@@ -666,18 +682,22 @@ def test_a_batch_gives_each_block_its_batch_of_one_bytes(tris):
             alone.append(variational_spectrum(tri))
         except RuntimeError as exc:
             alone.append(str(exc))
-    batch = variational_spectra(tris)
-    for want in alone:
-        if isinstance(want, str):
-            with pytest.raises(RuntimeError) as info:
-                next(batch)
-            assert str(info.value) == want
-            return
-        got = next(batch)
-        for field in ("alpha_roots", "residuals", "energies", "alpha_selected"):
-            a, b = (np.array(getattr(sol, field)) for sol in (got, want))
-            assert a.tobytes() == b.tobytes(), field
-        assert (got.theta, got.ordering_ok) == (want.theta, want.ordering_ok)
+    with rotations_made() as made:
+        batch = variational_spectra(tris)
+        for want in alone:
+            if isinstance(want, str):
+                with pytest.raises(RuntimeError) as info:
+                    next(batch)
+                assert str(info.value) == want
+                return
+            got = next(batch)
+            for field in ("alpha_roots", "residuals", "energies", "alpha_selected"):
+                a, b = (np.array(getattr(sol, field)) for sol in (got, want))
+                assert a.tobytes() == b.tobytes(), field
+            assert (got.theta, got.ordering_ok) == (want.theta, want.ordering_ok)
+    # one rotation per block size and angle (bytes of r)
+    angles = {(len(sol.energies), sol.r_selected.hex()) for sol in alone}
+    assert len(made) == len(angles)
 
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
@@ -727,19 +747,54 @@ def horner_cases(draw):
     return _horner_case(d, k=k, sign=sign)
 
 
+def _sums(small, big, table, rows):
+    """The array Bernstein-Horner pass the grid scan ran, frozen as a reference.
+
+    Bernstein sums of Q and dQ/ds, coefficients ordered by powers of small,
+    on a _horner_table whose coefficients are vectors indexed by rows.
+    Horner runs in the ratio small/big <= 1, each partial sum kept times
+    the matching power of big; before each later chunk of the table,
+    power, Q and dQ are rescaled by the power of two that brings the
+    largest into [1/2, 1).
+    """
+    q, dq, chunks, last = table
+    q, dq = q[rows], dq[rows] if np.ndim(dq) else dq
+    power, exp2 = 1.0, None
+    for k, chunk in enumerate(chunks):
+        if k:
+            top = np.maximum(np.maximum(power, np.abs(q)), np.abs(dq))
+            e = np.frexp(top)[1]
+            power, q, dq = (np.ldexp(x, -e) for x in (power, q, dq))
+            exp2 = e if exp2 is None else exp2 + e
+        for b, rb, db, rdb in chunk:
+            power *= big
+            q = power * b[rows] + small * rb * q
+            dq = power * db[rows] + small * rdb * dq
+    if last is not None:  # Q has one more term than dQ
+        q = power * big * last[0][rows] + small * last[1] * q
+    if exp2 is not None:
+        q, dq = np.ldexp(q, exp2), np.ldexp(dq, exp2)
+    return q, dq
+
+
 def _float_path(tri, p, q):
     """CoherentEnergy(tri)(p, q) as first written: Q and dQ/ds by _sums.
 
-    The clamp is min(1, max(-1, p / j)), the pass is the scan's (_Meridians)
-    on 1-element arrays, and the closed form takes the same float
-    operations as CoherentEnergy, in the same order.
+    The clamp is min(1, max(-1, p / j)), the pass is the grid scan's on
+    1-element arrays over a table of one-entry coefficient vectors, and the
+    closed form takes the same float operations as CoherentEnergy, in the
+    same order.
     """
     n = tri.dim - 1
     x = min(1.0, max(-1.0, p / (0.5 * n)))
     s, c = 0.5 - 0.5 * x, 0.5 + 0.5 * x
-    group = meridians(tri)
-    small, big, table = (s, c, group._fwd) if s <= c else (c, s, group._rev)
-    sums = variational._sums(np.array([small]), np.array([big]), table, 0)
+    beta = tri.offdiag[:, None] * n / su2_ladder(n + 1)[:, None]
+    dbeta = (n - 1) * np.diff(beta, axis=0)
+    if s <= c:
+        small, big, table = s, c, variational._horner_table(beta, dbeta)
+    else:
+        small, big, table = c, s, variational._horner_table(beta[::-1], dbeta[::-1])
+    sums = _sums(np.array([small]), np.array([big]), table, 0)
     bq, dbq = (float(np.ravel(v)[0]) for v in sums)
     root = math.sqrt(s * c)
     db = 2.0 * root * dbq
@@ -768,8 +823,8 @@ def _bits(values):
 @example(_horner_case(2001, k=0, sign=1), [0.2])  # the largest block accepted
 @given(horner_cases(), st.lists(st.floats(-1.0, 1.0), max_size=3))
 def test_the_float_evaluator_gives_the_bytes_of_the_array_pass(tri, xs):
-    # the mean field's float pass (CoherentEnergy) and the scan's array pass
-    # (_sums) are two Horner loops over one table, and give the same bytes
+    # the mean field's float pass (CoherentEnergy) gives the bytes of the
+    # grid scan's array pass (_sums, frozen above) on the same table
     # in both branches (s <= c and s > c), on both poles and at the equator
     # x = p/j = 0, where B = 2 sqrt(s c) Q is Q itself; at q = -phi there,
     # cos(q + phi) = 1 exactly.  Off the chart and at p = NaN, the clamp is
@@ -800,3 +855,188 @@ def test_a_nan_in_dq_skips_the_rescale_as_in_the_array_pass():
         want = _float_path(tri, 0.0, 0.0)
     assert math.isfinite(got[0]) and math.isnan(got[1])
     assert _bits(got) == _bits(want)
+
+
+def _sign_change_across(f, x, width):
+    """F is 0 at x, or has opposite signs at x - width and x + width."""
+    if f(x) == 0.0:
+        return True
+    return (f(x - width) < 0.0) != (f(x + width) < 0.0)
+
+
+@st.composite
+def dipped_blocks(draw):
+    """A custom-psi block whose squared rungs dip inside it, and |g|.
+
+    psi = -(x - l0)(x - l0 - d)(x - l0 - m + w)(x - l0 - m - w) with m a
+    half-integer: the inner roots sit between two rungs, so psi stays
+    positive on every rung and small near l0 + m.  Such blocks can have
+    four or more stationary points, which merge in pairs as a varies.
+    """
+    d = draw(st.integers(5, 10))
+    l0 = draw(st.floats(-2.0, 2.0))
+    m = draw(st.integers(1, d - 2)) + 0.5
+    w = draw(st.floats(0.2, 0.45))
+    psi = StructureFunction(leading=-1.0, roots=(l0, l0 + d, l0 + m - w, l0 + m + w))
+    return build_block(psi, l0), psi, draw(st.floats(0.3, 3.0))
+
+
+def _fold(block, psi, g_mod):
+    """alpha, h and h'' at the first interior extremum of h = -G / (alpha c).
+
+    F = a/|g| alpha c + G vanishes where h(alpha) = a/|g|, so two roots
+    merge at an extremum of h as a passes h there.
+    """
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.0, g_mod=g_mod))
+    stat = stationarity(tri)
+
+    def h(x):
+        return -stat.slope(x)[0] * (1.0 + x * x) / x
+
+    xs = np.tan(np.linspace(-math.pi / 2, math.pi / 2, 4001)[1:-1])
+    xs = xs[np.abs(xs) > 1e-3]
+    rise = np.diff([h(x) for x in xs.tolist()]) > 0.0
+    turns = np.nonzero(rise[:-1] != rise[1:])[0]
+    if not turns.size:
+        return None
+    lo, hi = xs[turns[0]], xs[turns[0] + 2]
+    sense = 1.0 if rise[turns[0]] else -1.0  # a maximum, else a minimum
+    for _ in range(80):  # golden-section search for the extremum
+        x1, x2 = hi - 0.618 * (hi - lo), lo + 0.618 * (hi - lo)
+        if sense * h(x1) > sense * h(x2):
+            hi = x2
+        else:
+            lo = x1
+    x = 0.5 * (lo + hi)
+    step = 1e-4 * (1.0 + abs(x))
+    return x, h(x), (h(x + step) - 2.0 * h(x) + h(x - step)) / step**2
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(dipped_blocks())
+def test_stationary_points_closer_than_a_grid_cell_are_both_reported(case):
+    # a set a hair past a fold of h puts two roots 1e-5 apart in r, within
+    # one cell (pi / 4000) of the 4,001-angle grid the scan once ran on:
+    # no sign change of F on that grid shows them, and the certified scan
+    # reports both, with the termwise residual changing sign across each
+    block, psi, g_mod = case
+    fold = _fold(block, psi, g_mod)
+    assume(fold is not None)
+    x, h, curve = fold
+    gap = 1e-5 * (1.0 + x * x)  # 1e-5 in r, in alpha
+    params = HamiltonianParams(a=(h + curve * gap * gap / 8.0) * g_mod, g_mod=g_mod)
+    roots = solve_alpha(build_hamiltonian(block, psi, params)).alpha_roots
+    pair = [al for al in roots if abs(al - x) < 4.0 * gap]
+    assert len(pair) == 2
+    assert abs(math.atan(pair[0]) - math.atan(pair[1])) < math.pi / 4000
+
+    def residual(al):
+        return stationarity_residual(block, psi, params, al)
+
+    for al in pair:
+        assert _sign_change_across(residual, al, 0.1 * gap)
+
+
+def test_zero_detuning_of_either_sign_gives_mirrored_roots():
+    # at a = 0 and a = -0.0 (two scan keys) F is even in alpha: each root of
+    # G gives the pair -alpha, alpha, and both signs give the same roots
+    block, psi = build_model_block(BlockLabel(1, 6))
+    sols = [
+        solve_alpha(build_hamiltonian(block, psi, HamiltonianParams(a=a, g_mod=0.9)))
+        for a in (0.0, -0.0)
+    ]
+    roots = np.array(sols[0].alpha_roots)
+    assert roots.size == 2 and roots.tobytes() == (-roots[::-1]).tobytes()
+    assert sols[0].alpha_roots == sols[1].alpha_roots
+    assert sols[0].residuals == sols[1].residuals
+
+
+@pytest.mark.parametrize("a", [0.0, 0.7, -1.3])
+def test_roots_at_alpha_zero_and_at_the_pole(a):
+    # a zero first rung makes alpha = 0 (s = 0) a root, a zero last rung the
+    # pole r = -pi/2 (s = 1), reported once as the float tan(pi/2).  F
+    # changes sign across each; at a = 0 it is even in alpha and touches 0
+    # there instead
+    params = HamiltonianParams(a=a, g_mod=1.0)
+    for off, at in (([0.0, 1.0, 1.5, 1.2], 0.0), ([1.0, 1.5, 1.2, 0.0], math.tan(math.pi / 2))):
+        tri = TridiagonalHamiltonian(np.arange(5.0), np.array(off), params)
+        sol = variational_spectrum(tri)
+        assert sol.alpha_roots.count(at) == 1
+        assert abs(sol.residuals[sol.alpha_roots.index(at)]) <= 1e-15
+        f = stationarity(tri)
+        ends = [f.slope(x)[0] for x in ((-1e8, 1e8) if at else (-1e-8, 1e-8))]
+        assert (ends[0] < 0.0) != (ends[1] < 0.0) if a else ends[0] == ends[1]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("label", [BlockLabel(0, 6), BlockLabel(2, 11, -1)])
+def test_large_detuning_roots_against_the_termwise_residual(label, sign):
+    # |a|/|g| = 1e3 puts one root near alpha = 0 and one near a pole; the
+    # termwise residual changes sign across each
+    block, psi = build_model_block(label)
+    params = HamiltonianParams(a=sign * 1.1e3, g_mod=1.1, g_phase=0.4)
+    roots = solve_alpha(build_hamiltonian(block, psi, params)).alpha_roots
+    assert len(roots) == 2
+    assert sorted(abs(al) < 1e-2 for al in roots) == [False, True]
+    assert max(abs(al) for al in roots) > 1e2
+
+    def residual(al):
+        return stationarity_residual(block, psi, params, al)
+
+    for al in roots:
+        assert _sign_change_across(residual, al, 1e-7 * abs(al))
+
+
+@st.composite
+def accepted_blocks(draw):
+    """A block of 2 to 2,001 levels: three-boson, cubic custom psi or sl(2)."""
+    d = draw(st.integers(2, 2001))
+    kind = draw(st.sampled_from(["three_boson", "custom", "sl2"]))
+    g = draw(st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0, allow_infinity=False))
+    if kind == "three_boson":
+        w1, w2 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+        params = ThreeBosonParams(w1, w2, w1 + w2 + draw(st.floats(-3.0, 3.0)), g)
+        label = BlockLabel(draw(st.integers(0, 40)), d - 1, draw(st.sampled_from([1, -1])))
+        return model_hamiltonian(label, params)
+    if kind == "custom":
+        l0, gap = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.5, 3.0))
+        psi = StructureFunction(leading=1.0, roots=(l0, l0 + d, l0 + d + gap))
+        block = build_block(psi, l0)
+    else:
+        block, psi = sl2_block((d - 1) / 2)
+    params = HamiltonianParams.from_coupling(draw(st.floats(-3.0, 3.0)), g)
+    return build_hamiltonian(block, psi, params)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@example(model_hamiltonian(BlockLabel(0, 2000), ThreeBosonParams(1.0, 1.0, 2.0, 1.0)))
+@example(model_hamiltonian(BlockLabel(0, 2000), ThreeBosonParams(1.0, 1.3, 2.0, 0.8 + 0.3j)))
+@given(accepted_blocks())
+def test_root_count_is_certified_over_the_accepted_range(tri):
+    # every reported root is a sign change of F (or a zero of it), there
+    # are as many roots off s = 0 and s = 1 as the Bernstein bound of the
+    # whole of [0, 1] certifies (twice that of G at a = 0), and the
+    # residuals stay within the relative bound of the small blocks
+    sol = solve_alpha(tri)
+    stat = stationarity(tri)
+    for al in sol.alpha_roots:
+        assert _sign_change_across(lambda x: stat.slope(x)[0], al, 1e-8 * max(1.0, abs(al)))
+    bound = variational._variations(stat.poly())
+    inner = [al for al in sol.alpha_roots if al not in (0.0, variational._POLE)]
+    assert len(inner) == (2 * bound if tri.params.a == 0.0 else bound)
+    assert max(abs(res) for res in sol.residuals) <= 1e-10
+
+
+def test_coherent_energy_refuses_a_sum_past_the_float_range():
+    # off-diagonal +-1e300 of alternating sign at d = 2001: the rescaled
+    # Horner sums leave the float range when their power of two is restored
+    n = 2000
+    params = HamiltonianParams(a=0.0, g_mod=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tri = TridiagonalHamiltonian(np.zeros(n + 1), 1e300 * (-1.0) ** np.arange(n), params)
+        energy = variational.CoherentEnergy(tri)
+        with pytest.raises(RuntimeError, match="coherent-state sum overflows"):
+            energy(0.3 * 0.5 * n, 0.0)
+        with pytest.raises(RuntimeError, match="^block k0_m2000: the coherent-state sum overflows"):
+            with in_block("k0_m2000"):
+                variational_spectrum(tri)
