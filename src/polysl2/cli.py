@@ -462,37 +462,40 @@ _SPECTRUM_HEADER = (
 def _solve_blocks(tasks, solver: str, coupled: bool) -> list:
     """The CSV columns and the JSON summary entry of each block, in order.
 
-    Each block is built and solved exactly as the tasks arrive; then one
-    variational_spectra batch solves every coupled block, and the sl(2)
-    reference follows block by block.  The error raised is that of the
-    first failing block in task order, as if each block were solved in
-    full before the next was built.
+    Each block is built as the tasks arrive.  Bit-equal Hamiltonians (equal
+    TridiagonalHamiltonian.key) share the solution of the first of them:
+    it is solved exactly as it arrives, and one variational_spectra batch
+    of the first ones solves a coupled run.  The sl(2) reference follows
+    block by block.  The error raised is that of the first failing block
+    in task order, as if each block were solved in full before the next
+    was built.
     """
     run_exact = solver in ("exact", "all")
     run_var = solver in ("variational", "all") and coupled
     empty = np.empty(0)
-    built, exact_of, failure = [], {}, None
+    built, shared, failure = [], {}, None  # key -> [tri, exact, sol] of its first
     try:
         for bid, block, psi, params in tasks:
-            tri, exact = None, empty
+            key, exact = None, empty
             with in_block(bid):
                 if run_exact or run_var:  # one Hamiltonian serves both solvers
                     tri = build_hamiltonian(block, psi, params)
-                if run_exact:  # bit-equal Hamiltonians share one solve
                     key = tri.key()
-                    if key not in exact_of:
-                        exact_of[key] = eigh_tridiagonal(
+                    if run_exact and key not in shared:
+                        exact = eigh_tridiagonal(
                             tri.diag, tri.offdiag, eigvals_only=True
                         )
-                    exact = exact_of[key]
-            built.append((bid, block, params, tri, exact))
+                    shared.setdefault(key, [tri, exact, None])
+            built.append((bid, block, params, key))
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         failure = exc  # raised once the blocks before it are solved
-    sols = variational_spectra([tri for *_, tri, _ in built]) if run_var else None
+    sols = variational_spectra([t for t, *_ in shared.values()]) if run_var else None
     solved = []
-    for bid, block, params, tri, exact in built:
+    for bid, block, params, key in built:
         with in_block(bid):
-            sol = next(sols) if run_var else None
+            _, exact, sol = entry = shared.get(key, [None, empty, None])
+            if run_var and sol is None:  # the first of its key: the batch's next
+                sol = entry[2] = next(sols)
             sl2 = empty
             if solver in ("sl2_reference", "all"):
                 sl2 = sl2_reference_energies(block, params)

@@ -507,8 +507,9 @@ def meanfield_trajectory(
     pole q is undefined, the q-dependent part of dH/dp is taken as 0
     there, and a state on the pole stays on it while q precesses at a
     finite rate.  If |p| leaves the chart after a step it is clamped back
-    to the pole with a warning.  Non-finite p0, q0, tspan or dt raise
-    ValueError.
+    to the pole with a warning.  round(|tspan| / dt) steps of tspan / steps,
+    at least one unless tspan is 0, which gives the start alone.  Non-finite
+    p0, q0, tspan or dt raise ValueError.
     """
     for name, val in (("p0", p0), ("q0", q0), ("tspan", tspan), ("dt", dt)):
         if not math.isfinite(val):
@@ -519,8 +520,8 @@ def meanfield_trajectory(
         raise ValueError("initial |p| exceeds j")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    nsteps = max(1, int(round(abs(tspan) / dt)))
-    step = tspan / nsteps
+    nsteps = max(1, int(round(abs(tspan) / dt))) if tspan else 0
+    step = tspan / nsteps if nsteps else 0.0
     half, sixth = 0.5 * step, step / 6.0
     clamped = False
 

@@ -10,17 +10,17 @@ block size.  solve_alpha finds every root alpha = -tan r of -dH/dp on the
 meridian p = j cos 2r, their count certified, so every mean-field fixed
 point there, and picks one by the closed-form E(0, r).  In
 variational_spectra blocks with the same off-diagonal, a and |g|, such as
-the three-boson twins (k, m, +) and (k, m, -), share one scan, and blocks
-of one size at one angle one rotation: R's columns are the eigenvectors of
-T(r) = cos 2r Y0 + sin 2r Jx, one eigh_tridiagonal for all levels, checked
-against polysl2.reference.  Each function takes the block's one
-TridiagonalHamiltonian; a and g come from the params it keeps.
+the three-boson twins (k, m, +) and (k, m, -), share one scan, and a block
+at the size and angle of the block before it that block's rotation: R's
+columns are the eigenvectors of T(r) = cos 2r Y0 + sin 2r Jx, one
+eigh_tridiagonal for all levels, checked against polysl2.reference.  Each
+function takes the block's one TridiagonalHamiltonian; a and g come from
+the params it keeps.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -481,35 +481,23 @@ def variational_spectra(
 ) -> Iterator[VariationalSolution]:
     """variational_spectrum of each Hamiltonian, yielded in order.
 
-    Every scan runs before the first solution is yielded (see solve_alpha);
-    bit-equal Hamiltonians (equal TridiagonalHamiltonian.key) share one
-    solution, and blocks of one size at one angle (bytes of r), such as the
-    twins, one su2_eigenbasis, kept until the last of them; each forms its
-    energies from its own diagonal.  The rest of a block's work runs at its
-    turn, where a failing block raises: the error is the first in order.
+    Every scan runs before the first solution is yielded (see solve_alpha).
+    A block of the previous block's size and angle (bytes of r), such as
+    the second of two adjacent twins, reuses its su2_eigenbasis, so at most
+    one rotation is alive; each forms its energies from its own diagonal.
+    The rest of a block's work runs at its turn, where a failing block
+    raises: the error is the first in order.
     """
     tris = list(tris)
-    keys = [tri.key() for tri in tris]
-    # equal keys are bit-equal Hamiltonians, so any one of them stands for all
-    first = dict(zip(keys, tris))
-    chosen = dict(zip(first, _solve_alphas(list(first.values()))))
-    angle = {  # the rotation of each block: its size and the bytes of r
-        key: (first[key].dim, sol.r_selected.hex())
-        for key, sol in chosen.items()
-        if isinstance(sol, VariationalSolution)
-    }
-    uses, rotations, solved = Counter(angle.values()), {}, {}
-    for key, tri in zip(keys, tris):
-        if key not in solved:
-            sol, at = chosen[key], angle.get(key)
-            if isinstance(sol, Exception):
-                raise sol
-            if at not in rotations:
-                rotations[at] = su2_eigenbasis(tri.dim, sol.r_selected)
-            uses[at] -= 1
-            rot = rotations[at] if uses[at] else rotations.pop(at)
-            solved[key] = _with_energies(tri, sol, rot)
-        yield solved[key]
+    last = rot = None
+    for tri, sol in zip(tris, _solve_alphas(tris)):
+        if isinstance(sol, Exception):
+            raise sol
+        at = (tri.dim, sol.r_selected.hex())
+        if at != last:
+            last, rot = at, None  # the old rotation goes before the new one
+            rot = su2_eigenbasis(tri.dim, sol.r_selected)
+        yield _with_energies(tri, sol, rot)
 
 
 def variational_spectrum(tri: TridiagonalHamiltonian) -> VariationalSolution:

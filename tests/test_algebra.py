@@ -297,6 +297,13 @@ def test_build_block_refuses_overflowing_psi():
         build_block(psi, 0.0)
 
 
+def test_block_operators_refuse_a_negative_psi():
+    # a Block built by hand past the zero of psi at 1.5: psi(2) = -1
+    psi = StructureFunction(leading=-1.0, roots=(0.0, 1.5))
+    with pytest.raises(BlockError, match="negative psi under sqrt at v=2"):
+        block_operators(Block(l0=0.0, dim=3), psi)
+
+
 def test_holstein_primakoff_matches_sl2_ladder():
     # for psi = psi_2 the deformed and su(2) ladders coincide
     j = 2.5

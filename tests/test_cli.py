@@ -434,6 +434,31 @@ def test_verify_catches_injected_fault(monkeypatch, capsys):
     assert out.splitlines()[0].startswith("commutator closure")
 
 
+def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
+    from polysl2 import cli
+
+    def refused(block, psi):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(cli, "block_operators", refused)
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{'commutator closure':<36} FAIL  error: forced"
+    assert lines[-1] == "verify: FAILURES present"
+
+
+def test_config_sections_refuse_attribute_changes():
+    from polysl2.cli import parse_config
+
+    cfg = parse_config({"model": "sl2_limit", "sl2_limit": {"j": 1.0, "a": 0.5, "g": 1.0}})
+    for section, name in (cfg, "model"), (cfg.need("sl2_limit"), "j"):
+        with pytest.raises(AttributeError, match=f"cannot change '{name}'"):
+            setattr(section, name, 2.0)
+        with pytest.raises(AttributeError, match=f"cannot change '{name}'"):
+            delattr(section, name)
+    assert (cfg.model, cfg.need("sl2_limit").j) == ("sl2_limit", 1.0)
+
+
 def test_dynamics_fock_run(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -567,6 +592,24 @@ def test_meanfield_run(tmp_path):
     assert rows[0] == ["t", "p", "q", "energy"]
     assert len(rows) == 1 + 501
     assert float(rows[1][1]) == pytest.approx(0.4)
+
+
+def test_meanfield_zero_span_writes_the_start_alone(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "sl2_limit",
+            "sl2_limit": {"j": 1.0, "a": 0.5, "g": 1.0},
+            "meanfield": {"p0": 0.4, "q0": 0.0, "tspan": 0.0, "dt": 0.01},
+        },
+    )
+    out = tmp_path / "mf"
+    assert main(["meanfield", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.startswith("meanfield: 0 steps in ")
+    data = json.loads((out / "meanfield.json").read_text())
+    assert (data["energy_drift_abs"], data["energy_drift_rel"]) == (0.0, 0.0)
+    _, rows = read_rows(out / "meanfield.csv")
+    assert rows[1:] == [["0.0", "0.4", "0.0", rows[1][3]]]
 
 
 @pytest.mark.parametrize("key, value", [("p0", "nan"), ("dt", "inf")])
@@ -1115,14 +1158,53 @@ def _count_scans(monkeypatch):
     return rows
 
 
+def _benchmark_labels():
+    """The benchmark's spectrum labels: enumerate_blocks(5), k0_m30 and k0_m40."""
+    labels = [{"k": lab.k, "m": lab.m, "sign": lab.sign} for lab in enumerate_blocks(5)]
+    return labels + [{"k": 0, "m": 30, "sign": 1}, {"k": 0, "m": 40, "sign": 1}]
+
+
+def test_spectrum_solves_each_bit_equal_hamiltonian_once(tmp_path, monkeypatch):
+    # at omega1 = omega2 the twins (k, m, +) and (k, m, -) are bit-equal, so
+    # of the benchmark's 93 blocks at its seed 0 the 40 minus twins reuse
+    # their plus twin's exact and variational solutions
+    from polysl2 import cli, variational
+
+    batches, exact, rotated = [], [], []
+    spectra, eigh, level_energies = (
+        cli.variational_spectra, cli.eigh_tridiagonal, variational._level_energies
+    )
+
+    def batch(tris):
+        batches.append(len(tris))
+        return spectra(tris)
+
+    def solved(diag, off, **kwargs):
+        exact.append(diag.size)
+        return eigh(diag, off, **kwargs)
+
+    def rotation(diag, off, rot):
+        rotated.append(diag.size)
+        return level_energies(diag, off, rot)
+
+    monkeypatch.setattr(cli, "variational_spectra", batch)
+    monkeypatch.setattr(cli, "eigh_tridiagonal", solved)
+    monkeypatch.setattr(variational, "_level_energies", rotation)
+    cfg = dict(SPECTRUM_CFG, blocks={"labels": _benchmark_labels()})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    blocks = json.loads((out / "spectrum.json").read_text())["blocks"]
+    assert len(blocks) == 93
+    assert batches == [53] and len(exact) == len(rotated) == 53
+
+
 def test_spectrum_scans_each_twin_pair_once(tmp_path, monkeypatch):
     # the benchmark's labels at its seed 0: 82 blocks of two or more levels
     # in 12 sizes, 35 of them minus twins that share their plus twin's scan
     # wherever either is listed: in order, reversed, or all plus labels
     # first; each block's solution is the same in every order
     rows = _count_scans(monkeypatch)
-    labels = [{"k": lab.k, "m": lab.m, "sign": lab.sign} for lab in enumerate_blocks(5)]
-    labels += [{"k": 0, "m": 30, "sign": 1}, {"k": 0, "m": 40, "sign": 1}]
+    labels = _benchmark_labels()
     orders = labels, labels[::-1], sorted(labels, key=lambda lab: -lab["sign"])
     solved = []
     for i, order in enumerate(orders):

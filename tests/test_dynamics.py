@@ -691,6 +691,24 @@ def test_meanfield_input_validation():
         meanfield_trajectory(tri, 0.1, 0.0, 1.0, -0.01)
 
 
+@pytest.mark.parametrize("tspan", [0.0, -0.0])
+def test_meanfield_zero_span_takes_no_step(tspan):
+    block, psi = build_model_block(BlockLabel(0, 4))
+    tri = build_hamiltonian(block, psi, HamiltonianParams(a=0.7, g_mod=1.0))
+    traj = meanfield_trajectory(tri, 0.8, 0.3, tspan, 0.005)
+    assert traj.times.tolist() == [0.0]
+    assert (traj.p.tolist(), traj.q.tolist()) == ([0.8], [0.3])
+    assert traj.energy.tolist() == [CoherentEnergy(tri)(0.8, 0.3)[0]]
+    # a span under half a step still takes one step, of the whole span
+    short = meanfield_trajectory(tri, 0.8, 0.3, math.copysign(0.001, tspan), 0.005)
+    assert short.times.tolist() == [0.0, math.copysign(0.001, tspan)]
+    assert short.p[1] != 0.8
+
+
+def test_signal_refuses_times_and_values_of_different_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        Signal(times=np.arange(3.0), values=np.zeros(2))
+
 @pytest.mark.parametrize("name", ["p0", "q0", "tspan", "dt"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_meanfield_rejects_non_finite_input(name, bad):

@@ -137,6 +137,14 @@ def test_enumerate_blocks_counts():
     ids = [lab.block_id for lab in labs]
     assert ids == ["k0_m0", "k0_m1", "k0_m2", "k1p_m0", "k1m_m0", "k1p_m1", "k1m_m1"]
     assert enumerate_blocks(0) == [BlockLabel(0, 0)]
+    with pytest.raises(ValueError, match="ncut must be nonnegative"):
+        enumerate_blocks(-1)
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+def test_block_fock_state_refuses_a_position_outside_the_block(v):
+    with pytest.raises(ValueError, match="v outside block"):
+        block_fock_state(BlockLabel(k=1, m=2, sign=-1), v)
 
 
 def test_cube_size_counts_the_enumerated_blocks_and_levels():
@@ -256,6 +264,15 @@ def test_project_coherent_zero_outside_window():
     # v < m - ncut means n3 = m - v > ncut
     assert np.all(c[:2] == 0)
     assert np.any(c[2:] != 0)
+
+
+@pytest.mark.parametrize("k, m", [(4, 0), (1, 6)])
+def test_project_coherent_is_zero_on_a_block_outside_the_cube(k, m):
+    # k > ncut: every state has n1 or n2 above ncut; k + m > 2 ncut: no v
+    # keeps both k + v and m - v within ncut
+    inp = CoherentInput(alpha1=0.5, alpha2=0.5, alpha3=1.5, ncut=3)
+    c = project_coherent(inp, BlockLabel(k=k, m=m))
+    assert c.shape == (m + 1,) and not c.any()
 
 
 # 5 + 5e-324j has a phase below the float range, on which cmath.phase raises

@@ -2,8 +2,10 @@
 
 import contextlib
 import gc
+import itertools
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -504,8 +506,8 @@ def rotations_made():
 def test_variational_spectrum_rotates_once_per_block(monkeypatch):
     # the root is chosen by the closed-form E(0, r), so every block of two or
     # more levels takes one rotation, however many roots it has; in a batch
-    # the twins (k, m, +) and (k, m, -), at one angle, share one rotation,
-    # and each forms its own energies from it
+    # the twins (k, m, +) and (k, m, -), at one angle, share one rotation
+    # when listed one after the other, and each forms its own energies from it
     calls = []
     level_energies = variational._level_energies
 
@@ -527,11 +529,35 @@ def test_variational_spectrum_rotates_once_per_block(monkeypatch):
     params = ThreeBosonParams(1.0, 0.9, 2.2, 0.8 + 0.3j)
     pairs = [(1, 4), (2, 4), (3, 9)]
     tris = [model_hamiltonian(BlockLabel(k, m, s), params) for k, m in pairs for s in (1, -1)]
-    calls.clear()
-    with rotations_made() as made:
-        sols = list(variational_spectra(tris[::2] + tris[1::2]))  # twins far apart
-    assert len(calls) == len(tris) and len(made) == len(pairs)
-    assert sorted(made) == sorted({(len(sol.energies), sol.r_selected) for sol in sols})
+    for order, rotations in (tris, len(pairs)), (tris[::2] + tris[1::2], len(tris)):
+        calls.clear()
+        with rotations_made() as made:
+            sols = list(variational_spectra(order))  # twins adjacent, then apart
+        assert len(calls) == len(tris) and len(made) == rotations
+        angles = {(len(sol.energies), sol.r_selected) for sol in sols}
+        assert len(angles) == len(pairs) and set(made) == angles
+
+
+def test_a_batch_keeps_at_most_one_rotation_alive(monkeypatch):
+    # a block reuses only the rotation of the block before it, so each
+    # rotation is dropped before the next is made, and none outlives the batch
+    refs = []
+    eigenbasis = variational.su2_eigenbasis
+
+    def tracked(d, r):
+        assert not any(ref() is not None for ref in refs)
+        rot = eigenbasis(d, r)
+        refs.append(weakref.ref(rot))
+        return rot
+
+    monkeypatch.setattr(variational, "su2_eigenbasis", tracked)
+    params = ThreeBosonParams(1.0, 0.9, 2.2, 0.8 + 0.3j)
+    pairs = [(1, 4), (2, 4), (3, 9)]
+    tris = [model_hamiltonian(BlockLabel(k, m, s), params) for k, m in pairs for s in (1, -1)]
+    for _ in variational_spectra(tris[::2] + tris[1::2] + tris[-1:]):
+        assert sum(ref() is not None for ref in refs) == 1
+    assert len(refs) == len(tris)  # the block listed twice in a row rotates once
+    assert not any(ref() is not None for ref in refs)
 
 
 def _selection_checks(block, psi, params):
@@ -604,6 +630,31 @@ def test_scan_keys_keep_signed_zero_detunings_apart():
     assert len(runs) == 2
 
 
+def test_stationarity_refuses_what_overflows_the_float_range():
+    # directly built Hamiltonians past any model's range: a G slope or a
+    # ratio a/|g| beyond the float range is refused where the stationarity
+    # function is built, and an F that overflows where it is evaluated
+    def tri(offdiag, a, g_mod):
+        params = HamiltonianParams(a=a, g_mod=g_mod)
+        return TridiagonalHamiltonian(np.zeros(len(offdiag) + 1), np.array(offdiag), params)
+
+    def stationarity(tri):
+        return variational._Stationarity(tri.offdiag, tri.params.a, tri.params.g_mod)
+
+    # numpy's overflow in the slope is refused by the check, not by a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for big in tri([1e308, 1e308], 0.0, 1e-3), tri([1.0, 1.0], 1e308, 1e-3):
+            with pytest.raises(RuntimeError, match="overflows the float range"):
+                stationarity(big)
+            with pytest.raises(RuntimeError, match="overflows the float range"):
+                solve_alpha(big)
+    # (a/|g|) alpha passes the float range before c brings F back into it
+    stat = stationarity(tri([1.0, 1.0], 1e308, 1.0))
+    assert math.isfinite(stat.slope(1.0)[0])
+    with pytest.raises(RuntimeError, match="overflows the float range"):
+        stat.slope(2.0)
+
+
 def test_scan_retains_nothing_across_calls():
     # after a d = 1001 block nothing of its scan or its rotation is kept:
     # not even the 8 (d - 1) bytes of its off-diagonal
@@ -673,9 +724,9 @@ def _large_batch():
 @example(_large_batch())
 @given(batches())
 def test_a_batch_gives_each_block_its_batch_of_one_bytes(tris):
-    # scanning blocks together, sharing scans, rotations and bit-equal
-    # Hamiltonians' solutions changes no byte of any block's solution,
-    # and a block that fails alone fails at its turn with the same message
+    # scanning blocks together, sharing scans and the block before's
+    # rotation changes no byte of any block's solution, and a block that
+    # fails alone fails at its turn with the same message
     alone = []
     for tri in tris:
         try:
@@ -695,9 +746,9 @@ def test_a_batch_gives_each_block_its_batch_of_one_bytes(tris):
                 a, b = (np.array(getattr(sol, field)) for sol in (got, want))
                 assert a.tobytes() == b.tobytes(), field
             assert (got.theta, got.ordering_ok) == (want.theta, want.ordering_ok)
-    # one rotation per block size and angle (bytes of r)
-    angles = {(len(sol.energies), sol.r_selected.hex()) for sol in alone}
-    assert len(made) == len(angles)
+    # one rotation per run of consecutive blocks of one size and angle (bytes of r)
+    angles = [(len(sol.energies), sol.r_selected.hex()) for sol in alone]
+    assert len(made) == len(list(itertools.groupby(angles)))
 
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
